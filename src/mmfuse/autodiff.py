@@ -9,6 +9,18 @@ k upstream gradients.
 
 All computation is double precision; the finite-difference checker
 (``grad_check``) relies on that.
+
+``conv2d`` is lowered to matrix products (im2col). The input is padded
+once into a channel-major ``(C, B, H+2p, W+2p)`` buffer, and k*k strided
+slice copies fill ``cols`` of shape ``(C*k*k, B*H*W)``, rows ordered
+(channel, kernel row, kernel column) like ``w.reshape(Cout, -1)``. The
+forward pass is ``w_mat @ cols``, dW is ``g_mat @ cols.T``, and dX is
+``w_mat.T @ g_mat`` scattered back by k*k strided adds (col2im). The
+output is a ``(B, Cout, H, W)`` view of channel-major memory.
+
+``max_pool2`` takes the elementwise maximum of the four strided views of
+each 2x2 block. On a tie the whole gradient goes to the first maximal
+element in row-major order within the block: (0,0), (0,1), (1,0), (1,1).
 """
 
 from dataclasses import dataclass
@@ -105,8 +117,9 @@ def _accumulate(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _toposort(root):
@@ -125,11 +138,6 @@ def _toposort(root):
             if id(p) not in seen:
                 stack.append((p, False))
     return order
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.zero_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +190,6 @@ def relu(a):
 
 # ---------------------------------------------------------------------------
 # linear algebra
-
-
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul: {a.data.shape} incompatible with {b.data.shape}"
-        )
-    out = _result(a.data @ b.data, (a, b))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-        out._backward = bw
-    return out
 
 
 def linear(x, w, b):
@@ -328,16 +322,17 @@ def batch_norm(x, gamma, beta, stats, mode):
 
     if mode == "train":
         mean = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
+        xc = xd - mean.reshape(bshape)
+        # equals np.var(xd, axis=axes) bit for bit: np.var also centres first
+        var = (xc * xc).mean(axis=axes)
         stats.mean[:] = (1.0 - stats.momentum) * stats.mean + stats.momentum * mean
         stats.var[:] = (1.0 - stats.momentum) * stats.var + stats.momentum * var
     else:
-        mean = stats.mean
+        xc = xd - stats.mean.reshape(bshape)
         var = stats.var
 
     inv = 1.0 / np.sqrt(var + stats.eps)
     inv_b = inv.reshape(bshape)
-    xc = xd - mean.reshape(bshape)
     xhat = xc * inv_b
     out = _result(gam * xhat + bet, (x, gamma, beta))
     if out.requires_grad:
@@ -381,27 +376,37 @@ def conv2d(x, w, b):
     if k % 2 != 1:
         raise DimensionError(f"conv2d: kernel size {k} must be odd")
     pad = k // 2
-    B, _, H, W = xd.shape
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    # win: (B, Cin, H, W, k, k)
-    y = np.einsum("bchwij,ocij->bohw", win, wd, optimize=True)
-    y += b.data[None, :, None, None]
-    out = _result(y, (x, w, b))
+    B, C, H, W = xd.shape
+    Cout = wd.shape[0]
+    xp = np.zeros((C, B, H + 2 * pad, W + 2 * pad))
+    xp[:, :, pad : pad + H, pad : pad + W] = xd.transpose(1, 0, 2, 3)
+    cols = np.empty((C, k, k, B, H, W))
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xp[:, :, i : i + H, j : j + W]
+    cols = cols.reshape(C * k * k, B * H * W)
+    w_mat = wd.reshape(Cout, C * k * k)
+    y = w_mat @ cols
+    y += b.data[:, None]
+    out = _result(y.reshape(Cout, B, H, W).transpose(1, 0, 2, 3), (x, w, b))
     if out.requires_grad:
+        # keep only what backward reads: cols for dW, the weight for dX
+        cols_kept = cols if w.requires_grad else None
+
         def bw(g):
+            g_mat = g.transpose(1, 0, 2, 3).reshape(Cout, B * H * W)
             if w.requires_grad:
-                _accumulate(w, np.einsum("bchwij,bohw->ocij", win, g, optimize=True))
+                _accumulate(w, (g_mat @ cols_kept.T).reshape(wd.shape))
             if b.requires_grad:
-                _accumulate(b, g.sum(axis=(0, 2, 3)))
+                _accumulate(b, g_mat.sum(axis=1))
             if x.requires_grad:
-                dxp = np.zeros_like(xp)
+                dcols = (w_mat.T @ g_mat).reshape(C, k, k, B, H, W)
+                dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad))
                 for i in range(k):
                     for j in range(k):
-                        dxp[:, :, i : i + H, j : j + W] += np.einsum(
-                            "bohw,oc->bchw", g, wd[:, :, i, j], optimize=True
-                        )
-                _accumulate(x, dxp[:, :, pad : pad + H, pad : pad + W])
+                        dxp[:, :, i : i + H, j : j + W] += dcols[:, i, j]
+                dx = dxp[:, :, pad : pad + H, pad : pad + W]
+                _accumulate(x, dx.transpose(1, 0, 2, 3))
         out._backward = bw
     return out
 
@@ -413,22 +418,22 @@ def max_pool2(x):
         raise DimensionError(f"max_pool2: shape {xd.shape} not 4-D with even H, W")
     B, C, H, W = xd.shape
     h2, w2 = H // 2, W // 2
-    blocks = xd.reshape(B, C, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-        B, C, h2, w2, 4
+    blocks = xd.reshape(B, C, h2, 2, w2, 2)
+    y = np.maximum(
+        np.maximum(blocks[:, :, :, 0, :, 0], blocks[:, :, :, 0, :, 1]),
+        np.maximum(blocks[:, :, :, 1, :, 0], blocks[:, :, :, 1, :, 1]),
     )
-    idx = blocks.argmax(axis=-1)
-    y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
     out = _result(y, (x,))
     if out.requires_grad:
         def bw(g):
-            db = np.zeros_like(blocks)
-            np.put_along_axis(db, idx[..., None], g[..., None], axis=-1)
-            dx = (
-                db.reshape(B, C, h2, w2, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(B, C, H, W)
-            )
-            _accumulate(x, dx)
+            db = np.empty((B, C, h2, 2, w2, 2))
+            taken = np.zeros(y.shape, dtype=bool)
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                first = (blocks[:, :, :, i, :, j] == y) & ~taken
+                # g where this view holds the block's first max, else zero
+                np.multiply(g, first, out=db[:, :, :, i, :, j])
+                taken |= first
+            _accumulate(x, db.reshape(B, C, H, W))
         out._backward = bw
     return out
 

@@ -126,8 +126,11 @@ def _set_path(raw, dotted, value):
     """Apply a --set key.path=value override onto the raw config dict."""
     parts = dotted.split(".")
     node = raw
-    for p in parts[:-1]:
+    for i, p in enumerate(parts[:-1]):
         node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            prefix = ".".join(parts[: i + 1])
+            raise ConfigError(f"override {dotted!r}: {prefix!r} is not a section")
     try:
         node[parts[-1]] = json.loads(value)
     except json.JSONDecodeError:

@@ -44,8 +44,9 @@ class TrainConfig:
             raise ConfigError("patience must be >= 1")
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        if self.batch_size < 2:
+            # train-mode batch norm over one sample outputs zeros
+            raise ConfigError("batch_size must be >= 2")
 
     @classmethod
     def from_dict(cls, d):
@@ -244,11 +245,23 @@ def eval_bac(assembly, dataset, report, batch_size=256):
 # the loop
 
 
+def _batches(order, batch_size):
+    """Split ``order`` into consecutive batches; a trailing single sample
+    joins the batch before it, since train-mode batch norm over one sample
+    outputs zeros and passes no gradient."""
+    bounds = list(range(0, len(order), batch_size)) + [len(order)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def train(assembly, train_set, val_set, cfg, report="all"):
     """Fit the assembly; returns (assembly with best-epoch weights, TrainLog)."""
     cfg.validate()
-    if len(train_set) == 0 or len(val_set) == 0:
-        raise ConfigError("train and validation splits must be non-empty")
+    if len(train_set) < 2 or len(val_set) == 0:
+        raise ConfigError(
+            "the train split needs at least 2 samples and the validation split 1"
+        )
     counts = np.bincount(train_set.labels, minlength=assembly.n_classes)
     weights = class_weights_from_counts(counts)
     rng = np.random.default_rng(cfg.seed)
@@ -262,8 +275,7 @@ def train(assembly, train_set, val_set, cfg, report="all"):
         order = rng.permutation(len(train_set))
         sums = {}
         batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for idx in _batches(order, cfg.batch_size):
             images = train_set.images[idx]
             if cfg.augment:
                 images = np.stack(

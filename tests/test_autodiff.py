@@ -16,6 +16,30 @@ def matmul_oracle(a, b):
     return out
 
 
+def conv2d_oracle(x, w, b, g):
+    """Direct nested-loop same-padded convolution and its gradients for
+    upstream gradient ``g``: returns (y, dx, dw, db)."""
+    B, C, H, W = x.shape
+    cout, _, k, _ = w.shape
+    p = k // 2
+    y = np.zeros((B, cout, H, W))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for n in range(B):
+        for o in range(cout):
+            for r in range(H):
+                for c in range(W):
+                    y[n, o, r, c] = b[o]
+                    for ci in range(C):
+                        for i in range(k):
+                            for j in range(k):
+                                rr, cc = r + i - p, c + j - p
+                                if 0 <= rr < H and 0 <= cc < W:
+                                    y[n, o, r, c] += w[o, ci, i, j] * x[n, ci, rr, cc]
+                                    dw[o, ci, i, j] += g[n, o, r, c] * x[n, ci, rr, cc]
+                                    dx[n, ci, rr, cc] += g[n, o, r, c] * w[o, ci, i, j]
+    return y, dx, dw, g.sum(axis=(0, 2, 3))
+
+
 class TestLinear:
     def test_identity(self):
         x = Tensor([[1.0, 0.0], [0.0, 1.0]])
@@ -118,6 +142,20 @@ class TestBatchNorm:
         ad.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, "train")
         np.testing.assert_allclose(stats.mean, 0.9 * 0.0 + 0.1 * x.mean(axis=0))
         np.testing.assert_allclose(stats.var, 0.9 * 1.0 + 0.1 * x.var(axis=0))
+
+    def test_batch_variance_equals_np_var_bitwise(self):
+        # the variance reuses the centred input; conv2d outputs are views
+        # of channel-major memory, so that layout is covered too
+        rng = np.random.default_rng(7)
+        cases = [rng.normal(loc=1.5, size=s) for s in ((16, 8, 16, 16), (16, 32))]
+        cases.append(rng.normal(size=(32, 16, 4, 4)).transpose(1, 0, 2, 3))
+        for x in cases:
+            stats = self._stats(x.shape[1])
+            width = x.shape[1]
+            ad.batch_norm(Tensor(x), Tensor(np.ones(width)), Tensor(np.zeros(width)),
+                          stats, "train")
+            var = x.var(axis=(0,) + tuple(range(2, x.ndim)))
+            np.testing.assert_array_equal(stats.var, (1.0 - 0.1) * 1.0 + 0.1 * var)
 
     def test_eval_uses_running_stats(self):
         stats = RunningStats(mean=np.array([2.0]), var=np.array([4.0]), eps=0.0)
@@ -268,6 +306,17 @@ class TestBackward:
         assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
 
 
+class TestAccumulate:
+    def test_first_gradient_is_a_copy(self):
+        # a view op hands its output gradient on as a view; the parent must
+        # own its gradient so that later accumulation cannot reach the child
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = ad.reshape(x, (3, 2))
+        ad.add(y.sum(), y.sum()).backward()
+        assert not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
 class TestGradCheck:
     def test_sum_of_squares_is_exact(self):
         rng = np.random.default_rng(9)
@@ -295,6 +344,47 @@ class TestPoolingAndConv:
         assert out.data.item() == 4.0
         out.sum().backward()
         np.testing.assert_array_equal(x.grad[0, 0], [[0, 0], [0, 1.0]])
+
+    def test_maxpool_four_way_tie_goes_to_first(self):
+        x = Tensor(np.full((1, 1, 2, 2), 5.0), requires_grad=True)
+        ad.scale(ad.max_pool2(x), 3.0).sum().backward()
+        np.testing.assert_array_equal(x.grad[0, 0], [[3.0, 0], [0, 0]])
+
+    def test_maxpool_two_way_tie_goes_to_first_in_row_major_order(self):
+        # blocks: tie at (0,1)/(1,0); tie at (1,0)/(1,1); tie at (0,0)/(1,1)
+        x = Tensor(
+            np.array([[[[1.0, 7.0, 2.0, 0.0, 9.0, 1.0],
+                        [7.0, 3.0, 8.0, 8.0, 2.0, 9.0]]]]),
+            requires_grad=True,
+        )
+        out = ad.max_pool2(x)
+        np.testing.assert_array_equal(out.data, [[[[7.0, 8.0, 9.0]]]])
+        out.sum().backward()
+        np.testing.assert_array_equal(
+            x.grad[0, 0], [[0, 1.0, 0, 0, 1.0, 0], [0, 0, 1.0, 0, 0, 0]]
+        )
+
+    @pytest.mark.parametrize(
+        "batch, cin, cout, k, size, x_grad",
+        [(2, 2, 3, 1, 4, True), (2, 3, 2, 3, 5, True), (1, 2, 4, 5, 6, True),
+         (3, 1, 2, 3, 4, False)],
+    )
+    def test_conv_matches_nested_loops(self, batch, cin, cout, k, size, x_grad):
+        rng = np.random.default_rng(k * 10 + cin)
+        x = Tensor(rng.normal(size=(batch, cin, size, size)), requires_grad=x_grad)
+        w = Tensor(rng.normal(size=(cout, cin, k, k)), requires_grad=True)
+        b = Tensor(rng.normal(size=cout), requires_grad=True)
+        g = rng.normal(size=(batch, cout, size, size))
+        y, dx, dw, db = conv2d_oracle(x.data, w.data, b.data, g)
+        out = ad.conv2d(x, w, b)
+        np.testing.assert_allclose(out.data, y, rtol=0, atol=1e-12)
+        ad.mul(out, Tensor(g)).sum().backward()
+        np.testing.assert_allclose(w.grad, dw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, db, rtol=0, atol=1e-12)
+        if x_grad:
+            np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
+        else:
+            assert x.grad is None
 
     def test_conv_identity_kernel(self):
         rng = np.random.default_rng(10)

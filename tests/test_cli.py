@@ -136,6 +136,15 @@ class TestRun:
         rows = (out / "results.csv").read_text().splitlines()[1:]
         assert all("-s3" in r.split(",")[1] for r in rows)
 
+    def test_set_below_a_scalar_exits_2(self, tmp_path, capsys):
+        cfg = run_config(tmp_path)
+        for key in ("folds.x=1", "folds.x.y=1"):
+            assert main([
+                "run", "--config", str(cfg), "--out", str(tmp_path / "sc"),
+                "--set", key,
+            ]) == 2
+            assert "'folds' is not a section" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -188,6 +188,35 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(asm, ds.subset([]), ds, TrainConfig())
 
+    def test_batch_size_one_rejected(self):
+        with pytest.raises(ConfigError, match="batch_size"):
+            TrainConfig(batch_size=1).validate()
+
+    def test_trailing_single_sample_joins_previous_batch(self, monkeypatch):
+        # 17 % 8 == 1: a batch of one would reach train-mode batch norm
+        from mmfuse.structures import ModelAssembly
+
+        sizes = []
+        forward = ModelAssembly.forward
+
+        def spy(self, images, meta, mode):
+            if mode == "train":
+                sizes.append(images.data.shape[0])
+            return forward(self, images, meta, mode)
+
+        monkeypatch.setattr(ModelAssembly, "forward", spy)
+        ds = small_dataset(per_class=9)
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(4))
+        cfg = TrainConfig(epochs=2, patience=2, batch_size=8, seed=0, augment=False)
+        train(asm, ds.subset(range(17)), ds.subset(range(17, 18)), cfg)
+        assert sizes == [8, 9, 8, 9]
+
+    def test_single_sample_train_split_rejected(self):
+        ds = small_dataset(per_class=4)
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(5))
+        with pytest.raises(ConfigError):
+            train(asm, ds.subset([0]), ds, TrainConfig(augment=False))
+
     def test_class_weights_come_from_train_split_only(self):
         # a validation split missing a class is fine; a train split missing
         # one is the configuration error class_weights_from_counts raises
