@@ -15,7 +15,7 @@ from mmfuse.encoders import (
     MetadataSchema,
     encode_rows,
 )
-from mmfuse.fusion import MMFAFusion, fuse_concat, mmfa_fuse
+from mmfuse.fusion import MMFAFusion, fuse_concat
 
 rng = np.random.default_rng(1)
 
@@ -46,7 +46,7 @@ print(f"metadata features: {f_m.shape}, image features: {f_i.shape}")
 print("\n== concatenation vs attention fusion ==")
 cat = fuse_concat(f_i, f_m)
 mmfa = MMFAFusion(32, 16, rng=rng, heads=8)
-fused = mmfa_fuse(f_i, f_m, mmfa, "eval")
+fused = mmfa(f_i, f_m, "eval")
 print(f"concat width {cat.shape[1]}, attention-fused width {fused.shape[1]} "
       f"(always image+meta = {f_i.shape[1]}+{f_m.shape[1]})")
 print(f"heads: {mmfa.cfg.heads}, per-head width: {mmfa.cfg.head_width}")
@@ -57,5 +57,5 @@ print(f"attention weights {w.shape}; per-head sums all 1: "
 print("\n== the zeroed module is exactly the concatenation baseline ==")
 for _, t in mmfa.params():
     t.data[...] = 0.0
-fused0 = mmfa_fuse(f_i, f_m, mmfa, "eval")
+fused0 = mmfa(f_i, f_m, "eval")
 print("bit-exact equality:", np.array_equal(fused0.data, cat.data))

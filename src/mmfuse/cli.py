@@ -25,6 +25,7 @@ from .errors import (
 )
 from .experiment import (
     ExperimentConfig,
+    _set_path,
     config_digest,
     gradcheck_suite,
     run_experiment,
@@ -40,12 +41,15 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset directory")
-    p_gen.add_argument("--config", help="JSON file with a synthetic spec")
+    p_gen.add_argument(
+        "--config",
+        help="JSON file with a synthetic spec, a dataset section or an experiment config",
+    )
     p_gen.add_argument("--out", required=True, help="output dataset directory")
     p_gen.add_argument("--seed", type=int, help="override the spec seed")
     p_gen.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="override a spec field (JSON-parsed value)",
+        help="override a field of the config file, e.g. --set dataset.synthetic.seed=5",
     )
 
     p_run = sub.add_parser("run", help="run a fold x seed experiment grid")
@@ -89,13 +93,14 @@ def cmd_generate(args):
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        if "synthetic" in raw:  # accept a full experiment config too
-            raw = raw["synthetic"]
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object")
     for key, value in _parse_overrides(args.set):
-        try:
-            raw[key] = json.loads(value)
-        except json.JSONDecodeError:
-            raw[key] = value
+        _set_path(raw, key, value)
+    # an experiment config nests the spec as dataset.synthetic
+    for section in ("dataset", "synthetic"):
+        if isinstance(raw.get(section), dict):
+            raw = raw[section]
     if args.seed is not None:
         raw["seed"] = args.seed
     spec = SyntheticSpec.from_dict(raw)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import Column, MetadataSchema, encode_rows
-from .errors import ConfigError, DataError, FormatError, SchemaError
+from .errors import ConfigError, DataError, FormatError, SchemaError, check_known_keys
 
 _PALETTE = np.array(
     [
@@ -80,10 +80,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown synthetic spec keys: {sorted(unknown)}")
+        check_known_keys(cls, d, "synthetic spec")
         d = dict(d)
         if "image_shape" in d:
             d["image_shape"] = tuple(d["image_shape"])

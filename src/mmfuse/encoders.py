@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, DimensionError, SchemaError
-from .layers import BatchNorm, Conv2d, Linear, prefixed
+from .layers import BatchNorm, Conv2d, Linear, Module
 
 MISSING = (None, "")
 
@@ -146,18 +146,22 @@ def encode_rows(rows, schema):
     return np.stack([one_hot_encode(r, schema) for r in rows])
 
 
-class MetadataEncoder:
-    """Fully connected blocks (linear -> batch norm -> ReLU) over encoded rows."""
+class MetadataEncoder(Module):
+    """Fully connected blocks (linear -> batch norm -> ReLU) over encoded rows.
+
+    Block i is ``fc{i}`` followed by ``bn{i}``.
+    """
 
     def __init__(self, in_width, out_dim=64, hidden=(64,), rng=None):
         rng = np.random.default_rng(0) if rng is None else rng
         widths = [in_width, *hidden, out_dim]
         self.in_width = in_width
         self.out_dim = out_dim
-        self.blocks = []
-        for a, b in zip(widths[:-1], widths[1:]):
+        self.depth = len(widths) - 1
+        for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
             # the batch norm that follows makes a linear bias redundant
-            self.blocks.append((Linear(a, b, rng, bias=False), BatchNorm(b)))
+            setattr(self, f"fc{i}", Linear(a, b, rng, bias=False))
+            setattr(self, f"bn{i}", BatchNorm(b))
 
     def __call__(self, x, mode):
         if x.data.ndim != 2 or x.data.shape[1] != self.in_width:
@@ -166,26 +170,17 @@ class MetadataEncoder:
                 f"{self.in_width}"
             )
         h = x
-        for lin, bn in self.blocks:
+        for i in range(self.depth):
+            lin, bn = getattr(self, f"fc{i}"), getattr(self, f"bn{i}")
             h = ad.relu(bn(lin(h), mode))
         return h
 
-    def params(self):
-        out = []
-        for i, (lin, bn) in enumerate(self.blocks):
-            out += prefixed(f"fc{i}", lin.params())
-            out += prefixed(f"bn{i}", bn.params())
-        return out
 
-    def buffers(self):
-        out = []
-        for i, (_, bn) in enumerate(self.blocks):
-            out += prefixed(f"bn{i}", bn.buffers())
-        return out
+class ImageEncoder(Module):
+    """Three conv/BN/ReLU/max-pool blocks, global average pool, projection.
 
-
-class ImageEncoder:
-    """Three conv/BN/ReLU/max-pool blocks, global average pool, projection."""
+    Block i is ``conv{i}`` followed by ``bn{i}``; ``proj`` comes last.
+    """
 
     def __init__(self, in_shape=(3, 32, 32), channels=(8, 16, 32), out_dim=128, rng=None):
         rng = np.random.default_rng(0) if rng is None else rng
@@ -198,10 +193,10 @@ class ImageEncoder:
             )
         self.in_shape = tuple(in_shape)
         self.out_dim = out_dim
-        self.convs = []
         prev = c
-        for ch in channels:
-            self.convs.append((Conv2d(prev, ch, rng, bias=False), BatchNorm(ch)))
+        for i, ch in enumerate(channels):
+            setattr(self, f"conv{i}", Conv2d(prev, ch, rng, bias=False))
+            setattr(self, f"bn{i}", BatchNorm(ch))
             prev = ch
         self.proj = Linear(prev, out_dim, rng)
 
@@ -212,20 +207,7 @@ class ImageEncoder:
                 f"{self.in_shape}"
             )
         h = x
-        for conv, bn in self.convs:
+        for conv, bn in ((self.conv0, self.bn0), (self.conv1, self.bn1),
+                         (self.conv2, self.bn2)):
             h = ad.max_pool2(ad.relu(bn(conv(h), mode)))
         return self.proj(ad.global_avg_pool(h))
-
-    def params(self):
-        out = []
-        for i, (conv, bn) in enumerate(self.convs):
-            out += prefixed(f"conv{i}", conv.params())
-            out += prefixed(f"bn{i}", bn.params())
-        out += prefixed("proj", self.proj.params())
-        return out
-
-    def buffers(self):
-        out = []
-        for i, (_, bn) in enumerate(self.convs):
-            out += prefixed(f"bn{i}", bn.buffers())
-        return out

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import dataclasses
+
 
 class MMFuseError(Exception):
     """Base class for all package errors."""
@@ -44,3 +46,10 @@ class FormatError(DataError):
 
 class DegenerateSampleError(MMFuseError):
     """A statistical test received a sample it cannot be computed on."""
+
+
+def check_known_keys(cls, d, what):
+    """Raise ``ConfigError`` naming the keys of ``d`` that are no field of ``cls``."""
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")

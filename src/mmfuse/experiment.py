@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import platform
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -22,9 +22,9 @@ from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .data import SyntheticSpec, generate_synthetic, load_dataset
 from .encoders import ImageEncoder, MetadataEncoder
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_known_keys
 from .evaluation import confusion, metric_report, stratified_kfold
-from .fusion import ConcatFusion, MMFAFusion, fuse_concat, mmfa_fuse
+from .fusion import ConcatFusion, MMFAFusion, fuse_concat
 from .structures import (
     ModelAssembly,
     combine_losses,
@@ -64,10 +64,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        check_known_keys(cls, d, "model config")
         d = dict(d)
         for key in ("channels", "metadata_hidden"):
             if key in d:
@@ -91,11 +88,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        check_known_keys(cls, d, "experiment config")
         d = dict(d)
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
         if "model" in d:
             d["model"] = ModelConfig.from_dict(d["model"])
         if "train" in d:
@@ -352,28 +346,20 @@ def _write_results_csv(path, rows):
 
 
 def config_digest(cfg):
-    blob = json.dumps(_cfg_to_dict(cfg), sort_keys=True).encode()
+    blob = json.dumps(_digested(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def _cfg_to_dict(cfg):
-    return {
-        "dataset": cfg.dataset,
-        "model": vars(cfg.model) | {
-            "channels": list(cfg.model.channels),
-            "metadata_hidden": list(cfg.model.metadata_hidden),
-        },
-        "train": vars(cfg.train),
-        "folds": cfg.folds,
-        "seeds": list(cfg.seeds),
-        "split_seed": cfg.split_seed,
-        "save_checkpoints": cfg.save_checkpoints,
-    }
+def _digested(cfg):
+    """The config as plain data, minus ``out`` and ``jobs``, which leave results unchanged."""
+    d = asdict(cfg)
+    del d["out"], d["jobs"]
+    return d
 
 
 def _write_manifest(cfg, failures):
     manifest = {
-        "config": _cfg_to_dict(cfg),
+        "config": _digested(cfg),
         "config_sha256": config_digest(cfg),
         "versions": {
             "python": platform.python_version(),
@@ -458,9 +444,7 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
             _check_targets(
                 label,
                 targets,
-                lambda m=mmfa, a=fi, b=fm: ad.scale(
-                    _sumsq(mmfa_fuse(a, b, m, "train")), 1e-4
-                ),
+                lambda m=mmfa, a=fi, b=fm: ad.scale(_sumsq(m(a, b, "train")), 1e-4),
                 step,
                 tol,
             )

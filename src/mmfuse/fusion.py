@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionError
-from .layers import BatchNorm, Linear, prefixed
+from .layers import BatchNorm, Linear, Module
 
 
 def fuse_concat(f_img, f_meta):
@@ -59,7 +59,7 @@ class AttentionConfig:
         return self.width // self.heads
 
 
-class QkvBranch:
+class QkvBranch(Module):
     """Single-layer projection of one modality to a (q, k, v) triple.
 
     The linear output of width 3*d is batch-normalized and divided into
@@ -67,23 +67,11 @@ class QkvBranch:
     """
 
     def __init__(self, d_in, d_out, rng):
-        self.d_in = d_in
-        self.d_out = d_out
         self.lin = Linear(d_in, 3 * d_out, rng)
         self.bn = BatchNorm(3 * d_out)
 
     def __call__(self, f, mode):
         return ad.split_thirds(self.bn(self.lin(f), mode))
-
-    def params(self):
-        return prefixed("lin", self.lin.params()) + prefixed("bn", self.bn.params())
-
-    def buffers(self):
-        return prefixed("bn", self.bn.buffers())
-
-
-def qkv_project(f, branch, mode):
-    return branch(f, mode)
 
 
 def assemble_kqv(img_qkv, meta_qkv):
@@ -122,7 +110,7 @@ def attention_heads(f_q, f_k, f_v, cfg):
     return out, w.data.reshape(b, h, s).copy()
 
 
-class MMFAFusion:
+class MMFAFusion(Module):
     """Attention fusion module; holds all its parameters.
 
     Output width is width(f_img) + width(f_meta): the attention path is
@@ -131,46 +119,37 @@ class MMFAFusion:
     module reduces exactly to the concatenation baseline.
     """
 
-    def __init__(self, d_img_in, d_meta_in, cfg=None, rng=None, heads=8,
+    def __init__(self, d_img_in, d_meta_in, rng=None, heads=8,
                  scale_after_softmax=False):
         rng = np.random.default_rng(0) if rng is None else rng
-        if cfg is None:
-            cfg = AttentionConfig(
-                heads=heads,
-                d_img=d_img_in,
-                d_meta=d_meta_in,
-                scale_after_softmax=scale_after_softmax,
-            )
-        self.cfg = cfg
-        self.d_img_in = d_img_in
-        self.d_meta_in = d_meta_in
+        self.cfg = AttentionConfig(
+            heads=heads,
+            d_img=d_img_in,
+            d_meta=d_meta_in,
+            scale_after_softmax=scale_after_softmax,
+        )
         self.out_width = d_img_in + d_meta_in
-        self.img_qkv = QkvBranch(d_img_in, cfg.d_img, rng)
-        self.meta_qkv = QkvBranch(d_meta_in, cfg.d_meta, rng)
-        self.out_lin = Linear(cfg.width, self.out_width, rng)
+        self.qkv_img = QkvBranch(d_img_in, d_img_in, rng)
+        self.qkv_meta = QkvBranch(d_meta_in, d_meta_in, rng)
+        self.out_lin = Linear(self.cfg.width, self.out_width, rng)
         self.out_bn = BatchNorm(self.out_width)
         self.last_weights = None
 
     def __call__(self, f_img, f_meta, mode):
-        return mmfa_fuse(f_img, f_meta, self, mode)
-
-    def params(self):
-        return (
-            prefixed("qkv_img", self.img_qkv.params())
-            + prefixed("qkv_meta", self.meta_qkv.params())
-            + prefixed("out_lin", self.out_lin.params())
-            + prefixed("out_bn", self.out_bn.params())
-        )
-
-    def buffers(self):
-        return (
-            prefixed("qkv_img", self.img_qkv.buffers())
-            + prefixed("qkv_meta", self.meta_qkv.buffers())
-            + prefixed("out_bn", self.out_bn.buffers())
-        )
+        """out_bn(out_lin(MHA(...))) + concat(f_img, f_meta)."""
+        if f_img.data.shape[0] != f_meta.data.shape[0]:
+            raise DimensionError(
+                f"batch sizes differ: {f_img.data.shape[0]} vs {f_meta.data.shape[0]}"
+            )
+        img_qkv = self.qkv_img(f_img, mode)
+        meta_qkv = self.qkv_meta(f_meta, mode)
+        f_q, f_k, f_v = assemble_kqv(img_qkv, meta_qkv)
+        attended, self.last_weights = attention_heads(f_q, f_k, f_v, self.cfg)
+        projected = self.out_bn(self.out_lin(attended), mode)
+        return ad.add(projected, fuse_concat(f_img, f_meta))
 
 
-class ConcatFusion:
+class ConcatFusion(Module):
     """Parameter-free concatenation baseline with the fusion-module interface."""
 
     def __init__(self, d_img_in, d_meta_in):
@@ -178,24 +157,3 @@ class ConcatFusion:
 
     def __call__(self, f_img, f_meta, mode):
         return fuse_concat(f_img, f_meta)
-
-    def params(self):
-        return []
-
-    def buffers(self):
-        return []
-
-
-def mmfa_fuse(f_img, f_meta, module, mode):
-    """Full attention fusion: out_bn(out_lin(MHA(...))) + concat(f_img, f_meta)."""
-    if f_img.data.shape[0] != f_meta.data.shape[0]:
-        raise DimensionError(
-            f"batch sizes differ: {f_img.data.shape[0]} vs {f_meta.data.shape[0]}"
-        )
-    img_qkv = qkv_project(f_img, module.img_qkv, mode)
-    meta_qkv = qkv_project(f_meta, module.meta_qkv, mode)
-    f_q, f_k, f_v = assemble_kqv(img_qkv, meta_qkv)
-    attended, weights = attention_heads(f_q, f_k, f_v, module.cfg)
-    module.last_weights = weights
-    projected = module.out_bn(module.out_lin(attended), mode)
-    return ad.add(projected, fuse_concat(f_img, f_meta))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, DimensionError
-from .layers import Linear, prefixed
+from .layers import Linear, Module
 
 STRUCTURES = ("image", "jf", "jif")
 
@@ -37,7 +37,7 @@ class PredictionTriple:
     logits_m: ad.Tensor = None
 
 
-class ModelAssembly:
+class ModelAssembly(Module):
     """Encoders + fusion + heads wired as one of the supported structures."""
 
     def __init__(self, structure, n_classes, image_encoder, metadata_encoder=None,
@@ -93,44 +93,6 @@ class ModelAssembly:
             triple.logits_m = z_m
         return triple
 
-    def named_parameters(self):
-        out = []
-        out += prefixed("image_encoder", self.image_encoder.params())
-        if self.metadata_encoder is not None:
-            out += prefixed("metadata_encoder", self.metadata_encoder.params())
-        if self.fusion is not None:
-            out += prefixed("fusion", self.fusion.params())
-        for name, head in (("head_im", self.head_im), ("head_i", self.head_i),
-                           ("head_m", self.head_m)):
-            if head is not None:
-                out += prefixed(name, head.params())
-        return out
-
-    def named_buffers(self):
-        out = []
-        out += prefixed("image_encoder", self.image_encoder.buffers())
-        if self.metadata_encoder is not None:
-            out += prefixed("metadata_encoder", self.metadata_encoder.buffers())
-        if self.fusion is not None:
-            out += prefixed("fusion", self.fusion.buffers())
-        return out
-
-    def state(self):
-        """Copy of all parameters and buffers, keyed by dotted name."""
-        st = {name: t.data.copy() for name, t in self.named_parameters()}
-        st.update({name: b.copy() for name, b in self.named_buffers()})
-        return st
-
-    def load_state(self, st):
-        for name, t in self.named_parameters():
-            t.data[...] = st[name]
-        for name, b in self.named_buffers():
-            b[...] = st[name]
-
-    def zero_grads(self):
-        for _, t in self.named_parameters():
-            t.zero_grad()
-
 
 def weighted_ce(logits, labels, class_weights):
     """Class-weighted cross-entropy of the softmax distribution.
@@ -155,9 +117,7 @@ def combine_losses(l_i, l_m, l_im, beta):
     """Total loss of the three-branch structure: beta*L_i + (1-beta)*L_m + L_im."""
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
-    if isinstance(l_im, ad.Tensor):
-        return ad.add(ad.add(ad.scale(l_i, beta), ad.scale(l_m, 1.0 - beta)), l_im)
-    return beta * l_i + (1.0 - beta) * l_m + l_im
+    return ad.add(ad.add(ad.scale(l_i, beta), ad.scale(l_m, 1.0 - beta)), l_im)
 
 
 def total_loss(triple, labels, class_weights, beta, structure):

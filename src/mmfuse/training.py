@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, FormatError, NumericError, check_known_keys
 from .evaluation import balanced_accuracy, confusion
 from .structures import class_weights_from_counts, decision_fuse, total_loss
 
@@ -35,7 +35,6 @@ class TrainConfig:
     beta: float = 0.5
     augment: bool = True
     augment_prob: float = 0.5
-    momentum: float = 0.0  # hook; plain SGD by default
 
     def validate(self):
         if self.epochs < 1:
@@ -50,10 +49,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+        check_known_keys(cls, d, "train config")
         return cls(**d)
 
 
@@ -94,7 +90,7 @@ def cosine_lr(t, total, lr0, eta_min=0.0):
     return eta_min + 0.5 * (lr0 - eta_min) * (1.0 + math.cos(math.pi * t / total))
 
 
-def sgd_step(named_params, lr, momentum=0.0, velocity=None):
+def sgd_step(named_params, lr):
     """Plain SGD update p <- p - lr * grad for every parameter with a gradient."""
     if lr < 0:
         raise ConfigError("learning rate must be non-negative")
@@ -103,13 +99,7 @@ def sgd_step(named_params, lr, momentum=0.0, velocity=None):
             continue
         if not np.all(np.isfinite(p.grad)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
-        if momentum > 0.0 and velocity is not None:
-            v = velocity.setdefault(name, np.zeros_like(p.data))
-            v *= momentum
-            v += p.grad
-            p.data -= lr * v
-        else:
-            p.data -= lr * p.grad
+        p.data -= lr * p.grad
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +255,7 @@ def train(assembly, train_set, val_set, cfg, report="all"):
     counts = np.bincount(train_set.labels, minlength=assembly.n_classes)
     weights = class_weights_from_counts(counts)
     rng = np.random.default_rng(cfg.seed)
-    velocity = {} if cfg.momentum > 0 else None
-    named = assembly.named_parameters()
+    named = assembly.params()
     log = TrainLog()
     best_state = None
 
@@ -287,9 +276,10 @@ def train(assembly, train_set, val_set, cfg, report="all"):
             loss, comps = total_loss(
                 triple, train_set.labels[idx], weights, cfg.beta, assembly.structure
             )
-            assembly.zero_grads()
+            for _, p in named:
+                p.zero_grad()
             loss.backward()
-            sgd_step(named, lr, cfg.momentum, velocity)
+            sgd_step(named, lr)
             for key, val in comps.items():
                 sums[key] = sums.get(key, 0.0) + val
             batches += 1
@@ -335,16 +325,32 @@ def save_checkpoint(assembly, bin_path, manifest_path):
 
 
 def load_checkpoint(assembly, bin_path, manifest_path):
+    """Load a checkpoint written by ``save_checkpoint`` into ``assembly``.
+
+    Raises ``FormatError`` if the dtype is not ``<f8``, if an array lies
+    outside the blob or the blob size differs from the manifest total, or
+    if the names or shapes do not match the model.
+    """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     with open(bin_path, "rb") as fh:
         blob = fh.read()
+    if manifest.get("dtype") != "<f8":
+        raise FormatError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
     state = {}
+    total = 0
     for name, entry in manifest["arrays"].items():
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start < 0 or start + 8 * count > len(blob):
+            raise FormatError(f"checkpoint array {name!r} lies outside the blob", start)
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         state[name] = arr.reshape(shape).astype(np.float64)
+        total += 8 * count
+    if total != len(blob):
+        raise FormatError(
+            f"checkpoint blob has {len(blob)} bytes, the manifest describes {total}"
+        )
     assembly.load_state(state)
     return assembly

@@ -30,7 +30,7 @@ from mmfuse.experiment import (
     gradcheck_suite,
     run_experiment,
 )
-from mmfuse.fusion import MMFAFusion, attention_heads, fuse_concat, mmfa_fuse
+from mmfuse.fusion import MMFAFusion, attention_heads, fuse_concat
 from mmfuse.stats import FoldResultTable, compare_methods, friedman, wilcoxon_signed_rank
 from mmfuse.structures import combine_losses, total_loss
 from mmfuse.training import cosine_lr
@@ -87,10 +87,9 @@ def test_c02_output_width_law():
         heads = int(rng.choice(divisors))
         mmfa = MMFAFusion(d_img, d_meta, rng=rng, heads=heads)
         b = int(rng.integers(1, 6))
-        out = mmfa_fuse(
+        out = mmfa(
             Tensor(rng.normal(size=(b, d_img))),
             Tensor(rng.normal(size=(b, d_meta))),
-            mmfa,
             "train",
         )
         assert out.data.shape == (b, d_img + d_meta)
@@ -122,7 +121,7 @@ def test_c03_skip_identity():
         f_i = Tensor(rng.normal(scale=rng.uniform(0.1, 5.0), size=(b, 8)))
         f_m = Tensor(rng.normal(scale=rng.uniform(0.1, 5.0), size=(b, 4)))
         mode = "train" if i % 2 == 0 else "eval"
-        fused = mmfa_fuse(f_i, f_m, mmfa, mode)
+        fused = mmfa(f_i, f_m, mode)
         ok = ok and np.array_equal(fused.data, fuse_concat(f_i, f_m).data)
     _report(ok, "criterion 3: zeroed module == concatenation bit-exactly on 100 batches")
 
@@ -199,11 +198,11 @@ def test_c05_structure_equivalence():
 
 
 def test_c06_loss_formula():
-    exact = combine_losses(2.0, 4.0, 1.0, 0.5) == 4.0
-    linear = all(
-        combine_losses(2.0, 4.0, 1.0, b) == 5.0 - 2.0 * b
-        for b in (0.0, 0.25, 0.5, 0.75, 1.0)
-    )
+    def total(beta):
+        return float(combine_losses(Tensor(2.0), Tensor(4.0), Tensor(1.0), beta).data)
+
+    exact = total(0.5) == 4.0
+    linear = all(total(b) == 5.0 - 2.0 * b for b in (0.0, 0.25, 0.5, 0.75, 1.0))
     _report(
         exact and linear,
         "criterion 6: total_loss(2,4,1,beta=0.5) == 4.0; linear in beta at 5 points",

@@ -5,7 +5,7 @@ import numpy as np
 
 from mmfuse import autodiff as ad
 from mmfuse.cli import main
-from mmfuse.experiment import gradcheck_suite
+from mmfuse.experiment import ExperimentConfig, config_digest, gradcheck_suite
 
 
 def run_config(tmp_path, name="cfg.json", **overrides):
@@ -68,8 +68,36 @@ class TestGenerate:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_full_experiment_config(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main(["generate", "--config", str(run_config(tmp_path)), "--out", str(out)]) == 0
+        assert len(os.listdir(out / "images")) == 2 * 18  # dataset.synthetic of the config
+
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        for text in ('[1, 2]', '{"dataset": "x"}'):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(text)
+            assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+            assert "error" in capsys.readouterr().err
+
+    def test_dotted_set(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main([
+            "generate", "--config", str(run_config(tmp_path)), "--out", str(out),
+            "--set", "dataset.synthetic.per_class=3",
+        ]) == 0
+        assert len(os.listdir(out / "images")) == 2 * 3
+
 
 class TestRun:
+    def test_digest_ignores_out_and_jobs(self, tmp_path):
+        raw = json.loads(run_config(tmp_path).read_text())
+        digests = {
+            config_digest(ExperimentConfig.from_dict({**raw, **extra}))
+            for extra in ({}, {"out": "a"}, {"out": "b", "jobs": 2})
+        }
+        assert len(digests) == 1
+
     def test_rows_per_method(self, tmp_path):
         cfg = run_config(tmp_path)
         out = tmp_path / "run"

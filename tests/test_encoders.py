@@ -107,7 +107,7 @@ class TestMetadataEncoder:
 
     def test_identity_weights_pass_through_bn_and_relu(self):
         enc = MetadataEncoder(in_width=4, out_dim=4, hidden=(), rng=np.random.default_rng(0))
-        lin, bn = enc.blocks[0]
+        lin, bn = enc.fc0, enc.bn0
         lin.w.data[...] = np.eye(4)
         x = np.random.default_rng(2).normal(size=(8, 4))
         out = enc(Tensor(x), "train")
@@ -121,7 +121,7 @@ class TestMetadataEncoder:
         out = enc(Tensor(np.random.default_rng(4).uniform(size=(5, 19))), "train")
         assert out.data.shape == (5, 64)
         assert np.all(np.isfinite(out.data))
-        assert len(enc.blocks) == 2
+        assert enc.depth == 2
 
     def test_width_mismatch(self):
         enc = MetadataEncoder(in_width=4, rng=np.random.default_rng(0))

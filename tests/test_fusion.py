@@ -11,8 +11,6 @@ from mmfuse.fusion import (
     assemble_kqv,
     attention_heads,
     fuse_concat,
-    mmfa_fuse,
-    qkv_project,
 )
 
 
@@ -47,8 +45,7 @@ class TestQkvProjection:
     def test_zero_parameters_give_zero_qkv(self):
         branch = QkvBranch(4, 4, np.random.default_rng(0))
         zero_params(branch)
-        q, k, v = qkv_project(Tensor(np.random.default_rng(1).normal(size=(3, 4))),
-                              branch, "train")
+        q, k, v = branch(Tensor(np.random.default_rng(1).normal(size=(3, 4))), "train")
         for part in (q, k, v):
             np.testing.assert_array_equal(part.data, np.zeros((3, 4)))
 
@@ -159,7 +156,7 @@ class TestMMFA:
         for mode in ("train", "eval"):
             f_i = Tensor(rng.normal(size=(4, 5)))
             f_m = Tensor(rng.normal(size=(4, 3)))
-            fused = mmfa_fuse(f_i, f_m, mmfa, mode)
+            fused = mmfa(f_i, f_m, mode)
             expected = fuse_concat(f_i, f_m)
             assert np.array_equal(fused.data, expected.data)
 
@@ -167,10 +164,9 @@ class TestMMFA:
         rng = np.random.default_rng(8)
         for d_img, d_meta, heads in ((128, 64, 8), (6, 3, 3), (5, 3, 4), (2, 2, 1)):
             mmfa = MMFAFusion(d_img, d_meta, rng=rng, heads=heads)
-            out = mmfa_fuse(
+            out = mmfa(
                 Tensor(rng.normal(size=(2, d_img))),
                 Tensor(rng.normal(size=(2, d_meta))),
-                mmfa,
                 "train",
             )
             assert out.data.shape == (2, d_img + d_meta)
@@ -186,9 +182,9 @@ class TestMMFA:
         mmfa = MMFAFusion(4, 2, rng=rng, heads=2)
         f_i = rng.normal(size=(5, 4))
         f_m = rng.normal(size=(5, 2))
-        out = mmfa_fuse(Tensor(f_i), Tensor(f_m), mmfa, "eval").data
+        out = mmfa(Tensor(f_i), Tensor(f_m), "eval").data
         perm = np.array([3, 1, 4, 0, 2])
-        out_p = mmfa_fuse(Tensor(f_i[perm]), Tensor(f_m[perm]), mmfa, "eval").data
+        out_p = mmfa(Tensor(f_i[perm]), Tensor(f_m[perm]), "eval").data
         np.testing.assert_array_equal(out[perm], out_p)
 
     def test_gradcheck_full_module_both_scalings(self):
@@ -199,16 +195,15 @@ class TestMMFA:
             f_m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
             def f(_t):
-                out = mmfa_fuse(f_i, f_m, mmfa, "train")
+                out = mmfa(f_i, f_m, "train")
                 return ad.scale(ad.mul(out, out).sum(), 1e-4)
 
-            for target in (f_i, f_m, mmfa.out_lin.w, mmfa.img_qkv.lin.w):
+            for target in (f_i, f_m, mmfa.out_lin.w, mmfa.qkv_img.lin.w):
                 rep = grad_check(f, target)
                 assert rep.passed, (post, rep.max_rel_error)
 
     def test_attention_weights_exposed(self):
         rng = np.random.default_rng(12)
         mmfa = MMFAFusion(4, 2, rng=rng, heads=2)
-        mmfa_fuse(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 2))),
-                  mmfa, "eval")
+        mmfa(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 2))), "eval")
         assert mmfa.last_weights.shape == (3, 2, 3)

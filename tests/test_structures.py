@@ -111,11 +111,12 @@ class TestWeightedCE:
 
 class TestTotalLoss:
     def test_combination_formula(self):
-        assert combine_losses(2.0, 4.0, 1.0, 0.5) == 4.0
+        total = combine_losses(Tensor(2.0), Tensor(4.0), Tensor(1.0), 0.5)
+        assert float(total.data) == 4.0
 
     def test_beta_bounds(self):
         with pytest.raises(ConfigError):
-            combine_losses(1.0, 1.0, 1.0, 1.5)
+            combine_losses(Tensor(1.0), Tensor(1.0), Tensor(1.0), 1.5)
 
     def test_beta_zero_drops_image_term(self, dataset):
         asm = build_assembly(MODEL, dataset, np.random.default_rng(5))

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mmfuse.autodiff import Tensor
 from mmfuse.data import SyntheticSpec, generate_synthetic
-from mmfuse.errors import ConfigError, NumericError
+from mmfuse.errors import ConfigError, FormatError, NumericError
 from mmfuse.experiment import ModelConfig, build_assembly
 from mmfuse.training import (
     TrainConfig,
@@ -85,15 +87,6 @@ class TestSgdStep:
         p.grad = np.array([np.inf])
         with pytest.raises(NumericError, match="mylayer.w"):
             sgd_step([("mylayer.w", p)], 0.1)
-
-    def test_momentum_hook(self):
-        p = Tensor([0.0], requires_grad=True)
-        vel = {}
-        p.grad = np.array([1.0])
-        sgd_step([("p", p)], 0.1, momentum=0.9, velocity=vel)
-        p.grad = np.array([1.0])
-        sgd_step([("p", p)], 0.1, momentum=0.9, velocity=vel)
-        np.testing.assert_allclose(p.data, [-(0.1 + 0.1 * 1.9)], rtol=1e-12)
 
 
 class TestAugment:
@@ -263,3 +256,174 @@ class TestCheckpoint:
             for e in manifest["arrays"].values()
         )
         assert size == total
+
+    def _saved(self, tmp_path, model=SMALL_MODEL):
+        ds = small_dataset(per_class=4)
+        save_checkpoint(
+            build_assembly(model, ds, np.random.default_rng(9)),
+            tmp_path / "ck.bin",
+            tmp_path / "ck.json",
+        )
+        return ds
+
+    def test_missing_names_rejected(self, tmp_path):
+        ds = self._saved(tmp_path, replace(SMALL_MODEL, structure="jf"))
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
+        with pytest.raises(FormatError, match=r"missing \['head_i.b'"):
+            load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+
+    def test_extra_names_rejected(self, tmp_path):
+        ds = self._saved(tmp_path)
+        asm = build_assembly(replace(SMALL_MODEL, structure="jf"), ds, np.random.default_rng(0))
+        with pytest.raises(FormatError, match=r"unexpected \['head_i.b'"):
+            load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+
+    def test_shape_mismatch_rejected_before_any_write(self, tmp_path):
+        ds = self._saved(tmp_path, replace(SMALL_MODEL, image_features=6))
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
+        before = asm.state()
+        with pytest.raises(FormatError, match="shape"):
+            load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+        for name, arr in asm.state().items():
+            np.testing.assert_array_equal(arr, before[name])
+
+    def test_dtype_other_than_f8_rejected(self, tmp_path):
+        import json
+
+        ds = self._saved(tmp_path)
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        manifest["dtype"] = "<f4"
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
+        with pytest.raises(FormatError, match="dtype"):
+            load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+
+    def test_blob_size_differing_from_manifest_rejected(self, tmp_path):
+        ds = self._saved(tmp_path)
+        blob = (tmp_path / "ck.bin").read_bytes()
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
+        for damaged in (blob[:-8], blob + bytes(8)):
+            (tmp_path / "ck.bin").write_bytes(damaged)
+            with pytest.raises(FormatError):
+                load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+
+    def test_state_names_and_shapes_pinned(self):
+        # the checkpoint layout: every parameter, then every buffer, in this order
+        ds = small_dataset(per_class=4)
+        for (structure, fusion), expected in PINNED_STATE.items():
+            model = ModelConfig(
+                structure=structure, fusion=fusion, heads=3, image_features=8,
+                metadata_features=4, channels=(2, 3, 4), metadata_hidden=(6,),
+            )
+            asm = build_assembly(model, ds, np.random.default_rng(0))
+            got = [(name, arr.shape) for name, arr in asm.state().items()]
+            assert got == expected, structure
+
+
+PINNED_STATE = {
+    ("image", "mmfa"): [
+        ("image_encoder.conv0.w", (2, 3, 3, 3)),
+        ("image_encoder.bn0.gamma", (2,)),
+        ("image_encoder.bn0.beta", (2,)),
+        ("image_encoder.conv1.w", (3, 2, 3, 3)),
+        ("image_encoder.bn1.gamma", (3,)),
+        ("image_encoder.bn1.beta", (3,)),
+        ("image_encoder.conv2.w", (4, 3, 3, 3)),
+        ("image_encoder.bn2.gamma", (4,)),
+        ("image_encoder.bn2.beta", (4,)),
+        ("image_encoder.proj.w", (4, 8)),
+        ("image_encoder.proj.b", (8,)),
+        ("head_i.w", (8, 2)),
+        ("head_i.b", (2,)),
+        ("image_encoder.bn0.running_mean", (2,)),
+        ("image_encoder.bn0.running_var", (2,)),
+        ("image_encoder.bn1.running_mean", (3,)),
+        ("image_encoder.bn1.running_var", (3,)),
+        ("image_encoder.bn2.running_mean", (4,)),
+        ("image_encoder.bn2.running_var", (4,)),
+    ],
+    ("jf", "cat"): [
+        ("image_encoder.conv0.w", (2, 3, 3, 3)),
+        ("image_encoder.bn0.gamma", (2,)),
+        ("image_encoder.bn0.beta", (2,)),
+        ("image_encoder.conv1.w", (3, 2, 3, 3)),
+        ("image_encoder.bn1.gamma", (3,)),
+        ("image_encoder.bn1.beta", (3,)),
+        ("image_encoder.conv2.w", (4, 3, 3, 3)),
+        ("image_encoder.bn2.gamma", (4,)),
+        ("image_encoder.bn2.beta", (4,)),
+        ("image_encoder.proj.w", (4, 8)),
+        ("image_encoder.proj.b", (8,)),
+        ("metadata_encoder.fc0.w", (16, 6)),
+        ("metadata_encoder.bn0.gamma", (6,)),
+        ("metadata_encoder.bn0.beta", (6,)),
+        ("metadata_encoder.fc1.w", (6, 4)),
+        ("metadata_encoder.bn1.gamma", (4,)),
+        ("metadata_encoder.bn1.beta", (4,)),
+        ("head_im.w", (12, 2)),
+        ("head_im.b", (2,)),
+        ("image_encoder.bn0.running_mean", (2,)),
+        ("image_encoder.bn0.running_var", (2,)),
+        ("image_encoder.bn1.running_mean", (3,)),
+        ("image_encoder.bn1.running_var", (3,)),
+        ("image_encoder.bn2.running_mean", (4,)),
+        ("image_encoder.bn2.running_var", (4,)),
+        ("metadata_encoder.bn0.running_mean", (6,)),
+        ("metadata_encoder.bn0.running_var", (6,)),
+        ("metadata_encoder.bn1.running_mean", (4,)),
+        ("metadata_encoder.bn1.running_var", (4,)),
+    ],
+    ("jif", "mmfa"): [
+        ("image_encoder.conv0.w", (2, 3, 3, 3)),
+        ("image_encoder.bn0.gamma", (2,)),
+        ("image_encoder.bn0.beta", (2,)),
+        ("image_encoder.conv1.w", (3, 2, 3, 3)),
+        ("image_encoder.bn1.gamma", (3,)),
+        ("image_encoder.bn1.beta", (3,)),
+        ("image_encoder.conv2.w", (4, 3, 3, 3)),
+        ("image_encoder.bn2.gamma", (4,)),
+        ("image_encoder.bn2.beta", (4,)),
+        ("image_encoder.proj.w", (4, 8)),
+        ("image_encoder.proj.b", (8,)),
+        ("metadata_encoder.fc0.w", (16, 6)),
+        ("metadata_encoder.bn0.gamma", (6,)),
+        ("metadata_encoder.bn0.beta", (6,)),
+        ("metadata_encoder.fc1.w", (6, 4)),
+        ("metadata_encoder.bn1.gamma", (4,)),
+        ("metadata_encoder.bn1.beta", (4,)),
+        ("fusion.qkv_img.lin.w", (8, 24)),
+        ("fusion.qkv_img.lin.b", (24,)),
+        ("fusion.qkv_img.bn.gamma", (24,)),
+        ("fusion.qkv_img.bn.beta", (24,)),
+        ("fusion.qkv_meta.lin.w", (4, 12)),
+        ("fusion.qkv_meta.lin.b", (12,)),
+        ("fusion.qkv_meta.bn.gamma", (12,)),
+        ("fusion.qkv_meta.bn.beta", (12,)),
+        ("fusion.out_lin.w", (12, 12)),
+        ("fusion.out_lin.b", (12,)),
+        ("fusion.out_bn.gamma", (12,)),
+        ("fusion.out_bn.beta", (12,)),
+        ("head_im.w", (12, 2)),
+        ("head_im.b", (2,)),
+        ("head_i.w", (8, 2)),
+        ("head_i.b", (2,)),
+        ("head_m.w", (4, 2)),
+        ("head_m.b", (2,)),
+        ("image_encoder.bn0.running_mean", (2,)),
+        ("image_encoder.bn0.running_var", (2,)),
+        ("image_encoder.bn1.running_mean", (3,)),
+        ("image_encoder.bn1.running_var", (3,)),
+        ("image_encoder.bn2.running_mean", (4,)),
+        ("image_encoder.bn2.running_var", (4,)),
+        ("metadata_encoder.bn0.running_mean", (6,)),
+        ("metadata_encoder.bn0.running_var", (6,)),
+        ("metadata_encoder.bn1.running_mean", (4,)),
+        ("metadata_encoder.bn1.running_var", (4,)),
+        ("fusion.qkv_img.bn.running_mean", (24,)),
+        ("fusion.qkv_img.bn.running_var", (24,)),
+        ("fusion.qkv_meta.bn.running_mean", (12,)),
+        ("fusion.qkv_meta.bn.running_var", (12,)),
+        ("fusion.out_bn.running_mean", (12,)),
+        ("fusion.out_bn.running_var", (12,)),
+    ],
+}
