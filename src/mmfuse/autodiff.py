@@ -21,6 +21,18 @@ output is a ``(B, Cout, H, W)`` view of channel-major memory.
 ``max_pool2`` takes the elementwise maximum of the four strided views of
 each 2x2 block. On a tie the whole gradient goes to the first maximal
 element in row-major order within the block: (0,0), (0,1), (1,0), (1,1).
+
+``batch_norm`` normalizes, applies gamma/beta and differentiates on the
+features-first ``(F, N)`` view, free for ``(B, F)`` input and for conv's
+channel-major output. Its train-mode backward is the closed form
+``dx = gamma * inv / n * (n * g - sum(g) - xhat * sum(g * xhat))``; the
+two sums are also the beta and gamma gradients.
+
+Layout rule: an op's input gradient has its input's memory order, so conv's
+channel-major layout carries through batch norm, ReLU and max-pool both
+ways, and conv reads its output gradient as ``(Cout, B*H*W)`` without a copy.
+
+Under ``with no_graph():`` ops record no graph (see ``no_graph``).
 """
 
 from dataclasses import dataclass
@@ -101,12 +113,29 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{req}, name={self.name!r})"
 
 
+class no_graph:
+    """Context manager: op outputs made inside need no gradient and keep no
+    parents or backward closure, nor the arrays one would read. Forward
+    values are unchanged. Blocks nest, also with one instance, and exit
+    restores the previous state, also when the block raises.
+    """
+
+    depth = 0  # blocks open; ops record a graph only at depth 0
+
+    def __enter__(self):
+        no_graph.depth += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        no_graph.depth -= 1
+
+
 def _result(data, parents):
     """Build an op output; graph links are kept only if a parent needs them."""
     t = Tensor.__new__(Tensor)
     t.data = data
     t.grad = None
-    t.requires_grad = any(p.requires_grad for p in parents)
+    t.requires_grad = not no_graph.depth and any(p.requires_grad for p in parents)
     t.name = None
     t._parents = tuple(parents) if t.requires_grad else ()
     t._backward = None
@@ -296,6 +325,22 @@ class RunningStats:
     eps: float = 1e-5
 
 
+def _features_first(a):
+    """(F, N) view of a (B, F) or (B, C, H, W) array; free for (B, F) and
+    for channel-major (B, C, H, W) memory, a copy for batch-major."""
+    if a.ndim == 2:
+        return a.T
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+
+
+def _batch_major(a, shape):
+    """The (B, F) or (B, C, H, W) view of a features-first (F, N) array."""
+    if len(shape) == 2:
+        return a.T
+    B, C, H, W = shape
+    return a.reshape(C, B, H, W).transpose(1, 0, 2, 3)
+
+
 def batch_norm(x, gamma, beta, stats, mode):
     """Normalize features of a (B,F) or (B,C,H,W) batch.
 
@@ -317,8 +362,6 @@ def batch_norm(x, gamma, beta, stats, mode):
     axes = (0,) + tuple(range(2, xd.ndim))
     bshape = (1, nfeat) + (1,) * (xd.ndim - 2)
     n = xd.size // nfeat
-    gam = gamma.data.reshape(bshape)
-    bet = beta.data.reshape(bshape)
 
     if mode == "train":
         mean = xd.mean(axis=axes)
@@ -331,30 +374,30 @@ def batch_norm(x, gamma, beta, stats, mode):
         xc = xd - stats.mean.reshape(bshape)
         var = stats.var
 
-    inv = 1.0 / np.sqrt(var + stats.eps)
-    inv_b = inv.reshape(bshape)
-    xhat = xc * inv_b
-    out = _result(gam * xhat + bet, (x, gamma, beta))
+    inv = (1.0 / np.sqrt(var + stats.eps))[:, None]
+    gam = gamma.data[:, None]
+    xhat = _features_first(xc)  # xc is ours: normalize it in place
+    xhat *= inv
+    y = gam * xhat
+    y += beta.data[:, None]
+    out = _result(_batch_major(y, xd.shape), (x, gamma, beta))
     if out.requires_grad:
-        if mode == "train":
-            def bw(g):
-                _accumulate(gamma, (g * xhat).sum(axis=axes))
-                _accumulate(beta, g.sum(axis=axes))
-                if x.requires_grad:
-                    dxhat = g * gam
-                    dvar = (dxhat * xc).sum(axis=axes, keepdims=True) * (
-                        -0.5
-                    ) * inv_b**3
-                    dmean = -(dxhat * inv_b).sum(axis=axes, keepdims=True) + dvar * (
-                        -2.0 / n
-                    ) * xc.sum(axis=axes, keepdims=True)
-                    _accumulate(x, dxhat * inv_b + dvar * 2.0 * xc / n + dmean / n)
-        else:
-            def bw(g):
-                _accumulate(gamma, (g * xhat).sum(axis=axes))
-                _accumulate(beta, g.sum(axis=axes))
-                if x.requires_grad:
-                    _accumulate(x, g * gam * inv_b)
+        def bw(g):
+            gf = _features_first(g)
+            sum_g = gf.sum(axis=1)
+            sum_gx = (gf * xhat).sum(axis=1)
+            _accumulate(gamma, sum_gx)
+            _accumulate(beta, sum_g)
+            if x.requires_grad:
+                if mode == "train":
+                    # closed form: gamma*inv/n * (n*g - sum(g) - xhat*sum(g*xhat))
+                    dx = gf * n
+                    dx -= sum_g[:, None]
+                    dx -= xhat * sum_gx[:, None]
+                    dx *= gam * inv / n
+                else:
+                    dx = gf * (gam * inv)
+                _accumulate(x, _batch_major(dx, xd.shape))
         out._backward = bw
     return out
 
@@ -426,14 +469,16 @@ def max_pool2(x):
     out = _result(y, (x,))
     if out.requires_grad:
         def bw(g):
-            db = np.empty((B, C, h2, 2, w2, 2))
+            # same memory layout as x, so a channel-major input keeps it
+            dx = np.empty_like(xd)
+            db = dx.reshape(B, C, h2, 2, w2, 2)
             taken = np.zeros(y.shape, dtype=bool)
             for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 first = (blocks[:, :, :, i, :, j] == y) & ~taken
                 # g where this view holds the block's first max, else zero
                 np.multiply(g, first, out=db[:, :, :, i, :, j])
                 taken |= first
-            _accumulate(x, db.reshape(B, C, H, W))
+            _accumulate(x, dx)
         out._backward = bw
     return out
 

@@ -11,7 +11,6 @@ errors.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -28,6 +27,7 @@ from .experiment import (
     _set_path,
     config_digest,
     gradcheck_suite,
+    load_json_config,
     run_experiment,
 )
 from .stats import FoldResultTable, compare_methods
@@ -91,10 +91,7 @@ def _parse_overrides(pairs):
 def cmd_generate(args):
     raw = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{args.config}: expected a JSON object")
+        raw = load_json_config(args.config)
     for key, value in _parse_overrides(args.set):
         _set_path(raw, key, value)
     # an experiment config nests the spec as dataset.synthetic

@@ -109,11 +109,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path, overrides=()):
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = load_json_config(path)
         for key, value in overrides:
             _set_path(raw, key, value)
         return cls.from_dict(raw)
+
+
+def load_json_config(path):
+    """The JSON object in ``path``; ``ConfigError`` naming the file otherwise."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return raw
 
 
 def _set_path(raw, dotted, value):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_graph
 from .errors import ConfigError, FormatError, NumericError, check_known_keys
 from .evaluation import balanced_accuracy, confusion
 from .structures import class_weights_from_counts, decision_fuse, total_loss
@@ -193,14 +193,18 @@ def augment(img, rng, prob=0.5, max_shift=0.125, scale_range=(0.9, 1.1),
 
 
 def predict_probs(assembly, dataset, batch_size=256):
-    """Eval-mode class probabilities per branch over a whole dataset."""
+    """Eval-mode class probabilities per branch over a whole dataset.
+
+    The forward passes run under ``no_graph``: nothing differentiates them.
+    """
     n = len(dataset)
     probs = {}
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
         images = Tensor(dataset.images[idx])
         meta = Tensor(dataset.meta[idx])
-        triple = assembly.forward(images, meta, "eval")
+        with no_graph():
+            triple = assembly.forward(images, meta, "eval")
         parts = {}
         if triple.p_im is not None:
             parts["im"] = triple.p_im.data
@@ -327,12 +331,19 @@ def save_checkpoint(assembly, bin_path, manifest_path):
 def load_checkpoint(assembly, bin_path, manifest_path):
     """Load a checkpoint written by ``save_checkpoint`` into ``assembly``.
 
-    Raises ``FormatError`` if the dtype is not ``<f8``, if an array lies
-    outside the blob or the blob size differs from the manifest total, or
-    if the names or shapes do not match the model.
+    Raises ``FormatError`` if the manifest is not a JSON object with an
+    ``arrays`` object whose entries hold a list ``shape`` and an integer
+    ``offset``, if the dtype is not ``<f8``, if an array lies outside the
+    blob or the blob size differs from the manifest total, or if the names
+    or shapes do not match the model.
     """
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"checkpoint manifest is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("arrays"), dict):
+        raise FormatError("checkpoint manifest needs an 'arrays' object")
     with open(bin_path, "rb") as fh:
         blob = fh.read()
     if manifest.get("dtype") != "<f8":
@@ -340,9 +351,17 @@ def load_checkpoint(assembly, bin_path, manifest_path):
     state = {}
     total = 0
     for name, entry in manifest["arrays"].items():
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        entry = entry if isinstance(entry, dict) else {}
+        shape, start = entry.get("shape"), entry.get("offset")
+        if not (
+            isinstance(shape, list)
+            and all(isinstance(d, int) and d >= 0 for d in shape)
+            and isinstance(start, int)
+        ):
+            raise FormatError(
+                f"checkpoint array {name!r} needs a list 'shape' and an integer 'offset'"
+            )
+        count = math.prod(shape)
         if start < 0 or start + 8 * count > len(blob):
             raise FormatError(f"checkpoint array {name!r} lies outside the blob", start)
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)

@@ -40,6 +40,35 @@ def conv2d_oracle(x, w, b, g):
     return y, dx, dw, g.sum(axis=(0, 2, 3))
 
 
+def batch_norm_oracle(x, gamma, beta, stats, mode, g):
+    """Batch norm and its x/gamma/beta gradients by the textbook chain rule
+    through the batch variance and mean, on the (B, F[, H, W]) layout:
+    returns (y, dx, dgamma, dbeta)."""
+    axes = (0,) + tuple(range(2, x.ndim))
+    bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    n = x.size // x.shape[1]
+    gam = gamma.reshape(bshape)
+    if mode == "train":
+        xc = x - x.mean(axis=axes).reshape(bshape)
+        var = (xc * xc).mean(axis=axes)
+    else:
+        xc = x - stats.mean.reshape(bshape)
+        var = stats.var
+    inv_b = (1.0 / np.sqrt(var + stats.eps)).reshape(bshape)
+    xhat = xc * inv_b
+    y = gam * xhat + beta.reshape(bshape)
+    dxhat = g * gam
+    if mode == "train":
+        dvar = (dxhat * xc).sum(axis=axes, keepdims=True) * (-0.5) * inv_b**3
+        dmean = -(dxhat * inv_b).sum(axis=axes, keepdims=True) + dvar * (
+            -2.0 / n
+        ) * xc.sum(axis=axes, keepdims=True)
+        dx = dxhat * inv_b + dvar * 2.0 * xc / n + dmean / n
+    else:
+        dx = dxhat * inv_b
+    return y, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
 class TestLinear:
     def test_identity(self):
         x = Tensor([[1.0, 0.0], [0.0, 1.0]])
@@ -200,6 +229,77 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
 
+def channel_major(a):
+    """The same values as the (B, C, H, W) array ``a``, in the memory order
+    conv2d returns: a (B, C, H, W) view of a C-contiguous (C, B, H, W) array."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def assert_close_rel(got, want, rel=1e-12):
+    """Every element within ``rel`` times the largest magnitude of ``want``."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.abs(want).max())
+
+
+class TestBatchNormAgainstOracle:
+    # (B, F), batch-major (B, C, H, W) and conv's channel-major memory
+    INPUTS = {
+        "2d": lambda rng: rng.normal(loc=0.7, scale=1.3, size=(12, 5)),
+        "batch_major": lambda rng: rng.normal(loc=-0.4, size=(6, 3, 4, 4)),
+        "channel_major": lambda rng: channel_major(rng.normal(loc=0.3, size=(6, 3, 4, 4))),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(INPUTS))
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("grad_layout", ["batch_major", "features_first"])
+    def test_matches_chain_rule(self, layout, mode, grad_layout):
+        rng = np.random.default_rng(sorted(self.INPUTS).index(layout))
+        xd = self.INPUTS[layout](rng)
+        width = xd.shape[1]
+        g = rng.normal(size=xd.shape)
+        if grad_layout == "features_first":
+            g = g.T.copy().T if g.ndim == 2 else channel_major(g)
+
+        mean0, var0 = rng.normal(scale=0.3, size=width), rng.uniform(0.5, 2.0, size=width)
+
+        def running():
+            return RunningStats(mean=mean0.copy(), var=var0.copy())
+
+        x = Tensor(xd, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=width), requires_grad=True)
+        beta = Tensor(rng.normal(size=width), requires_grad=True)
+        stats, oracle_stats = running(), running()
+        y, dx, dgamma, dbeta = batch_norm_oracle(
+            xd, gamma.data, beta.data, oracle_stats, mode, g
+        )
+        out = ad.batch_norm(x, gamma, beta, stats, mode)
+        # the forward is the same elementwise arithmetic, so it is exact
+        np.testing.assert_array_equal(out.data, y)
+        ad.mul(out, Tensor(g)).sum().backward()
+        assert_close_rel(x.grad, dx)
+        assert_close_rel(gamma.grad, dgamma)
+        assert_close_rel(beta.grad, dbeta)
+
+    def test_gradient_keeps_channel_major_layout(self):
+        # conv -> batch norm -> relu -> pool hands conv a gradient it can
+        # read as (C, B*H*W) without a copy
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(4, 2, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        conv = ad.conv2d(x, w, Tensor(np.zeros(3)))
+        norm = ad.batch_norm(
+            conv, Tensor(np.ones(3), requires_grad=True),
+            Tensor(np.zeros(3), requires_grad=True),
+            RunningStats(mean=np.zeros(3), var=np.ones(3)), "train",
+        )
+        act = ad.relu(norm)
+        pooled = ad.max_pool2(act)
+        ad.mul(pooled, Tensor(rng.normal(size=pooled.shape))).sum().backward()
+        for t in (conv, norm, act):
+            assert t.data.transpose(1, 0, 2, 3).flags.c_contiguous
+            assert t.grad.transpose(1, 0, 2, 3).flags.c_contiguous
+
+
 class TestConcatSplit:
     def test_concat_vectors(self):
         out = ad.concat(Tensor([1.0, 2.0]), Tensor([3.0]))
@@ -315,6 +415,40 @@ class TestAccumulate:
         ad.add(y.sum(), y.sum()).backward()
         assert not np.shares_memory(x.grad, y.grad)
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+class TestNoGraph:
+    def _graph(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        return ad.relu(ad.scale(x, 2.0))
+
+    def test_ops_inside_record_nothing(self):
+        with ad.no_graph():
+            out = self._graph()
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.data, self._graph().data)
+
+    def test_state_restored_on_exit_and_on_exception(self):
+        with ad.no_graph():
+            pass
+        assert self._graph().requires_grad
+        with pytest.raises(ValueError), ad.no_graph():
+            raise ValueError("inside")
+        assert self._graph().requires_grad
+
+    def test_nested_blocks(self):
+        block = ad.no_graph()
+        for inner in (ad.no_graph(), block):
+            with block:
+                with inner:
+                    assert not self._graph().requires_grad
+                assert not self._graph().requires_grad
+            assert self._graph().requires_grad
+
+    def test_is_not_a_graph_op(self):
+        import inspect
+
+        assert not inspect.isfunction(ad.no_graph)
 
 
 class TestGradCheck:

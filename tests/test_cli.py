@@ -80,6 +80,14 @@ class TestGenerate:
             assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
             assert "error" in capsys.readouterr().err
 
+    def test_invalid_json_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{bad")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.json" in err and "invalid JSON" in err
+        assert not (tmp_path / "x").exists()
+
     def test_dotted_set(self, tmp_path):
         out = tmp_path / "ds"
         assert main([
@@ -172,6 +180,14 @@ class TestRun:
                 "--set", key,
             ]) == 2
             assert "'folds' is not a section" in capsys.readouterr().err
+
+    def test_invalid_json_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{bad")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.json" in err and "invalid JSON" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2

@@ -1,12 +1,15 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mmfuse import autodiff as ad, layers
 from mmfuse.autodiff import Tensor
 from mmfuse.data import SyntheticSpec, generate_synthetic
 from mmfuse.errors import ConfigError, FormatError, NumericError
 from mmfuse.experiment import ModelConfig, build_assembly
+from mmfuse.structures import decision_fuse
 from mmfuse.training import (
     TrainConfig,
     augment,
@@ -14,6 +17,7 @@ from mmfuse.training import (
     eval_bac,
     hflip,
     load_checkpoint,
+    predict_probs,
     rotate_image,
     save_checkpoint,
     scale_image,
@@ -231,6 +235,87 @@ class TestTrainLoop:
             assert key in log.rows[0]
 
 
+def batch_major_eval_norm(x, gamma, beta, stats, mode):
+    """Eval-mode batch norm written on the (B, F[, H, W]) layout, returning a
+    graph-recording Tensor without a backward (inference needs none)."""
+    assert mode == "eval"
+    bshape = (1, x.data.shape[1]) + (1,) * (x.data.ndim - 2)
+    xhat = (x.data - stats.mean.reshape(bshape)) * (
+        1.0 / np.sqrt(stats.var + stats.eps)
+    ).reshape(bshape)
+    out = Tensor(gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape))
+    out.requires_grad, out._parents = True, (x, gamma, beta)
+    return out
+
+
+def graph_recording_probs(assembly, dataset, batch_size):
+    """predict_probs without ``no_graph``: every forward records its graph."""
+    probs = {}
+    for start in range(0, len(dataset), batch_size):
+        idx = np.arange(start, min(start + batch_size, len(dataset)))
+        triple = assembly.forward(
+            Tensor(dataset.images[idx]), Tensor(dataset.meta[idx]), "eval"
+        )
+        parts = {"im": triple.p_im, "i": triple.p_i, "m": triple.p_m}
+        parts = {key: t for key, t in parts.items() if t is not None}
+        assert all(t.requires_grad for t in parts.values())
+        for key, t in parts.items():
+            probs.setdefault(key, []).append(t.data)
+        if len(parts) == 3:
+            probs.setdefault("fused", []).append(decision_fuse(triple))
+    return {k: np.concatenate(v, axis=0) for k, v in probs.items()}
+
+
+class TestInferenceRecordsNoGraph:
+    STRUCTURES = (("image", "mmfa"), ("jf", "concat"), ("jf", "mmfa"), ("jif", "mmfa"))
+
+    def _trained_stats(self, structure, fusion, ds):
+        # one train-mode forward moves the running statistics off their defaults
+        asm = build_assembly(
+            replace(SMALL_MODEL, structure=structure, fusion=fusion), ds,
+            np.random.default_rng(4),
+        )
+        asm.forward(Tensor(ds.images[:8]), Tensor(ds.meta[:8]), "train")
+        return asm
+
+    def test_forward_inside_block_has_no_graph(self):
+        ds = small_dataset(per_class=4)
+        asm = self._trained_stats("jif", "mmfa", ds)
+        images, meta = Tensor(ds.images), Tensor(ds.meta)
+        recorded = asm.forward(images, meta, "eval")
+        with ad.no_graph():
+            bare = asm.forward(images, meta, "eval")
+        for field_name in ("p_im", "p_i", "p_m", "logits_im", "logits_i", "logits_m"):
+            t, ref = getattr(bare, field_name), getattr(recorded, field_name)
+            assert not t.requires_grad and t._parents == () and t._backward is None
+            assert ref.requires_grad
+            np.testing.assert_array_equal(t.data, ref.data)
+
+    @pytest.mark.parametrize("structure, fusion", STRUCTURES)
+    def test_predict_probs_matches_graph_recording_forward(
+        self, structure, fusion, monkeypatch
+    ):
+        ds = small_dataset(per_class=8)
+        asm = self._trained_stats(structure, fusion, ds)
+        got = predict_probs(asm, ds, batch_size=5)
+        monkeypatch.setattr(layers, "batch_norm", batch_major_eval_norm)
+        want = graph_recording_probs(asm, ds, batch_size=5)
+        assert sorted(got) == sorted(want)
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key])
+
+    def test_training_after_eval_bac_receives_gradients(self):
+        ds = small_dataset(per_class=6)
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(5))
+        eval_bac(asm, ds, "all")
+        before = asm.state()
+        cfg = TrainConfig(epochs=1, patience=1, batch_size=8, seed=0, augment=False)
+        asm, _ = train(asm, ds, ds, cfg)
+        for name, p in asm.params():
+            assert p.grad is not None and np.any(p.grad != 0.0), name
+            assert not np.array_equal(p.data, before[name]), name
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         ds = small_dataset(per_class=4)
@@ -306,6 +391,52 @@ class TestCheckpoint:
             (tmp_path / "ck.bin").write_bytes(damaged)
             with pytest.raises(FormatError):
                 load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+
+    def _load_with_manifest(self, tmp_path, edit):
+        """Save a checkpoint, replace its manifest by ``edit(manifest, text)``
+        and load it into a fresh model."""
+        ds = self._saved(tmp_path)
+        manifest_path = tmp_path / "ck.json"
+        text = manifest_path.read_text()
+        manifest_path.write_text(edit(json.loads(text), text))
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
+        load_checkpoint(asm, tmp_path / "ck.bin", manifest_path)
+
+    @staticmethod
+    def _edit_first_entry(manifest, key, value):
+        """The manifest text with ``key`` of its first array set to
+        ``value``, or removed for None."""
+        entry = next(iter(manifest["arrays"].values()))
+        entry.pop(key)
+        if value is not None:
+            entry[key] = value
+        return json.dumps(manifest)
+
+    def test_truncated_manifest_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="not valid JSON"):
+            self._load_with_manifest(tmp_path, lambda m, text: text[: len(text) // 2])
+
+    def test_non_object_manifest_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="'arrays' object"):
+            self._load_with_manifest(tmp_path, lambda m, text: f"[{text}]")
+
+    def test_manifest_without_arrays_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="'arrays' object"):
+            self._load_with_manifest(tmp_path, lambda m, text: '{"dtype": "<f8"}')
+
+    def test_entry_without_list_shape_rejected(self, tmp_path):
+        for shape in (None, 3, "3", [2, "x"], [-1]):
+            with pytest.raises(FormatError, match="list 'shape'"):
+                self._load_with_manifest(
+                    tmp_path, lambda m, text: self._edit_first_entry(m, "shape", shape)
+                )
+
+    def test_entry_without_integer_offset_rejected(self, tmp_path):
+        for offset in (None, 0.0, "0"):
+            with pytest.raises(FormatError, match="integer 'offset'"):
+                self._load_with_manifest(
+                    tmp_path, lambda m, text: self._edit_first_entry(m, "offset", offset)
+                )
 
     def test_state_names_and_shapes_pinned(self):
         # the checkpoint layout: every parameter, then every buffer, in this order
