@@ -10,13 +10,15 @@ k upstream gradients.
 All computation is double precision; the finite-difference checker
 (``grad_check``) relies on that.
 
-``conv2d`` is lowered to matrix products (im2col). The input is padded
-once into a channel-major ``(C, B, H+2p, W+2p)`` buffer, and k*k strided
-slice copies fill ``cols`` of shape ``(C*k*k, B*H*W)``, rows ordered
-(channel, kernel row, kernel column) like ``w.reshape(Cout, -1)``. The
-forward pass is ``w_mat @ cols``, dW is ``g_mat @ cols.T``, and dX is
-``w_mat.T @ g_mat`` scattered back by k*k strided adds (col2im). The
-output is a ``(B, Cout, H, W)`` view of channel-major memory.
+Image tensors are (B, C, H, W) views of batch-innermost memory: a
+C-contiguous (C, H, W, B) array. ``conv2d`` is lowered to matrix products
+(im2col). The input is padded once into a ``(C, H+2p, W+2p, B)`` buffer,
+and k*k strided slice copies fill ``cols`` of shape ``(C*k*k, H*W*B)``,
+rows ordered (channel, kernel row, kernel column) like
+``w.reshape(Cout, -1)``. The forward pass is ``w_mat @ cols``, dW is
+``g_mat @ cols.T``, and dX is ``w_mat.T @ g_mat`` scattered back by k*k
+strided adds (col2im). With the batch innermost, each copy and add moves
+runs of W*B contiguous elements rather than W.
 
 ``max_pool2`` takes the elementwise maximum of the four strided views of
 each 2x2 block. On a tie the whole gradient goes to the first maximal
@@ -24,13 +26,23 @@ element in row-major order within the block: (0,0), (0,1), (1,0), (1,1).
 
 ``batch_norm`` normalizes, applies gamma/beta and differentiates on the
 features-first ``(F, N)`` view, free for ``(B, F)`` input and for conv's
-channel-major output. Its train-mode backward is the closed form
+batch-innermost output. Its train-mode backward is the closed form
 ``dx = gamma * inv / n * (n * g - sum(g) - xhat * sum(g * xhat))``; the
 two sums are also the beta and gamma gradients.
 
-Layout rule: an op's input gradient has its input's memory order, so conv's
-channel-major layout carries through batch norm, ReLU and max-pool both
-ways, and conv reads its output gradient as ``(Cout, B*H*W)`` without a copy.
+``conv_block`` is one image-encoder block,
+``max_pool2(relu(batch_norm(conv2d(x, w, 0))))``, as a single graph node
+with one backward closure. It pools before the ReLU: max commutes with the
+monotone ReLU, and the first maximal element of a block is the same before
+and after it (a block whose max is not positive gets no gradient either
+way), so values and gradients are those of the chain, with the ReLU on a
+quarter of the elements. It shares every kernel with the separate ops:
+im2col/col2im, the batch-norm normalisation and closed-form backward, and
+the 2x2 max with its first-max routing.
+
+Layout rule: an op's input gradient has its input's memory order, so the
+batch-innermost layout carries through batch norm, ReLU and max-pool both
+ways, and conv reads its output gradient as ``(Cout, H*W*B)`` without a copy.
 
 Under ``with no_graph():`` ops record no graph (see ``no_graph``).
 """
@@ -325,12 +337,22 @@ class RunningStats:
     eps: float = 1e-5
 
 
+def _chwb(a):
+    """(C, H, W, B) view of a (B, C, H, W) array; C-contiguous for conv's output."""
+    return a.transpose(1, 2, 3, 0)
+
+
+def _bchw(a):
+    """(B, C, H, W) view of a (C, H, W, B) array."""
+    return a.transpose(3, 0, 1, 2)
+
+
 def _features_first(a):
     """(F, N) view of a (B, F) or (B, C, H, W) array; free for (B, F) and
-    for channel-major (B, C, H, W) memory, a copy for batch-major."""
+    for batch-innermost (C, H, W, B) memory, a copy otherwise."""
     if a.ndim == 2:
         return a.T
-    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+    return _chwb(a).reshape(a.shape[1], -1)
 
 
 def _batch_major(a, shape):
@@ -338,7 +360,60 @@ def _batch_major(a, shape):
     if len(shape) == 2:
         return a.T
     B, C, H, W = shape
-    return a.reshape(C, B, H, W).transpose(1, 0, 2, 3)
+    return _bchw(a.reshape(C, H, W, B))
+
+
+def _check_bn(nfeat, gamma, beta, mode):
+    if gamma.data.shape != (nfeat,) or beta.data.shape != (nfeat,):
+        raise DimensionError(f"batch_norm: gamma/beta must have shape ({nfeat},)")
+    if mode not in ("train", "eval"):
+        raise ContractError(f"batch_norm: unknown mode {mode!r}")
+
+
+def _bn_forward(xd, gamma, beta, stats, mode):
+    """Normalize xd per feature (axis 1) and apply gamma/beta; in train mode
+    also update ``stats``. Returns the features-first output y, x-hat and
+    gamma * inv, all (F, N) with N in xd's memory order."""
+    nfeat = xd.shape[1]
+    axes = (0,) + tuple(range(2, xd.ndim))
+    bshape = (1, nfeat) + (1,) * (xd.ndim - 2)
+    if mode == "train":
+        mean = xd.mean(axis=axes)
+        xc = xd - mean.reshape(bshape)
+        # equals np.var(xd, axis=axes) bit for bit: np.var also centres first
+        var = (xc * xc).mean(axis=axes)
+        stats.mean[:] = (1.0 - stats.momentum) * stats.mean + stats.momentum * mean
+        stats.var[:] = (1.0 - stats.momentum) * stats.var + stats.momentum * var
+    else:
+        xc = xd - stats.mean.reshape(bshape)
+        var = stats.var
+    inv = (1.0 / np.sqrt(var + stats.eps))[:, None]
+    gam = gamma.data[:, None]
+    xhat = _features_first(xc)  # xc is ours: normalize it in place
+    xhat *= inv
+    y = gam * xhat
+    y += beta.data[:, None]
+    return y, xhat, gam * inv
+
+
+def _bn_backward(gf, xhat, gam_inv, gamma, beta, mode, need_dx):
+    """Accumulate the gamma/beta gradients of features-first gradient gf and
+    return the features-first input gradient (None unless ``need_dx``)."""
+    sum_g = gf.sum(axis=1)
+    sum_gx = (gf * xhat).sum(axis=1)
+    _accumulate(gamma, sum_gx)
+    _accumulate(beta, sum_g)
+    if not need_dx:
+        return None
+    if mode == "eval":
+        return gf * gam_inv
+    # closed form: gamma*inv/n * (n*g - sum(g) - xhat*sum(g*xhat))
+    n = gf.shape[1]
+    dx = gf * n
+    dx -= sum_g[:, None]
+    dx -= xhat * sum_gx[:, None]
+    dx *= gam_inv / n
+    return dx
 
 
 def batch_norm(x, gamma, beta, stats, mode):
@@ -352,51 +427,14 @@ def batch_norm(x, gamma, beta, stats, mode):
     xd = x.data
     if xd.ndim not in (2, 4):
         raise DimensionError(f"batch_norm: expected 2-D or 4-D input, got {xd.shape}")
-    nfeat = xd.shape[1]
-    if gamma.data.shape != (nfeat,) or beta.data.shape != (nfeat,):
-        raise DimensionError(
-            f"batch_norm: gamma/beta must have shape ({nfeat},)"
-        )
-    if mode not in ("train", "eval"):
-        raise ContractError(f"batch_norm: unknown mode {mode!r}")
-    axes = (0,) + tuple(range(2, xd.ndim))
-    bshape = (1, nfeat) + (1,) * (xd.ndim - 2)
-    n = xd.size // nfeat
-
-    if mode == "train":
-        mean = xd.mean(axis=axes)
-        xc = xd - mean.reshape(bshape)
-        # equals np.var(xd, axis=axes) bit for bit: np.var also centres first
-        var = (xc * xc).mean(axis=axes)
-        stats.mean[:] = (1.0 - stats.momentum) * stats.mean + stats.momentum * mean
-        stats.var[:] = (1.0 - stats.momentum) * stats.var + stats.momentum * var
-    else:
-        xc = xd - stats.mean.reshape(bshape)
-        var = stats.var
-
-    inv = (1.0 / np.sqrt(var + stats.eps))[:, None]
-    gam = gamma.data[:, None]
-    xhat = _features_first(xc)  # xc is ours: normalize it in place
-    xhat *= inv
-    y = gam * xhat
-    y += beta.data[:, None]
+    _check_bn(xd.shape[1], gamma, beta, mode)
+    y, xhat, gam_inv = _bn_forward(xd, gamma, beta, stats, mode)
     out = _result(_batch_major(y, xd.shape), (x, gamma, beta))
     if out.requires_grad:
         def bw(g):
-            gf = _features_first(g)
-            sum_g = gf.sum(axis=1)
-            sum_gx = (gf * xhat).sum(axis=1)
-            _accumulate(gamma, sum_gx)
-            _accumulate(beta, sum_g)
-            if x.requires_grad:
-                if mode == "train":
-                    # closed form: gamma*inv/n * (n*g - sum(g) - xhat*sum(g*xhat))
-                    dx = gf * n
-                    dx -= sum_g[:, None]
-                    dx -= xhat * sum_gx[:, None]
-                    dx *= gam * inv / n
-                else:
-                    dx = gf * (gam * inv)
+            dx = _bn_backward(_features_first(g), xhat, gam_inv, gamma, beta,
+                              mode, x.requires_grad)
+            if dx is not None:
                 _accumulate(x, _batch_major(dx, xd.shape))
         out._backward = bw
     return out
@@ -406,9 +444,8 @@ def batch_norm(x, gamma, beta, stats, mode):
 # convolution and pooling
 
 
-def conv2d(x, w, b):
-    """Same-padded stride-1 convolution; w is (Cout, Cin, k, k) with odd k."""
-    xd, wd = x.data, w.data
+def _check_conv(xd, wd):
+    """Validate a conv2d input/kernel pair; return the kernel size."""
     if xd.ndim != 4 or wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
         raise DimensionError(f"conv2d: bad shapes x={xd.shape} w={wd.shape}")
     if xd.shape[1] != wd.shape[1]:
@@ -418,67 +455,146 @@ def conv2d(x, w, b):
     k = wd.shape[2]
     if k % 2 != 1:
         raise DimensionError(f"conv2d: kernel size {k} must be odd")
-    pad = k // 2
+    return k
+
+
+def _im2col(xd, k):
+    """cols (C*k*k, H*W*B) of a same-padded (B, C, H, W) input."""
     B, C, H, W = xd.shape
-    Cout = wd.shape[0]
-    xp = np.zeros((C, B, H + 2 * pad, W + 2 * pad))
-    xp[:, :, pad : pad + H, pad : pad + W] = xd.transpose(1, 0, 2, 3)
-    cols = np.empty((C, k, k, B, H, W))
+    p = k // 2
+    xp = np.zeros((C, H + 2 * p, W + 2 * p, B))
+    xp[:, p : p + H, p : p + W] = _chwb(xd)
+    cols = np.empty((C, k, k, H, W, B))
     for i in range(k):
         for j in range(k):
-            cols[:, i, j] = xp[:, :, i : i + H, j : j + W]
-    cols = cols.reshape(C * k * k, B * H * W)
-    w_mat = wd.reshape(Cout, C * k * k)
-    y = w_mat @ cols
+            cols[:, i, j] = xp[:, i : i + H, j : j + W]
+    return cols.reshape(C * k * k, H * W * B)
+
+
+def _col2im(dcols, shape, k):
+    """Adjoint of ``_im2col``: a (B, C, H, W) view of (C, H, W, B) memory."""
+    B, C, H, W = shape
+    p = k // 2
+    dcols = dcols.reshape(C, k, k, H, W, B)
+    dxp = np.zeros((C, H + 2 * p, W + 2 * p, B))
+    for i in range(k):
+        for j in range(k):
+            dxp[:, i : i + H, j : j + W] += dcols[:, i, j]
+    return _bchw(dxp[:, p : p + H, p : p + W])
+
+
+def _conv_backward(g_mat, x, w, cols):
+    """Accumulate dW and dX for the (Cout, H*W*B) output gradient g_mat."""
+    wd = w.data
+    w_mat = wd.reshape(wd.shape[0], -1)
+    if w.requires_grad:
+        _accumulate(w, (g_mat @ cols.T).reshape(wd.shape))
+    if x.requires_grad:
+        _accumulate(x, _col2im(w_mat.T @ g_mat, x.data.shape, wd.shape[2]))
+
+
+def conv2d(x, w, b):
+    """Same-padded stride-1 convolution; w is (Cout, Cin, k, k) with odd k."""
+    xd, wd = x.data, w.data
+    k = _check_conv(xd, wd)
+    B, _, H, W = xd.shape
+    Cout = wd.shape[0]
+    cols = _im2col(xd, k)
+    y = wd.reshape(Cout, -1) @ cols
     y += b.data[:, None]
-    out = _result(y.reshape(Cout, B, H, W).transpose(1, 0, 2, 3), (x, w, b))
+    out = _result(_bchw(y.reshape(Cout, H, W, B)), (x, w, b))
     if out.requires_grad:
         # keep only what backward reads: cols for dW, the weight for dX
         cols_kept = cols if w.requires_grad else None
 
         def bw(g):
-            g_mat = g.transpose(1, 0, 2, 3).reshape(Cout, B * H * W)
-            if w.requires_grad:
-                _accumulate(w, (g_mat @ cols_kept.T).reshape(wd.shape))
+            g_mat = _features_first(g)
             if b.requires_grad:
                 _accumulate(b, g_mat.sum(axis=1))
-            if x.requires_grad:
-                dcols = (w_mat.T @ g_mat).reshape(C, k, k, B, H, W)
-                dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad))
-                for i in range(k):
-                    for j in range(k):
-                        dxp[:, :, i : i + H, j : j + W] += dcols[:, i, j]
-                dx = dxp[:, :, pad : pad + H, pad : pad + W]
-                _accumulate(x, dx.transpose(1, 0, 2, 3))
+            _conv_backward(g_mat, x, w, cols_kept)
         out._backward = bw
     return out
+
+
+def _check_pool(shape, op):
+    if len(shape) != 4 or shape[2] % 2 or shape[3] % 2:
+        raise DimensionError(f"{op}: shape {shape} not 4-D with even H, W")
+
+
+def _windows(a):
+    """(C, H/2, 2, W/2, 2, B) view of the 2x2 blocks of a (C, H, W, B) array."""
+    C, H, W, B = a.shape
+    return a.reshape(C, H // 2, 2, W // 2, 2, B)
+
+
+def _max4(win):
+    """Elementwise maximum of the four views of each 2x2 block."""
+    return np.maximum(
+        np.maximum(win[:, :, 0, :, 0], win[:, :, 0, :, 1]),
+        np.maximum(win[:, :, 1, :, 0], win[:, :, 1, :, 1]),
+    )
+
+
+def _route_first_max(win, y, g, dwin, taken):
+    """Write g to the first view of win, in row-major order within the
+    block, that equals the block maximum y, and zero elsewhere in dwin.
+    Blocks already True in the boolean ``taken`` (updated in place) get
+    zeros throughout."""
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        first = (win[:, :, i, :, j] == y) & ~taken
+        np.multiply(g, first, out=dwin[:, :, i, :, j])
+        taken |= first
 
 
 def max_pool2(x):
     """2x2 max pooling with stride 2; ties route the gradient to the first max."""
     xd = x.data
-    if xd.ndim != 4 or xd.shape[2] % 2 or xd.shape[3] % 2:
-        raise DimensionError(f"max_pool2: shape {xd.shape} not 4-D with even H, W")
-    B, C, H, W = xd.shape
-    h2, w2 = H // 2, W // 2
-    blocks = xd.reshape(B, C, h2, 2, w2, 2)
-    y = np.maximum(
-        np.maximum(blocks[:, :, :, 0, :, 0], blocks[:, :, :, 0, :, 1]),
-        np.maximum(blocks[:, :, :, 1, :, 0], blocks[:, :, :, 1, :, 1]),
-    )
-    out = _result(y, (x,))
+    _check_pool(xd.shape, "max_pool2")
+    win = _windows(_chwb(xd))
+    y = _max4(win)
+    out = _result(_bchw(y), (x,))
     if out.requires_grad:
         def bw(g):
-            # same memory layout as x, so a channel-major input keeps it
+            # same memory layout as x
             dx = np.empty_like(xd)
-            db = dx.reshape(B, C, h2, 2, w2, 2)
-            taken = np.zeros(y.shape, dtype=bool)
-            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                first = (blocks[:, :, :, i, :, j] == y) & ~taken
-                # g where this view holds the block's first max, else zero
-                np.multiply(g, first, out=db[:, :, :, i, :, j])
-                taken |= first
+            _route_first_max(win, y, _chwb(g), _windows(_chwb(dx)),
+                             np.zeros(y.shape, dtype=bool))
             _accumulate(x, dx)
+        out._backward = bw
+    return out
+
+
+def conv_block(x, w, gamma, beta, stats, mode):
+    """``max_pool2(relu(batch_norm(conv2d(x, w, 0), ...)))`` as one graph op.
+
+    It pools before the ReLU, which gives the same values and the same
+    first-max gradient routing (see the module docstring), on a quarter of
+    the elements. There is no conv bias: the batch norm would cancel it.
+    """
+    xd, wd = x.data, w.data
+    k = _check_conv(xd, wd)
+    B, _, H, W = xd.shape
+    Cout = wd.shape[0]
+    _check_bn(Cout, gamma, beta, mode)
+    _check_pool(xd.shape, "conv_block")
+    cols = _im2col(xd, k)
+    conv = _bchw((wd.reshape(Cout, -1) @ cols).reshape(Cout, H, W, B))
+    # free cols now unless backward will read it for dW
+    cols = cols if w.requires_grad and not no_graph.depth else None
+    z, xhat, gam_inv = _bn_forward(conv, gamma, beta, stats, mode)
+    win = _windows(z.reshape(Cout, H, W, B))
+    pooled = _max4(win)
+    out = _result(_bchw(pooled * (pooled > 0.0)), (x, w, gamma, beta))
+    if out.requires_grad:
+        def bw(g):
+            dz = np.empty(z.shape)
+            # the ReLU passes nothing where the block max is not positive
+            _route_first_max(win, pooled, _chwb(g), _windows(dz.reshape(Cout, H, W, B)),
+                             pooled <= 0.0)
+            dconv = _bn_backward(dz, xhat, gam_inv, gamma, beta, mode,
+                                 x.requires_grad or w.requires_grad)
+            if dconv is not None:
+                _conv_backward(dconv, x, w, cols)
         out._backward = bw
     return out
 
@@ -491,9 +607,10 @@ def global_avg_pool(x):
     out = _result(xd.mean(axis=(2, 3)), (x,))
     if out.requires_grad:
         def bw(g):
-            _accumulate(
-                x, np.broadcast_to(g[:, :, None, None] / area, xd.shape).copy()
-            )
+            # same memory layout as x
+            dx = np.empty_like(xd)
+            dx[...] = g[:, :, None, None] / area
+            _accumulate(x, dx)
         out._backward = bw
     return out
 

@@ -179,7 +179,11 @@ class MetadataEncoder(Module):
 class ImageEncoder(Module):
     """Three conv/BN/ReLU/max-pool blocks, global average pool, projection.
 
-    Block i is ``conv{i}`` followed by ``bn{i}``; ``proj`` comes last.
+    Block i is ``conv{i}`` followed by ``bn{i}``; ``proj`` comes last. Each
+    block runs as one ``autodiff.conv_block`` graph node on ``conv{i}.w`` and
+    ``bn{i}``'s gamma, beta and running statistics; the convolutions carry
+    no bias, which the batch norm would cancel. Activations between blocks
+    are (B, C, H, W) views of batch-innermost (C, H, W, B) memory.
     """
 
     def __init__(self, in_shape=(3, 32, 32), channels=(8, 16, 32), out_dim=128, rng=None):
@@ -209,5 +213,5 @@ class ImageEncoder(Module):
         h = x
         for conv, bn in ((self.conv0, self.bn0), (self.conv1, self.bn1),
                          (self.conv2, self.bn2)):
-            h = ad.max_pool2(ad.relu(bn(conv(h), mode)))
+            h = ad.conv_block(h, conv.w, bn.gamma, bn.beta, bn.stats, mode)
         return self.proj(ad.global_avg_pool(h))

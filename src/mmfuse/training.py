@@ -91,14 +91,18 @@ def cosine_lr(t, total, lr0, eta_min=0.0):
 
 
 def sgd_step(named_params, lr):
-    """Plain SGD update p <- p - lr * grad for every parameter with a gradient."""
+    """Plain SGD update p <- p - lr * grad for every parameter with a gradient.
+
+    Every gradient is checked before any parameter moves, so a non-finite
+    gradient raises ``NumericError`` and leaves all parameters unchanged.
+    """
     if lr < 0:
         raise ConfigError("learning rate must be non-negative")
-    for name, p in named_params:
-        if p.grad is None:
-            continue
-        if not np.all(np.isfinite(p.grad)):
+    live = [(name, p) for name, p in named_params if p.grad is not None]
+    for name, p in live:
+        if not np.isfinite(p.grad).all():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
+    for _, p in live:
         p.data -= lr * p.grad
 
 

@@ -231,8 +231,13 @@ class TestBatchNorm:
 
 def channel_major(a):
     """The same values as the (B, C, H, W) array ``a``, in the memory order
-    conv2d returns: a (B, C, H, W) view of a C-contiguous (C, B, H, W) array."""
-    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    conv2d returns: a (B, C, H, W) view of a C-contiguous (C, H, W, B) array."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def is_channel_major(a):
+    """True when ``a`` is a (B, C, H, W) view of C-contiguous (C, H, W, B) memory."""
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
 def assert_close_rel(got, want, rel=1e-12):
@@ -282,7 +287,7 @@ class TestBatchNormAgainstOracle:
 
     def test_gradient_keeps_channel_major_layout(self):
         # conv -> batch norm -> relu -> pool hands conv a gradient it can
-        # read as (C, B*H*W) without a copy
+        # read as (C, H*W*B) without a copy
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(4, 2, 6, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
@@ -296,8 +301,91 @@ class TestBatchNormAgainstOracle:
         pooled = ad.max_pool2(act)
         ad.mul(pooled, Tensor(rng.normal(size=pooled.shape))).sum().backward()
         for t in (conv, norm, act):
-            assert t.data.transpose(1, 0, 2, 3).flags.c_contiguous
-            assert t.grad.transpose(1, 0, 2, 3).flags.c_contiguous
+            assert is_channel_major(t.data)
+            assert is_channel_major(t.grad)
+        assert is_channel_major(pooled.data)
+        assert is_channel_major(x.grad)
+
+
+class TestConvBlock:
+    """conv_block against the four-op chain it fuses."""
+
+    COUT = 4
+
+    def _inputs(self, k, mode, x_grad):
+        rng = np.random.default_rng(k * 10 + (mode == "train"))
+        xd = rng.normal(size=(2, 3, 8, 8))
+        # a zero patch gives exactly zero conv outputs: tied block maxima
+        xd[0, :, :6, :6] = 0.0
+        x = Tensor(xd, requires_grad=x_grad)
+        w = Tensor(rng.normal(size=(self.COUT, 3, k, k)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=self.COUT), requires_grad=True)
+        # large |beta| makes some channels mostly positive, others negative
+        beta = Tensor(np.array([2.0, -2.0, 0.3, -0.3]), requires_grad=True)
+        return x, w, gamma, beta
+
+    def _stats(self):
+        return RunningStats(mean=np.array([0.2, -0.1, 0.0, 0.4]),
+                            var=np.array([1.5, 0.7, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_matches_four_op_chain(self, k, mode, x_grad):
+        fused_in, chain_in = self._inputs(k, mode, x_grad), self._inputs(k, mode, x_grad)
+        fused_stats, chain_stats = self._stats(), self._stats()
+        fused = ad.conv_block(*fused_in, fused_stats, mode)
+        x, w, gamma, beta = chain_in
+        norm = ad.batch_norm(ad.conv2d(x, w, Tensor(np.zeros(self.COUT))),
+                             gamma, beta, chain_stats, mode)
+        chain = ad.max_pool2(ad.relu(norm))
+
+        # the data covers tied block maxima and all-negative blocks
+        blocks = norm.data.reshape(2, self.COUT, 4, 2, 4, 2).transpose(0, 1, 2, 4, 3, 5)
+        blocks = blocks.reshape(2, self.COUT, 4, 4, 4)
+        top = blocks.max(axis=-1)
+        assert ((blocks == top[..., None]).sum(axis=-1) > 1)[top > 0].any()
+        assert (top < 0).any()
+
+        np.testing.assert_array_equal(fused.data, chain.data)
+        np.testing.assert_array_equal(fused_stats.mean, chain_stats.mean)
+        np.testing.assert_array_equal(fused_stats.var, chain_stats.var)
+        g = np.random.default_rng(k).normal(size=fused.shape)
+        ad.mul(fused, Tensor(g)).sum().backward()
+        ad.mul(chain, Tensor(g)).sum().backward()
+        for got, want in zip(fused_in, chain_in):
+            if want.requires_grad:
+                assert_close_rel(got.grad, want.grad)
+            else:
+                assert got.grad is None
+
+    def test_output_and_input_gradient_are_channel_major(self):
+        x, w, gamma, beta = self._inputs(3, "train", True)
+        h = ad.conv_block(x, w, gamma, beta, self._stats(), "train")
+        w2 = Tensor(np.random.default_rng(1).normal(size=(2, self.COUT, 3, 3)),
+                    requires_grad=True)
+        out = ad.conv_block(h, w2, Tensor(np.ones(2), requires_grad=True),
+                            Tensor(np.zeros(2), requires_grad=True),
+                            RunningStats(mean=np.zeros(2), var=np.ones(2)), "train")
+        ad.global_avg_pool(out).sum().backward()
+        for a in (h.data, h.grad, out.data, out.grad):
+            assert is_channel_major(a)
+
+    def test_no_graph_keeps_no_parents(self):
+        inputs = self._inputs(3, "train", True)
+        with ad.no_graph():
+            out = ad.conv_block(*inputs, self._stats(), "train")
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        recorded = ad.conv_block(*inputs, self._stats(), "train")
+        assert recorded._parents
+        np.testing.assert_array_equal(out.data, recorded.data)
+
+    def test_rejects_odd_spatial_size(self):
+        x = Tensor(np.zeros((2, 3, 5, 6)))
+        w = Tensor(np.zeros((self.COUT, 3, 3, 3)))
+        with pytest.raises(DimensionError, match="even H, W"):
+            ad.conv_block(x, w, Tensor(np.ones(self.COUT)), Tensor(np.zeros(self.COUT)),
+                          self._stats(), "train")
 
 
 class TestConcatSplit:
@@ -519,6 +607,16 @@ class TestPoolingAndConv:
             np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
         else:
             assert x.grad is None
+
+    @pytest.mark.parametrize("layout", ["batch_major", "channel_major"])
+    def test_conv_output_is_a_view_of_channel_major_memory(self, layout):
+        rng = np.random.default_rng(13)
+        xd = rng.normal(size=(3, 2, 4, 6))
+        x = Tensor(xd if layout == "batch_major" else channel_major(xd))
+        out = ad.conv2d(x, Tensor(rng.normal(size=(5, 2, 3, 3))), Tensor(np.zeros(5)))
+        assert out.data.shape == (3, 5, 4, 6)
+        assert not out.data.flags.owndata
+        assert is_channel_major(out.data)
 
     def test_conv_identity_kernel(self):
         rng = np.random.default_rng(10)

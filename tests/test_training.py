@@ -92,6 +92,16 @@ class TestSgdStep:
         with pytest.raises(NumericError, match="mylayer.w"):
             sgd_step([("mylayer.w", p)], 0.1)
 
+    def test_non_finite_gradient_moves_no_parameter(self):
+        a = Tensor([1.0], requires_grad=True)
+        b = Tensor([2.0, 3.0], requires_grad=True)
+        a.grad = np.array([5.0])
+        b.grad = np.array([1.0, np.nan])
+        with pytest.raises(NumericError, match="'b'"):
+            sgd_step([("a", a), ("b", b)], 0.1)
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(b.data, [2.0, 3.0])
+
 
 class TestAugment:
     def test_probability_zero_is_identity(self):
