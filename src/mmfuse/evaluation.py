@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DataError
 
@@ -55,6 +54,16 @@ def accuracy(cm):
     return float(np.trace(cm) / total)
 
 
+def rankdata(x):
+    """Average ranks of a 1-D array, 1-based; tied values share the mean of their positions.
+
+    A tie group of size c ending at sorted position e gets e - (c - 1) / 2. The
+    ranks are half-integers, so they are exact in float64.
+    """
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def _auc_binary(scores, is_pos):
     """Rank-based Mann-Whitney AUC (ties count half)."""
     n_pos = int(is_pos.sum())
@@ -74,6 +83,8 @@ def auc_macro_ovr(scores, y_true):
     y_true = np.asarray(y_true, dtype=np.intp)
     if scores.ndim != 2 or scores.shape[0] != y_true.shape[0]:
         raise DataError(f"scores {scores.shape} do not match {y_true.shape[0]} labels")
+    if not np.all(np.isfinite(scores)):
+        raise DataError("scores contain non-finite values")
     aucs = []
     for c in range(scores.shape[1]):
         is_pos = y_true == c

@@ -12,12 +12,13 @@ with continuity correction.
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata
 
 from .errors import ConfigError, ContractError, DataError, DegenerateSampleError
+from .evaluation import rankdata
 
 EXACT_LIMIT = 12  # auto mode switches to the normal approximation above this
 _EXACT_HARD_CAP = 50  # 2^n counts must stay within int64
@@ -89,6 +90,30 @@ class FoldResultTable:
         return cls.from_rows(rows)
 
 
+def _chi2_sf(x, df):
+    """Chi-square survival function P(X > x) for an integer df >= 1 (A&S 26.4.4-26.4.5).
+
+    Even df: exp(-x/2) * sum_{r<df/2} (x/2)^r / r!. Odd df: erfc(sqrt(x/2))
+    plus sqrt(2/pi) exp(-x/2) * sum_{r=1}^{(df-1)/2} chi^(2r-1) / (1*3*...*(2r-1))
+    with chi = sqrt(x). Every term is positive, so nothing cancels.
+    """
+    x = float(x)
+    if df % 2 == 0:
+        term = total = 1.0
+        for r in range(1, df // 2):
+            term *= x / (2.0 * r)
+            total += term
+        return math.exp(-0.5 * x) * total
+    chi = math.sqrt(x)
+    term = chi
+    total = 0.0
+    for r in range(1, (df + 1) // 2):
+        total += term
+        term *= x / (2.0 * r + 1.0)
+    tail = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x) * total
+    return math.erfc(chi / math.sqrt(2.0)) + tail
+
+
 @dataclass(frozen=True)
 class FriedmanResult:
     chi2: float
@@ -117,7 +142,7 @@ def friedman(table):
         # every row fully tied; the statistic is 0 by construction
         return FriedmanResult(chi2=0.0, df=k - 1, p=1.0)
     stat = numer / c
-    return FriedmanResult(chi2=float(stat), df=k - 1, p=float(chi2.sf(stat, k - 1)))
+    return FriedmanResult(chi2=float(stat), df=k - 1, p=_chi2_sf(stat, k - 1))
 
 
 @dataclass(frozen=True)
@@ -156,6 +181,8 @@ def wilcoxon_signed_rank(a, b, mode="auto"):
         raise ContractError("need at least 2 paired observations")
     if mode not in ("auto", "exact", "normal"):
         raise ConfigError(f"unknown mode {mode!r}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DataError("paired samples contain non-finite values")
     d = a - b
     d = d[d != 0.0]
     n = d.size
@@ -186,7 +213,7 @@ def wilcoxon_signed_rank(a, b, mode="auto"):
             raise DegenerateSampleError("zero-variance rank sum (all ranks tied away)")
         dmean = w_plus - mean
         z = (dmean - 0.5 * np.sign(dmean)) / np.sqrt(var)
-        p = min(1.0, 2.0 * norm.sf(abs(z)))
+        p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
     return WilcoxonResult(w=w, p_two_sided=float(p), n_effective=n, mode=mode)
 
 

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 
+import mmfuse
 from mmfuse import autodiff as ad
 from mmfuse.cli import main
 from mmfuse.experiment import ExperimentConfig, config_digest, gradcheck_suite
@@ -328,3 +331,64 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def _python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports mmfuse from this checkout."""
+    src = os.path.dirname(os.path.dirname(mmfuse.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+# Makes the interpreter behave as if scipy were not installed.
+_NO_SCIPY = """
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+"""
+_CLI_WITHOUT_SCIPY = _NO_SCIPY + "from mmfuse.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+class TestNumpyOnlyRuntime:
+    def test_import_loads_no_scipy(self):
+        proc = _python(
+            "import sys, mmfuse, mmfuse.cli, mmfuse.experiment\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_compare_without_scipy(self, tmp_path):
+        path = tmp_path / "res.csv"
+        base = np.random.default_rng(2).uniform(0.4, 0.6, size=14)
+        rows = [("good", i, round(b + 0.2, 6)) for i, b in enumerate(base)]
+        rows += [("bad", i, round(b, 6)) for i, b in enumerate(base)]
+        path.write_text(
+            "method,run,bac\n" + "".join(f"{m},r{i},{v}\n" for m, i, v in rows)
+        )
+        proc = _python(_CLI_WITHOUT_SCIPY, "compare", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert "good - bad" in proc.stdout
+
+    def test_run_without_scipy(self, tmp_path):
+        out = tmp_path / "run"
+        proc = _python(
+            _CLI_WITHOUT_SCIPY, "run", "--config", str(run_config(tmp_path)), "--out", str(out)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "results.csv").read_text().startswith("method,run,bac,acc,auc")
+
+    def test_blocker_hides_scipy(self):
+        proc = _python(_NO_SCIPY + "import scipy.stats\n")
+        assert proc.returncode != 0
+        assert "scipy is blocked" in proc.stderr

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from mmfuse.errors import ConfigError, DataError
 from mmfuse.evaluation import (
@@ -11,6 +12,7 @@ from mmfuse.evaluation import (
     confusion,
     metric_report,
     per_class_recall,
+    rankdata,
     stratified_kfold,
 )
 
@@ -123,6 +125,33 @@ class TestAccuracy:
         assert np.trace(cm) <= cm.sum()
 
 
+class TestRankdata:
+    def _assert_bitwise_scipy(self, x):
+        ours, ref = rankdata(x), sps.rankdata(x)
+        assert ours.dtype == ref.dtype == np.float64
+        assert ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_length_one(self):
+        self._assert_bitwise_scipy(np.array([0.3]))
+
+    def test_all_tied(self):
+        for n in (2, 3, 7):
+            self._assert_bitwise_scipy(np.full(n, 0.5))
+
+    def test_mixed_ties(self):
+        self._assert_bitwise_scipy(np.array([3.0, 1.0, 3.0, 2.0, 1.0, 3.0, -0.0, 0.0]))
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            x = np.round(rng.normal(size=int(rng.integers(1, 60))), int(rng.integers(0, 2)))
+            self._assert_bitwise_scipy(x)
+
+    def test_random_floats(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            self._assert_bitwise_scipy(rng.normal(size=int(rng.integers(1, 200))))
+
+
 class TestAuc:
     def test_perfect_separation(self):
         scores = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9], [0.2, 0.8]])
@@ -160,6 +189,13 @@ class TestAuc:
         a = auc_macro_ovr(scores, y)
         b = auc_macro_ovr(np.exp(5 * scores), y)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.random.default_rng(8).uniform(size=(6, 2))
+        scores[2, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            auc_macro_ovr(scores, np.array([0, 1, 0, 1, 0, 1]))
 
     def test_absent_class_skipped_with_warning(self):
         scores = np.random.default_rng(7).uniform(size=(6, 3))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import stats as sps
 from scipy.stats import rankdata
 
 from mmfuse.errors import ConfigError, ContractError, DataError, DegenerateSampleError
 from mmfuse.stats import (
     FoldResultTable,
+    _chi2_sf,
     compare_methods,
     friedman,
     wilcoxon_signed_rank,
@@ -62,6 +64,18 @@ class TestFriedman:
             FoldResultTable(methods=("a",), runs=("r0", "r1"), values=np.zeros((2, 1)))
 
 
+class TestChi2Sf:
+    @pytest.mark.parametrize("df", range(1, 12))
+    def test_matches_scipy(self, df):
+        xs = np.concatenate([np.geomspace(1e-8, 80.0, 400), np.linspace(0.05, 80.0, 1600)])
+        ours = np.array([_chi2_sf(x, df) for x in xs])
+        np.testing.assert_allclose(ours, sps.chi2.sf(xs, df), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10])
+    def test_one_at_zero(self, df):
+        assert _chi2_sf(0.0, df) == 1.0
+
+
 class TestWilcoxon:
     def test_all_positive_differences(self):
         res = wilcoxon_signed_rank(
@@ -117,6 +131,33 @@ class TestWilcoxon:
         exact = wilcoxon_signed_rank(a, b, mode="exact")
         approx = wilcoxon_signed_rank(a, b, mode="normal")
         assert abs(exact.p_two_sided - approx.p_two_sided) < 0.02
+
+    def test_normal_mode_matches_scipy_norm(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n = int(rng.integers(13, 40))
+            a = np.round(rng.uniform(size=n), 2)  # force tied |d|
+            b = np.round(a + rng.normal(scale=0.1, size=n), 2)
+            d = (a - b)[a != b]
+            m = d.size
+            ranks = rankdata(np.abs(d))
+            _, t = np.unique(ranks, return_counts=True)
+            var = m * (m + 1) * (2 * m + 1) / 24.0 - np.sum(t**3.0 - t) / 48.0
+            dmean = ranks[d > 0].sum() - m * (m + 1) / 4.0
+            z = (dmean - 0.5 * np.sign(dmean)) / np.sqrt(var)
+            expected = min(1.0, 2.0 * sps.norm.sf(abs(z)))
+            res = wilcoxon_signed_rank(a, b, mode="normal")
+            np.testing.assert_allclose(res.p_two_sided, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", ["exact", "normal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_rejected(self, mode, bad, side):
+        a = np.linspace(0.1, 0.9, 14)
+        b = a[::-1].copy()
+        (a if side == "a" else b)[3] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            wilcoxon_signed_rank(a, b, mode=mode)
 
     def test_p_in_unit_interval_and_dyadic(self):
         rng = np.random.default_rng(6)
