@@ -5,6 +5,13 @@ augmenting images, at learning rate
 
     lr(t) = eta_min + 0.5 * (lr0 - eta_min) * (1 + cos(pi * t / T)).
 
+Augmentation works on a whole batch at once. The random parameters are
+drawn image by image from the loop's generator, in a fixed order: hflip,
+vflip, shift (dy then dx), rotation (kind, then the angle) and scale. Each
+transform is a nearest-neighbor pixel map with zero fill, so the five maps
+are composed from the last transform back to the first into one source
+index and validity mask per output pixel, and the batch is gathered once.
+
 Validation balanced accuracy is evaluated after every epoch; training
 keeps the parameters of the best epoch (earliest on ties) and stops after
 ``patience`` epochs without improvement. Class weights for the loss come
@@ -43,6 +50,13 @@ class TrainConfig:
             raise ConfigError("patience must be >= 1")
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be positive")
+        if self.eta_min < 0:
+            # a negative floor makes late-epoch learning rates negative
+            raise ConfigError("eta_min must be >= 0")
+        if not 0 <= self.beta <= 1:
+            raise ConfigError("beta must lie in [0, 1]")
+        if not 0 <= self.augment_prob <= 1:
+            raise ConfigError("augment_prob must lie in [0, 1]")
         if self.batch_size < 2:
             # train-mode batch norm over one sample outputs zeros
             raise ConfigError("batch_size must be >= 2")
@@ -110,86 +124,75 @@ def sgd_step(named_params, lr):
 # image augmentation
 
 
-def hflip(img):
-    return img[:, :, ::-1]
+def _rescale_axis(n, size):
+    """Source index and validity along one axis of a nearest-neighbor resize
+    to ``n`` (per image) pixels, center-cropped or zero-padded to ``size``."""
+    j = np.arange(size) + np.fix((n - size) / 2)[:, None]  # index into the resized axis
+    src = np.clip(np.rint((j + 0.5) * size / n[:, None] - 0.5), 0, size - 1)
+    return src.astype(np.intp), (j >= 0) & (j < n[:, None])
 
 
-def vflip(img):
-    return img[:, ::-1, :]
-
-
-def shift_image(img, dy, dx):
-    """Integer shift with zero padding."""
-    out = np.zeros_like(img)
-    h, w = img.shape[1], img.shape[2]
-    ys = slice(max(dy, 0), min(h + dy, h))
-    xs = slice(max(dx, 0), min(w + dx, w))
-    ys_src = slice(max(-dy, 0), min(h - dy, h))
-    xs_src = slice(max(-dx, 0), min(w - dx, w))
-    out[:, ys, xs] = img[:, ys_src, xs_src]
-    return out
-
-
-def rotate_image(img, degrees):
-    """Rotation about the center with nearest-neighbor sampling, zero fill."""
-    h, w = img.shape[1], img.shape[2]
-    theta = math.radians(degrees)
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.mgrid[0:h, 0:w]
-    ys = math.cos(theta) * (yy - cy) - math.sin(theta) * (xx - cx) + cy
-    xs = math.sin(theta) * (yy - cy) + math.cos(theta) * (xx - cx) + cx
-    yi = np.rint(ys).astype(np.intp)
-    xi = np.rint(xs).astype(np.intp)
-    valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-    out = np.zeros_like(img)
-    out[:, valid] = img[:, yi[valid], xi[valid]]
-    return out
-
-
-def scale_image(img, factor):
-    """Nearest-neighbor rescale, then center-crop or zero-pad to the input size."""
-    h, w = img.shape[1], img.shape[2]
-    nh, nw = max(int(round(h * factor)), 1), max(int(round(w * factor)), 1)
-    yi = np.clip(((np.arange(nh) + 0.5) * h / nh - 0.5).round(), 0, h - 1).astype(np.intp)
-    xi = np.clip(((np.arange(nw) + 0.5) * w / nw - 0.5).round(), 0, w - 1).astype(np.intp)
-    resized = img[:, yi][:, :, xi]
-    out = np.zeros_like(img)
-    if nh >= h:
-        top = (nh - h) // 2
-        left = (nw - w) // 2
-        out[:] = resized[:, top : top + h, left : left + w]
-    else:
-        top = (h - nh) // 2
-        left = (w - nw) // 2
-        out[:, top : top + nh, left : left + nw] = resized
-    return out
-
-
-def augment(img, rng, prob=0.5, max_shift=0.125, scale_range=(0.9, 1.1),
+def augment(images, rng, prob=0.5, max_shift=0.125, scale_range=(0.9, 1.1),
             small_angle=15.0):
-    """Apply each transform independently with the given probability.
+    """Augment a ``(B, C, H, W)`` batch, each transform applying to each
+    image independently with the given probability.
 
-    Transforms: horizontal flip, vertical flip, integer shift up to
-    ``max_shift`` of the side (zero padded), rotation (a quarter turn or a
-    small nearest-neighbor angle), and rescaling with center crop/pad.
-    Deterministic given the generator state.
+    Per image, in this order: horizontal flip, vertical flip, integer shift
+    up to ``max_shift`` of the height (zero padded), rotation about the
+    center (a quarter turn or a small angle), and rescaling with each axis
+    center-cropped or zero-padded back to its size. The parameters are drawn
+    image by image in that order, so the result is deterministic given the
+    generator state. The module docstring says how the pixel maps compose.
     """
-    out = img
-    if rng.random() < prob:
-        out = hflip(out)
-    if rng.random() < prob:
-        out = vflip(out)
-    if rng.random() < prob:
-        m = max(int(round(img.shape[1] * max_shift)), 1)
-        out = shift_image(out, int(rng.integers(-m, m + 1)), int(rng.integers(-m, m + 1)))
-    if rng.random() < prob:
-        if rng.random() < 0.5:
-            out = rotate_image(out, 90.0 if rng.random() < 0.5 else -90.0)
-        else:
-            out = rotate_image(out, float(rng.uniform(-small_angle, small_angle)))
-    if rng.random() < prob:
-        out = scale_image(out, float(rng.uniform(*scale_range)))
-    return np.ascontiguousarray(out)
+    b, c, h, w = images.shape
+    m = max(int(round(h * max_shift)), 1)
+    flip = np.zeros((b, 2), dtype=bool)  # horizontal, vertical
+    shift = np.zeros((b, 2), dtype=np.intp)  # dy, dx
+    degrees = np.zeros(b)
+    factor = np.ones(b)
+    for i in range(b):
+        flip[i, 0] = rng.random() < prob
+        flip[i, 1] = rng.random() < prob
+        if rng.random() < prob:
+            shift[i] = rng.integers(-m, m + 1), rng.integers(-m, m + 1)
+        if rng.random() < prob:
+            if rng.random() < 0.5:
+                degrees[i] = 90.0 if rng.random() < 0.5 else -90.0
+            else:
+                degrees[i] = rng.uniform(-small_angle, small_angle)
+        if rng.random() < prob:
+            factor[i] = rng.uniform(*scale_range)
+
+    def inside(ys, xs):  # a negative index wraps to a large unsigned one
+        return (ys.view(np.uintp) < h) & (xs.view(np.uintp) < w)
+
+    # rescale, one axis at a time
+    ys, valid_y = _rescale_axis(np.maximum(np.rint(h * factor), 1), h)
+    xs, valid_x = _rescale_axis(np.maximum(np.rint(w * factor), 1), w)
+    ys, xs = ys[:, :, None], xs[:, None, :]
+    valid = valid_y[:, :, None] & valid_x[:, None, :]
+    # rotation about the center; a zero angle maps every pixel to itself
+    theta = [math.radians(d) for d in degrees]
+    cos = np.array([math.cos(t) for t in theta])[:, None, None]
+    sin = np.array([math.sin(t) for t in theta])[:, None, None]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ys, xs = (
+        np.rint(cos * (ys - cy) - sin * (xs - cx) + cy).astype(np.intp),
+        np.rint(sin * (ys - cy) + cos * (xs - cx) + cx).astype(np.intp),
+    )
+    valid &= inside(ys, xs)
+    # shift, then the two flips
+    ys = ys - shift[:, 0, None, None]
+    xs = xs - shift[:, 1, None, None]
+    valid &= inside(ys, xs)
+    ys = np.where(flip[:, 1, None, None], h - 1 - ys, ys)
+    xs = np.where(flip[:, 0, None, None], w - 1 - xs, xs)
+
+    # one gather over the flattened batch, then zero fill
+    valid = valid.reshape(b, 1, h * w)
+    src = (ys * w + xs).reshape(b, 1, h * w) + (h * w * np.arange(b * c)).reshape(b, c, 1)
+    out = np.take(images, src, mode="clip")  # invalid pixels read anything
+    return np.where(valid, out, 0.0).reshape(b, c, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +278,7 @@ def train(assembly, train_set, val_set, cfg, report="all"):
         for idx in _batches(order, cfg.batch_size):
             images = train_set.images[idx]
             if cfg.augment:
-                images = np.stack(
-                    [augment(im, rng, prob=cfg.augment_prob) for im in images]
-                )
+                images = augment(images, rng, prob=cfg.augment_prob)
             triple = assembly.forward(
                 Tensor(images), Tensor(train_set.meta[idx]), "train"
             )

@@ -184,6 +184,19 @@ class TestRun:
             ]) == 2
             assert "'folds' is not a section" in capsys.readouterr().err
 
+    def test_set_out_of_range_train_value_exits_2(self, tmp_path, capsys):
+        cfg = run_config(tmp_path)
+        for key, name in (
+            ("train.augment_prob=1.5", "augment_prob"),
+            ("train.beta=-0.1", "beta"),
+            ("train.eta_min=-0.001", "eta_min"),
+        ):
+            out = tmp_path / "range"
+            assert main(["run", "--config", str(cfg), "--out", str(out), "--set", key]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and name in err
+            assert not out.exists()
+
     def test_invalid_json_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{bad")

@@ -1,10 +1,11 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mmfuse import autodiff as ad, layers
+from mmfuse import autodiff as ad, layers, training
 from mmfuse.autodiff import Tensor
 from mmfuse.data import SyntheticSpec, generate_synthetic
 from mmfuse.errors import ConfigError, FormatError, NumericError
@@ -15,16 +16,11 @@ from mmfuse.training import (
     augment,
     cosine_lr,
     eval_bac,
-    hflip,
     load_checkpoint,
     predict_probs,
-    rotate_image,
     save_checkpoint,
-    scale_image,
     sgd_step,
-    shift_image,
     train,
-    vflip,
 )
 
 SMALL_MODEL = ModelConfig(
@@ -103,38 +99,193 @@ class TestSgdStep:
         np.testing.assert_array_equal(b.data, [2.0, 3.0])
 
 
+# The per-image augmentation that the batched ``augment`` replaced, kept
+# with renamed functions as its bitwise oracle. Its rescale crops or pads
+# both axes by the height alone, so it is only right on square images.
+
+
+def oracle_hflip(img):
+    return img[:, :, ::-1]
+
+
+def oracle_vflip(img):
+    return img[:, ::-1, :]
+
+
+def oracle_shift(img, dy, dx):
+    out = np.zeros_like(img)
+    h, w = img.shape[1], img.shape[2]
+    ys = slice(max(dy, 0), min(h + dy, h))
+    xs = slice(max(dx, 0), min(w + dx, w))
+    ys_src = slice(max(-dy, 0), min(h - dy, h))
+    xs_src = slice(max(-dx, 0), min(w - dx, w))
+    out[:, ys, xs] = img[:, ys_src, xs_src]
+    return out
+
+
+def oracle_rotate(img, degrees):
+    h, w = img.shape[1], img.shape[2]
+    theta = math.radians(degrees)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yy, xx = np.mgrid[0:h, 0:w]
+    ys = math.cos(theta) * (yy - cy) - math.sin(theta) * (xx - cx) + cy
+    xs = math.sin(theta) * (yy - cy) + math.cos(theta) * (xx - cx) + cx
+    yi = np.rint(ys).astype(np.intp)
+    xi = np.rint(xs).astype(np.intp)
+    valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+    out = np.zeros_like(img)
+    out[:, valid] = img[:, yi[valid], xi[valid]]
+    return out
+
+
+def oracle_scale(img, factor):
+    h, w = img.shape[1], img.shape[2]
+    nh, nw = max(int(round(h * factor)), 1), max(int(round(w * factor)), 1)
+    yi = np.clip(((np.arange(nh) + 0.5) * h / nh - 0.5).round(), 0, h - 1).astype(np.intp)
+    xi = np.clip(((np.arange(nw) + 0.5) * w / nw - 0.5).round(), 0, w - 1).astype(np.intp)
+    resized = img[:, yi][:, :, xi]
+    out = np.zeros_like(img)
+    if nh >= h:
+        top = (nh - h) // 2
+        left = (nw - w) // 2
+        out[:] = resized[:, top : top + h, left : left + w]
+    else:
+        top = (h - nh) // 2
+        left = (w - nw) // 2
+        out[:, top : top + nh, left : left + nw] = resized
+    return out
+
+
+def oracle_augment(img, rng, prob=0.5, max_shift=0.125, scale_range=(0.9, 1.1),
+                   small_angle=15.0):
+    out = img
+    if rng.random() < prob:
+        out = oracle_hflip(out)
+    if rng.random() < prob:
+        out = oracle_vflip(out)
+    if rng.random() < prob:
+        m = max(int(round(img.shape[1] * max_shift)), 1)
+        out = oracle_shift(out, int(rng.integers(-m, m + 1)), int(rng.integers(-m, m + 1)))
+    if rng.random() < prob:
+        if rng.random() < 0.5:
+            out = oracle_rotate(out, 90.0 if rng.random() < 0.5 else -90.0)
+        else:
+            out = oracle_rotate(out, float(rng.uniform(-small_angle, small_angle)))
+    if rng.random() < prob:
+        out = oracle_scale(out, float(rng.uniform(*scale_range)))
+    return np.ascontiguousarray(out)
+
+
+def oracle_augment_batch(images, rng, prob=0.5):
+    return np.stack([oracle_augment(im, rng, prob=prob) for im in images])
+
+
+class ScriptedRng:
+    """Stands in for a Generator, returning the scripted values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+    def integers(self, low, high):
+        value = self.values.pop(0)
+        assert low <= value < high
+        return value
+
+    def uniform(self, low, high):
+        return self.values.pop(0)
+
+
+# per-image scripts at prob=0.5: YES fires a transform, NO skips it
+YES, NO = 0.0, 0.9
+HFLIP = (YES, NO, NO, NO, NO)
+VFLIP = (NO, YES, NO, NO, NO)
+
+
+def shift_script(dy, dx):
+    return (NO, NO, YES, dy, dx, NO, NO)
+
+
+QUARTER_TURN = (NO, NO, NO, YES, YES, YES, NO)  # rotate, a quarter turn, +90
+
+
+def scale_script(factor):
+    return (NO, NO, NO, NO, YES, factor)
+
+
+def scripted(images, script):
+    """``augment`` with every image of the batch following ``script``."""
+    rng = ScriptedRng(script * len(images))
+    out = augment(images, rng)
+    assert rng.values == []
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestAugment:
     def test_probability_zero_is_identity(self):
         rng = np.random.default_rng(0)
-        img = rng.uniform(size=(3, 8, 8))
-        np.testing.assert_array_equal(augment(img, rng, prob=0.0), img)
+        batch = rng.uniform(size=(4, 3, 8, 8))
+        np.testing.assert_array_equal(augment(batch, rng, prob=0.0), batch)
 
     def test_hflip_is_involution(self):
-        img = np.random.default_rng(1).uniform(size=(3, 6, 6))
-        np.testing.assert_array_equal(hflip(hflip(img)), img)
-        np.testing.assert_array_equal(vflip(vflip(img)), img)
+        batch = np.random.default_rng(1).uniform(size=(2, 3, 6, 6))
+        for script, flipped in ((HFLIP, batch[..., ::-1]), (VFLIP, batch[:, :, ::-1])):
+            once = scripted(batch, script)
+            np.testing.assert_array_equal(once, flipped)
+            np.testing.assert_array_equal(scripted(once, script), batch)
 
     def test_shift_zero_pads(self):
-        img = np.ones((1, 4, 4))
-        out = shift_image(img, 1, 2)
-        assert out[0, 0, :].sum() == 0  # first row vacated
-        assert out[0, :, :2].sum() == 0  # first two columns vacated
-        assert out.sum() == 3 * 2
+        out = scripted(np.ones((1, 1, 16, 16)), shift_script(1, 2))
+        assert out[0, 0, 0, :].sum() == 0  # first row vacated
+        assert out[0, 0, :, :2].sum() == 0  # first two columns vacated
+        assert out.sum() == 15 * 14
 
     def test_quarter_rotation_preserves_content(self):
-        img = np.arange(16.0).reshape(1, 4, 4)
-        out = rotate_image(img, 90.0)
-        np.testing.assert_allclose(np.sort(out.ravel()), np.sort(img.ravel()))
+        batch = np.arange(32.0).reshape(2, 1, 4, 4)
+        out = scripted(batch, QUARTER_TURN)
+        np.testing.assert_array_equal(out, np.rot90(batch, -1, axes=(2, 3)))
 
     def test_scale_identity_factor(self):
-        img = np.random.default_rng(2).uniform(size=(3, 8, 8))
-        np.testing.assert_array_equal(scale_image(img, 1.0), img)
+        batch = np.random.default_rng(2).uniform(size=(3, 3, 8, 8))
+        np.testing.assert_array_equal(scripted(batch, scale_script(1.0)), batch)
 
     def test_deterministic_given_seed(self):
-        img = np.random.default_rng(3).uniform(size=(3, 8, 8))
-        a = augment(img, np.random.default_rng(42))
-        b = augment(img, np.random.default_rng(42))
+        batch = np.random.default_rng(3).uniform(size=(4, 3, 8, 8))
+        a = augment(batch, np.random.default_rng(42))
+        b = augment(batch, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("prob", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("side", [8, 16])
+    @pytest.mark.parametrize("batch_size", [1, 16])
+    def test_matches_per_image_oracle_bitwise(self, prob, side, batch_size):
+        for seed in range(200):
+            batch = np.random.default_rng(10_000 + seed).standard_normal(
+                (batch_size, 3, side, side)
+            )
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = augment(batch, rng, prob=prob)
+            expected = oracle_augment_batch(batch, oracle_rng, prob=prob)
+            assert out.shape == expected.shape and out.dtype == expected.dtype
+            assert np.array_equal(bits(out), bits(expected)), f"seed {seed}"
+            assert rng.random() == oracle_rng.random(), f"seed {seed}"
+
+    def test_rescale_crops_or_pads_each_axis_on_its_own(self):
+        # 8x24 at 0.94: the height stays 8 rows while the width resizes to 23
+        # columns, which drop the middle column and pad one zero column
+        batch = np.random.default_rng(4).uniform(0.5, 1.0, size=(1, 3, 8, 24))
+        out = scripted(batch, scale_script(0.94))
+        np.testing.assert_array_equal(out[..., :23], batch[..., np.r_[0:11, 12:24]])
+        assert not out[..., 23].any()
+        # at 1.06 the width resizes to 25 columns and crops back to 24
+        out = scripted(batch, scale_script(1.06))
+        np.testing.assert_array_equal(out, batch[..., np.r_[0:13, 12:23]])
 
 
 class TestTrainLoop:
@@ -198,6 +349,40 @@ class TestTrainLoop:
     def test_batch_size_one_rejected(self):
         with pytest.raises(ConfigError, match="batch_size"):
             TrainConfig(batch_size=1).validate()
+
+    @pytest.mark.parametrize("prob", [-0.1, 1.5, float("nan")])
+    def test_augment_prob_outside_unit_interval_rejected(self, prob):
+        with pytest.raises(ConfigError, match="augment_prob"):
+            TrainConfig(augment_prob=prob).validate()
+
+    @pytest.mark.parametrize("beta", [-0.5, 1.01, float("nan")])
+    def test_beta_outside_unit_interval_rejected(self, beta):
+        with pytest.raises(ConfigError, match="beta"):
+            TrainConfig(beta=beta).validate()
+
+    def test_negative_eta_min_rejected(self):
+        with pytest.raises(ConfigError, match="eta_min"):
+            TrainConfig(eta_min=-1e-4).validate()
+
+    def test_augmented_training_matches_per_image_oracle(self, monkeypatch):
+        ds = small_dataset(per_class=10)
+        cfg = TrainConfig(epochs=3, patience=3, batch_size=8, seed=3, augment=True)
+        states = []
+        for aug in (augment, oracle_augment_batch):
+            calls = []
+
+            def counted(images, rng, prob, aug=aug):
+                calls.append(len(images))
+                return aug(images, rng, prob=prob)
+
+            monkeypatch.setattr(training, "augment", counted)
+            asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(8))
+            asm, _ = train(asm, ds.subset(range(14)), ds.subset(range(14, 20)), cfg)
+            assert calls == [8, 6] * 3
+            states.append(asm.state())
+        assert states[0].keys() == states[1].keys()
+        for name in states[0]:
+            assert np.array_equal(bits(states[0][name]), bits(states[1][name])), name
 
     def test_trailing_single_sample_joins_previous_batch(self, monkeypatch):
         # 17 % 8 == 1: a batch of one would reach train-mode batch norm
