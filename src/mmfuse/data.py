@@ -45,14 +45,14 @@ class SyntheticSpec:
     """Knobs of the class-conditional generator."""
 
     n_classes: int = 6
-    per_class: object = (90, 30, 75, 45, 120, 60)
-    image_shape: tuple = (3, 32, 32)
+    per_class: int | tuple[int, ...] = (90, 30, 75, 45, 120, 60)
+    image_shape: tuple[int, ...] = (3, 32, 32)
     alpha_img: float = 0.9
     alpha_meta: float = 0.9
     mode: str = "redundant"  # redundant | complementary | image-only | meta-only
     noise: float = 0.1
     seed: int = 0
-    super_classes: int = None
+    super_classes: int | None = None
 
     def counts(self):
         if isinstance(self.per_class, int):
@@ -73,8 +73,12 @@ class SyntheticSpec:
             raise ConfigError("signal strengths must lie in [0, 1]")
         if self.mode not in ("redundant", "complementary", "image-only", "meta-only"):
             raise ConfigError(f"unknown complementarity mode {self.mode!r}")
+        if len(self.image_shape) != 3 or min(self.image_shape) < 1:
+            raise ConfigError(f"image_shape must be 3 sizes >= 1, got {self.image_shape}")
         if self.image_shape[0] not in (1, 3):
             raise ConfigError("image channels must be 1 or 3")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.mode == "complementary":
             complementary_grouping(self.n_classes, self.super_classes)
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import dataclasses
+import typing
 
 
 class MMFuseError(Exception):
@@ -49,7 +50,33 @@ class DegenerateSampleError(MMFuseError):
 
 
 def check_known_keys(cls, d, what):
-    """Raise ``ConfigError`` naming the keys of ``d`` that are no field of ``cls``."""
-    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    """Raise ``ConfigError`` unless ``d`` is a dict of fields of ``cls`` whose
+    values fit the fields' annotations. Values are checked, never converted:
+    an int fits ``float``, a bool fits only ``bool``, a list fits
+    ``tuple[X, ...]`` when its elements fit ``X``, a dict a nested config."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object, got {d!r}")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for name, value in d.items():
+        t = fields[name]
+        if not _fits(value, t):
+            t = t.__name__ if isinstance(t, type) else t
+            raise ConfigError(f"{what} key {name!r} must be {t}, got {value!r}")
+
+
+def _fits(value, annotation):
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if args:  # a union such as ``int | None``
+        return any(_fits(value, a) for a in args)
+    if isinstance(value, bool) or annotation is bool:
+        return annotation is bool and isinstance(value, bool)
+    if annotation is float:
+        return isinstance(value, (int, float))
+    if dataclasses.is_dataclass(annotation):
+        return isinstance(value, dict)
+    return isinstance(value, annotation)

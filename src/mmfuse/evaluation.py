@@ -7,7 +7,6 @@ half), so every value is exactly reproducible by pair counting.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,24 +108,9 @@ def metric_report(cm, scores, y_true):
     }
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    """Disjoint, exhaustive index lists; per-class counts differ by <= 1."""
-
-    folds: tuple
-
-    def __len__(self):
-        return len(self.folds)
-
-    def __iter__(self):
-        return iter(self.folds)
-
-    def __getitem__(self, i):
-        return self.folds[i]
-
-
 def stratified_kfold(labels, k, seed=0):
-    """Deal each class's (shuffled) indices round-robin over k folds."""
+    """Deal each class's (shuffled) indices round-robin over k folds; returns a
+    tuple of k disjoint, exhaustive, sorted index arrays."""
     labels = np.asarray(labels)
     n = labels.shape[0]
     if k < 2:
@@ -144,4 +128,4 @@ def stratified_kfold(labels, k, seed=0):
         rng.shuffle(idx)
         for j, i in enumerate(idx):
             folds[j % k].append(int(i))
-    return FoldSplit(folds=tuple(np.sort(np.array(f, dtype=np.intp)) for f in folds))
+    return tuple(np.sort(np.array(f, dtype=np.intp)) for f in folds)

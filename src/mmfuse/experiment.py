@@ -25,9 +25,11 @@ from .errors import ConfigError, NumericError, check_known_keys
 from .evaluation import confusion, metric_report, stratified_kfold
 from .fusion import ConcatFusion, MMFAFusion, fuse_concat
 from .structures import (
+    STRUCTURES,
     ModelAssembly,
     combine_losses,
     make_head,
+    reported_scores,
     weighted_ce,
 )
 from .training import (
@@ -50,16 +52,26 @@ class ModelConfig:
     scale_after_softmax: bool = False
     image_features: int = 128
     metadata_features: int = 64
-    channels: tuple = (8, 16, 32)
-    metadata_hidden: tuple = (64,)
+    channels: tuple[int, ...] = (8, 16, 32)
+    metadata_hidden: tuple[int, ...] = (64,)
 
     def validate(self):
-        if self.structure not in ("image", "jf", "jif"):
+        if self.structure not in STRUCTURES:
             raise ConfigError(f"unknown structure {self.structure!r}")
         if self.fusion not in FUSIONS:
             raise ConfigError(f"unknown fusion {self.fusion!r}")
         if self.report not in REPORTS:
             raise ConfigError(f"unknown report mode {self.report!r}")
+        for key in ("image_features", "metadata_features", "channels", "metadata_hidden"):
+            if min(np.atleast_1d(getattr(self, key)), default=1) < 1:
+                raise ConfigError(f"model {key} must be >= 1")
+        if len(self.channels) != 3:
+            raise ConfigError("model channels needs 3 widths, one per conv block")
+        width = self.image_features + self.metadata_features
+        if self.fusion == "mmfa" and "im" in STRUCTURES[self.structure] and (
+            self.heads < 1 or width % self.heads
+        ):
+            raise ConfigError(f"heads={self.heads} must divide attention width {width}")
 
     @classmethod
     def from_dict(cls, d):
@@ -79,9 +91,9 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     folds: int = 5
-    seeds: tuple = (0,)
+    seeds: tuple[int, ...] = (0,)
     split_seed: int = 0
-    out: str = None
+    out: str | None = None
     save_checkpoints: bool = True
     jobs: int = 1
 
@@ -102,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError("need at least 2 folds")
         if not cfg.seeds:
             raise ConfigError("need at least one seed")
+        if min(cfg.seeds) < 0 or cfg.split_seed < 0 or cfg.train.seed < 0:
+            raise ConfigError("seeds, split_seed and train seed must be >= 0")
         if not cfg.dataset:
             raise ConfigError("config must name a dataset source")
         return cfg
@@ -151,7 +165,8 @@ def resolve_dataset(dataset_cfg):
 
 
 def build_assembly(model_cfg, dataset, rng):
-    """Construct the configured structure; shared components draw rng first."""
+    """Construct the configured structure; the encoders and fusion draw rng
+    before the heads, which draw in ``STRUCTURES`` order."""
     n_classes = dataset.n_classes
     image_encoder = ImageEncoder(
         in_shape=dataset.images.shape[1:],
@@ -159,43 +174,30 @@ def build_assembly(model_cfg, dataset, rng):
         out_dim=model_cfg.image_features,
         rng=rng,
     )
-    if model_cfg.structure == "image":
-        head_i = make_head(model_cfg.image_features, n_classes, rng)
-        return ModelAssembly(
-            "image", n_classes, image_encoder, head_i=head_i
-        )
-    metadata_encoder = MetadataEncoder(
-        in_width=dataset.meta.shape[1],
-        out_dim=model_cfg.metadata_features,
-        hidden=model_cfg.metadata_hidden,
-        rng=rng,
-    )
-    if model_cfg.fusion == "mmfa":
-        fusion = MMFAFusion(
-            model_cfg.image_features,
-            model_cfg.metadata_features,
+    widths = {"i": model_cfg.image_features, "m": model_cfg.metadata_features}
+    heads = STRUCTURES[model_cfg.structure]
+    metadata_encoder = fusion = None
+    if "im" in heads:
+        metadata_encoder = MetadataEncoder(
+            in_width=dataset.meta.shape[1],
+            out_dim=model_cfg.metadata_features,
+            hidden=model_cfg.metadata_hidden,
             rng=rng,
-            heads=model_cfg.heads,
-            scale_after_softmax=model_cfg.scale_after_softmax,
         )
-    else:
-        fusion = ConcatFusion(model_cfg.image_features, model_cfg.metadata_features)
-    head_im = make_head(fusion.out_width, n_classes, rng)
-    if model_cfg.structure == "jf":
-        return ModelAssembly(
-            "jf", n_classes, image_encoder, metadata_encoder, fusion, head_im=head_im
-        )
-    head_i = make_head(model_cfg.image_features, n_classes, rng)
-    head_m = make_head(model_cfg.metadata_features, n_classes, rng)
+        if model_cfg.fusion == "mmfa":
+            fusion = MMFAFusion(
+                model_cfg.image_features,
+                model_cfg.metadata_features,
+                rng=rng,
+                heads=model_cfg.heads,
+                scale_after_softmax=model_cfg.scale_after_softmax,
+            )
+        else:
+            fusion = ConcatFusion(model_cfg.image_features, model_cfg.metadata_features)
+        widths["im"] = fusion.out_width
     return ModelAssembly(
-        "jif",
-        n_classes,
-        image_encoder,
-        metadata_encoder,
-        fusion,
-        head_im=head_im,
-        head_i=head_i,
-        head_m=head_m,
+        model_cfg.structure, n_classes, image_encoder, metadata_encoder, fusion,
+        **{f"head_{k}": make_head(widths[k], n_classes, rng) for k in heads},
     )
 
 
@@ -208,14 +210,10 @@ def method_base(model_cfg):
 def method_variants(model_cfg):
     """(method name, probability key) pairs the structure reports."""
     base = method_base(model_cfg)
-    if model_cfg.structure == "image":
-        return [(base, "i")]
-    if model_cfg.structure == "jf":
-        return [(base, "im")]
-    variants = [(f"{base}-OFB", "im")]
-    if model_cfg.report == "all":
-        variants.append((f"{base}-ALL", "fused"))
-    return variants
+    return [
+        (base + suffix, key)
+        for suffix, key in reported_scores(model_cfg.structure, model_cfg.report)
+    ]
 
 
 @dataclass
@@ -230,9 +228,6 @@ class RunOutcome:
 class ExperimentResult:
     rows: list
     failures: list
-
-    def ok(self):
-        return not self.failures
 
 
 def _derived_seed(*parts):

@@ -1,14 +1,15 @@
 """Classifier assemblies over the encoders and fusion modules.
 
-Three structures are supported:
+``STRUCTURES`` lists the heads each structure trains, in construction
+order; assembly, loss, prediction and reporting all read it. Head ``im``
+reads the fused feature, ``i`` the image feature, ``m`` the metadata one.
 
-* ``image``: image encoder + one classifier head on f_img.
-* ``jf`` (joint fusion): both encoders, a fusion module, and a single head
-  on the fused feature.
-* ``jif`` (joint-individual fusion): the jf path plus individual heads on
-  f_img and f_meta. Training combines the three cross-entropy terms as
-  beta * L_img + (1 - beta) * L_meta + L_fused, and at test time the three
-  predicted distributions can be averaged (decision-level fusion).
+* ``image``: the image encoder and head ``i``.
+* ``jf`` (joint fusion): both encoders, a fusion module and head ``im``.
+* ``jif`` (joint-individual fusion): jf plus heads ``i`` and ``m``. Training
+  combines the three cross-entropy terms as beta * L_i + (1 - beta) * L_m +
+  L_im, and at test time the three predicted distributions can be averaged
+  (decision-level fusion). A one-head structure's loss is its head's term.
 
 The fused prediction path of ``jif`` is operation-for-operation the ``jf``
 path; with shared weights the two produce identical fused predictions.
@@ -22,7 +23,16 @@ from . import autodiff as ad
 from .errors import ConfigError, ContractError, DimensionError
 from .layers import Linear, Module
 
-STRUCTURES = ("image", "jf", "jif")
+STRUCTURES = {"image": ("i",), "jf": ("im",), "jif": ("im", "i", "m")}
+
+
+def reported_scores(structure, report):
+    """(method-name suffix, probability key) of each score a structure
+    reports; validation selects on the last one."""
+    heads = STRUCTURES[structure]
+    if len(heads) == 1:
+        return [("", heads[0])]
+    return [("-OFB", "im")] + ([("-ALL", "fused")] if report == "all" else [])
 
 
 @dataclass
@@ -55,43 +65,32 @@ class ModelAssembly(Module):
         self._validate()
 
     def _validate(self):
-        s = self.structure
-        if s == "image":
-            if self.head_i is None:
-                raise ConfigError("image structure needs the image head")
-            if self.fusion is not None or self.head_im is not None or self.head_m is not None:
-                raise ConfigError("image structure takes no fusion module or extra heads")
-        else:
-            if self.metadata_encoder is None or self.fusion is None or self.head_im is None:
-                raise ConfigError(f"{s} structure needs both encoders, fusion, and the fused head")
-            if s == "jf" and (self.head_i is not None or self.head_m is not None):
-                raise ConfigError("jf structure has exactly one head")
-            if s == "jif" and (self.head_i is None or self.head_m is None):
-                raise ConfigError("jif structure needs all three heads")
+        s, heads = self.structure, STRUCTURES[self.structure]
+        given = tuple(
+            k for k in ("im", "i", "m") if getattr(self, f"head_{k}") is not None
+        )
+        if given != heads:
+            raise ConfigError(f"{s} structure takes heads {heads}, got {given}")
+        fused = "im" in heads
+        if fused != (self.fusion is not None) or (fused and self.metadata_encoder is None):
+            raise ConfigError(f"{s}: fusion and metadata encoder go with head 'im'")
 
     def forward(self, images, meta, mode):
         """Run the structure on a batch; returns the prediction triple."""
-        if self.structure == "image":
-            f_i = self.image_encoder(images, mode)
-            z_i = self.head_i(f_i)
-            return PredictionTriple(p_i=ad.softmax(z_i), logits_i=z_i)
-        if images.data.shape[0] != meta.data.shape[0]:
+        if self.fusion is not None and images.data.shape[0] != meta.data.shape[0]:
             raise DimensionError(
                 f"batch sizes differ: {images.data.shape[0]} vs {meta.data.shape[0]}"
             )
-        f_i = self.image_encoder(images, mode)
-        f_m = self.metadata_encoder(meta, mode)
-        fused = self.fusion(f_i, f_m, mode)
-        z_im = self.head_im(fused)
-        triple = PredictionTriple(p_im=ad.softmax(z_im), logits_im=z_im)
-        if self.structure == "jif":
-            z_i = self.head_i(f_i)
-            z_m = self.head_m(f_m)
-            triple.p_i = ad.softmax(z_i)
-            triple.logits_i = z_i
-            triple.p_m = ad.softmax(z_m)
-            triple.logits_m = z_m
-        return triple
+        features = {"i": self.image_encoder(images, mode)}
+        if self.fusion is not None:
+            features["m"] = self.metadata_encoder(meta, mode)
+            features["im"] = self.fusion(features["i"], features["m"], mode)
+        out = {}
+        for key in STRUCTURES[self.structure]:
+            z = getattr(self, "head_" + key)(features[key])
+            out["logits_" + key] = z
+            out["p_" + key] = ad.softmax(z)
+        return PredictionTriple(**out)
 
 
 def weighted_ce(logits, labels, class_weights):
@@ -123,30 +122,23 @@ def combine_losses(l_i, l_m, l_im, beta):
 def total_loss(triple, labels, class_weights, beta, structure):
     """Structure loss and its components.
 
-    jif: beta*L_i + (1-beta)*L_m + L_im over the three branches;
-    jf: L_im alone; image: L_i alone. Returns (total, components dict).
+    One weighted cross-entropy per head of the structure. jif combines them
+    as beta*L_i + (1-beta)*L_m + L_im; a one-head structure's loss is its
+    head's term. Returns (total, components dict keyed ``L_<HEAD>``).
     """
-    if structure == "jif":
-        if triple.logits_i is None or triple.logits_m is None or triple.logits_im is None:
-            raise ContractError("jif loss needs all three prediction branches")
-        l_i = weighted_ce(triple.logits_i, labels, class_weights)
-        l_m = weighted_ce(triple.logits_m, labels, class_weights)
-        l_im = weighted_ce(triple.logits_im, labels, class_weights)
-        total = combine_losses(l_i, l_m, l_im, beta)
-        comps = {"L_I": float(l_i.data), "L_M": float(l_m.data), "L_IM": float(l_im.data)}
-    elif structure == "jf":
-        if triple.logits_im is None:
-            raise ContractError("jf loss needs the fused branch")
-        total = weighted_ce(triple.logits_im, labels, class_weights)
-        comps = {"L_IM": float(total.data)}
-    elif structure == "image":
-        if triple.logits_i is None:
-            raise ContractError("image loss needs the image branch")
-        total = weighted_ce(triple.logits_i, labels, class_weights)
-        comps = {"L_I": float(total.data)}
-    else:
+    if structure not in STRUCTURES:
         raise ConfigError(f"unknown structure {structure!r}")
-    return total, comps
+    losses = {}
+    for key in STRUCTURES[structure]:
+        logits = getattr(triple, "logits_" + key)
+        if logits is None:
+            raise ContractError(f"{structure} loss needs the {key!r} prediction branch")
+        losses[key] = weighted_ce(logits, labels, class_weights)
+    if len(losses) == 1:
+        (total,) = losses.values()
+    else:
+        total = combine_losses(losses["i"], losses["m"], losses["im"], beta)
+    return total, {"L_" + key.upper(): float(loss.data) for key, loss in losses.items()}
 
 
 def decision_fuse(triple):

@@ -28,7 +28,13 @@ import numpy as np
 from .autodiff import Tensor, no_graph
 from .errors import ConfigError, FormatError, NumericError, check_known_keys
 from .evaluation import balanced_accuracy, confusion
-from .structures import class_weights_from_counts, decision_fuse, total_loss
+from .structures import (
+    STRUCTURES,
+    class_weights_from_counts,
+    decision_fuse,
+    reported_scores,
+    total_loss,
+)
 
 
 @dataclass(frozen=True)
@@ -48,9 +54,9 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        if self.lr0 <= 0:
+        if not self.lr0 > 0:
             raise ConfigError("lr0 must be positive")
-        if self.eta_min < 0:
+        if not self.eta_min >= 0:
             # a negative floor makes late-epoch learning rates negative
             raise ConfigError("eta_min must be >= 0")
         if not 0 <= self.beta <= 1:
@@ -138,14 +144,14 @@ def augment(images, rng, prob=0.5, max_shift=0.125, scale_range=(0.9, 1.1),
     image independently with the given probability.
 
     Per image, in this order: horizontal flip, vertical flip, integer shift
-    up to ``max_shift`` of the height (zero padded), rotation about the
-    center (a quarter turn or a small angle), and rescaling with each axis
-    center-cropped or zero-padded back to its size. The parameters are drawn
-    image by image in that order, so the result is deterministic given the
-    generator state. The module docstring says how the pixel maps compose.
+    of each axis up to ``max_shift`` of its length (zero padded), rotation
+    about the center (a quarter turn or a small angle), and rescaling with
+    each axis center-cropped or zero-padded back to its size. The parameters
+    are drawn image by image in that order, so the result is deterministic
+    given the generator state. The module docstring says how the maps compose.
     """
     b, c, h, w = images.shape
-    m = max(int(round(h * max_shift)), 1)
+    my, mx = (max(int(round(n * max_shift)), 1) for n in (h, w))
     flip = np.zeros((b, 2), dtype=bool)  # horizontal, vertical
     shift = np.zeros((b, 2), dtype=np.intp)  # dy, dx
     degrees = np.zeros(b)
@@ -154,7 +160,7 @@ def augment(images, rng, prob=0.5, max_shift=0.125, scale_range=(0.9, 1.1),
         flip[i, 0] = rng.random() < prob
         flip[i, 1] = rng.random() < prob
         if rng.random() < prob:
-            shift[i] = rng.integers(-m, m + 1), rng.integers(-m, m + 1)
+            shift[i] = rng.integers(-my, my + 1), rng.integers(-mx, mx + 1)
         if rng.random() < prob:
             if rng.random() < 0.5:
                 degrees[i] = 90.0 if rng.random() < 0.5 else -90.0
@@ -212,32 +218,17 @@ def predict_probs(assembly, dataset, batch_size=256):
         meta = Tensor(dataset.meta[idx])
         with no_graph():
             triple = assembly.forward(images, meta, "eval")
-        parts = {}
-        if triple.p_im is not None:
-            parts["im"] = triple.p_im.data
-        if triple.p_i is not None:
-            parts["i"] = triple.p_i.data
-        if triple.p_m is not None:
-            parts["m"] = triple.p_m.data
-        if triple.p_im is not None and triple.p_i is not None and triple.p_m is not None:
+        parts = {k: getattr(triple, "p_" + k).data for k in STRUCTURES[assembly.structure]}
+        if len(parts) == 3:
             parts["fused"] = decision_fuse(triple)
         for key, val in parts.items():
             probs.setdefault(key, []).append(val)
     return {k: np.concatenate(v, axis=0) for k, v in probs.items()}
 
 
-def scores_for_report(probs, structure, report):
-    """Pick the score matrix a structure reports under the given mode."""
-    if structure == "image":
-        return probs["i"]
-    if structure == "jf" or report == "ofb":
-        return probs["im"]
-    return probs["fused"]
-
-
 def eval_bac(assembly, dataset, report, batch_size=256):
     probs = predict_probs(assembly, dataset, batch_size)
-    scores = scores_for_report(probs, assembly.structure, report)
+    scores = probs[reported_scores(assembly.structure, report)[-1][1]]
     cm = confusion(dataset.labels, scores.argmax(axis=1), assembly.n_classes)
     return balanced_accuracy(cm)
 
@@ -338,9 +329,10 @@ def load_checkpoint(assembly, bin_path, manifest_path):
 
     Raises ``FormatError`` if the manifest is not a JSON object with an
     ``arrays`` object whose entries hold a list ``shape`` and an integer
-    ``offset``, if the dtype is not ``<f8``, if an array lies outside the
-    blob or the blob size differs from the manifest total, or if the names
-    or shapes do not match the model.
+    ``offset``, if the dtype is not ``<f8``, if the arrays, sorted by
+    offset, do not tile the blob exactly (the first starts at byte 0, each
+    starts where the one before it ends and the last ends with the blob),
+    or if the names or shapes do not match the model.
     """
     with open(manifest_path) as fh:
         try:
@@ -353,8 +345,7 @@ def load_checkpoint(assembly, bin_path, manifest_path):
         blob = fh.read()
     if manifest.get("dtype") != "<f8":
         raise FormatError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
-    state = {}
-    total = 0
+    spans = []  # (offset, shape, name)
     for name, entry in manifest["arrays"].items():
         entry = entry if isinstance(entry, dict) else {}
         shape, start = entry.get("shape"), entry.get("offset")
@@ -366,15 +357,19 @@ def load_checkpoint(assembly, bin_path, manifest_path):
             raise FormatError(
                 f"checkpoint array {name!r} needs a list 'shape' and an integer 'offset'"
             )
-        count = math.prod(shape)
-        if start < 0 or start + 8 * count > len(blob):
-            raise FormatError(f"checkpoint array {name!r} lies outside the blob", start)
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
-        state[name] = arr.reshape(shape).astype(np.float64)
-        total += 8 * count
-    if total != len(blob):
+        spans.append((start, shape, name))
+    end = 0
+    for start, shape, name in sorted(spans, key=lambda span: span[0]):
+        if start != end:
+            raise FormatError(f"checkpoint arrays do not tile the blob at {name!r}", start)
+        end += 8 * math.prod(shape)
+    if end != len(blob):
         raise FormatError(
-            f"checkpoint blob has {len(blob)} bytes, the manifest describes {total}"
+            f"checkpoint blob has {len(blob)} bytes, the manifest describes {end}"
         )
+    state = {
+        name: np.frombuffer(blob, "<f8", math.prod(shape), start).reshape(shape)
+        for start, shape, name in spans
+    }
     assembly.load_state(state)
     return assembly

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import mmfuse
 from mmfuse import autodiff as ad
@@ -196,6 +197,45 @@ class TestRun:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and name in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("setting, key", [
+        ("train.epochs=abc", "epochs"),
+        ("folds=x", "folds"),
+        ("seeds=3", "seeds"),
+        ("model.channels=3", "channels"),
+        ("seeds=[1.5]", "seeds"),
+        ("model.image_features=-1", "image_features"),
+        ("model.metadata_hidden=[-3]", "metadata_hidden"),
+        ("model.channels=[0,2,2]", "channels"),
+        ("dataset.synthetic.image_shape=[3,8]", "image_shape"),
+        ("seeds=[-1]", "seeds"),
+        ("dataset.synthetic.seed=-1", "seed"),
+        ("train.lr0=NaN", "lr0"),
+        ("train.eta_min=NaN", "eta_min"),
+        ("train.augment=1", "augment"),
+    ])
+    def test_set_bad_value_exits_2(self, tmp_path, capsys, setting, key):
+        out = tmp_path / "bad"
+        cfg = run_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+    def test_heads_not_dividing_attention_width_exits_2_before_data(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # default heads=8 and metadata_features=64: the attention width is 68
+        def no_data(dataset_cfg):
+            raise AssertionError("the dataset was resolved before the model was checked")
+
+        monkeypatch.setattr("mmfuse.experiment.resolve_dataset", no_data)
+        cfg = run_config(tmp_path, model={"image_features": 4, "channels": [2, 3, 4]})
+        out = tmp_path / "heads"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "heads=8" in err and "68" in err
+        assert not out.exists()
 
     def test_invalid_json_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

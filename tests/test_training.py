@@ -246,6 +246,20 @@ class TestAugment:
         assert out[0, 0, :, :2].sum() == 0  # first two columns vacated
         assert out.sum() == 15 * 14
 
+    def test_shift_range_sized_per_axis(self):
+        # 8x24 at max_shift 0.125: dy from [-1, 1], then dx from [-3, 3]
+        calls = []
+
+        class Recording(ScriptedRng):
+            def integers(self, low, high):
+                calls.append((low, high))
+                return super().integers(low, high)
+
+        out = augment(np.ones((1, 1, 8, 24)), Recording(shift_script(-1, 3)))
+        assert calls == [(-1, 2), (-3, 4)]
+        assert not out[0, 0, -1].any() and not out[0, 0, :, :3].any()
+        assert out.sum() == 7 * 21
+
     def test_quarter_rotation_preserves_content(self):
         batch = np.arange(32.0).reshape(2, 1, 4, 4)
         out = scripted(batch, QUARTER_TURN)
@@ -632,6 +646,35 @@ class TestCheckpoint:
                 self._load_with_manifest(
                     tmp_path, lambda m, text: self._edit_first_entry(m, "offset", offset)
                 )
+
+    @staticmethod
+    def _move(manifest, name, offset_of):
+        """The manifest text with array ``name`` moved to ``offset_of(arrays)``;
+        every shape, and so the total size, stays as saved."""
+        arrays = manifest["arrays"]
+        arrays[name]["offset"] = offset_of(arrays)
+        return json.dumps(manifest, sort_keys=True)
+
+    def test_overlapping_arrays_rejected(self, tmp_path):
+        # beta would receive the saved gamma, and beta's own bytes go unread
+        def onto_gamma(arrays):
+            return arrays["image_encoder.bn0.gamma"]["offset"]
+
+        with pytest.raises(FormatError, match=r"not tile the blob at '\S+\.bn0\.(beta|gamma)'"):
+            self._load_with_manifest(
+                tmp_path,
+                lambda m, text: self._move(m, "image_encoder.bn0.beta", onto_gamma),
+            )
+
+    def test_gap_between_arrays_rejected(self, tmp_path):
+        # gamma starts 8 bytes late: a gap before it, an overlap after it
+        def late(arrays):
+            return arrays["image_encoder.bn0.gamma"]["offset"] + 8
+
+        with pytest.raises(FormatError, match=r"not tile the blob at '\S+\.bn0\.gamma'"):
+            self._load_with_manifest(
+                tmp_path, lambda m, text: self._move(m, "image_encoder.bn0.gamma", late)
+            )
 
     def test_state_names_and_shapes_pinned(self):
         # the checkpoint layout: every parameter, then every buffer, in this order
