@@ -11,6 +11,7 @@ errors.
 """
 
 import argparse
+import json
 import os
 import sys
 
@@ -27,7 +28,6 @@ from .experiment import (
     _set_path,
     config_digest,
     gradcheck_suite,
-    load_json_config,
     run_experiment,
 )
 from .stats import FoldResultTable, compare_methods
@@ -78,22 +78,28 @@ def _parser():
     return parser
 
 
-def _parse_overrides(pairs):
-    out = []
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not KEY=VALUE")
-        key, value = pair.split("=", 1)
-        out.append((key, value))
-    return out
+def _load_config(path, settings):
+    """The JSON object in the file ``path`` (empty without one) with every
+    ``--set KEY=VALUE`` applied; ``ConfigError`` naming the file otherwise."""
+    raw = {}
+    if path:
+        with open(path) as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{path}: invalid JSON: {e}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+    for setting in settings:
+        key, sep, value = setting.partition("=")
+        if not sep:
+            raise ConfigError(f"override {setting!r} is not KEY=VALUE")
+        _set_path(raw, key, value)
+    return raw
 
 
 def cmd_generate(args):
-    raw = {}
-    if args.config:
-        raw = load_json_config(args.config)
-    for key, value in _parse_overrides(args.set):
-        _set_path(raw, key, value)
+    raw = _load_config(args.config, args.set)
     # an experiment config nests the spec as dataset.synthetic
     for section in ("dataset", "synthetic"):
         if isinstance(raw.get(section), dict):
@@ -108,14 +114,11 @@ def cmd_generate(args):
 
 
 def cmd_run(args):
-    overrides = _parse_overrides(args.set)
-    if args.out is not None:
-        overrides.append(("out", args.out))
-    if args.seed is not None:
-        overrides.append(("split_seed", str(args.seed)))
-    if args.jobs is not None:
-        overrides.append(("jobs", str(args.jobs)))
-    cfg = ExperimentConfig.from_json_file(args.config, overrides)
+    raw = _load_config(args.config, args.set)
+    for key, value in (("out", args.out), ("split_seed", args.seed), ("jobs", args.jobs)):
+        if value is not None:
+            raw[key] = value
+    cfg = ExperimentConfig.from_dict(raw)
     if cfg.out is None:
         raise ConfigError("no output directory: set 'out' in the config or --out")
     result = run_experiment(cfg)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import Column, MetadataSchema, encode_rows
-from .errors import ConfigError, DataError, FormatError, SchemaError, check_known_keys
+from .errors import Config, ConfigError, DataError, FormatError, SchemaError
 
 _PALETTE = np.array(
     [
@@ -41,7 +41,7 @@ _PALETTE = np.array(
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Config):
     """Knobs of the class-conditional generator."""
 
     n_classes: int = 6
@@ -81,16 +81,6 @@ class SyntheticSpec:
             raise ConfigError("seed must be >= 0")
         if self.mode == "complementary":
             complementary_grouping(self.n_classes, self.super_classes)
-
-    @classmethod
-    def from_dict(cls, d):
-        check_known_keys(cls, d, "synthetic spec")
-        d = dict(d)
-        if "image_shape" in d:
-            d["image_shape"] = tuple(d["image_shape"])
-        if "per_class" in d and isinstance(d["per_class"], list):
-            d["per_class"] = tuple(d["per_class"])
-        return cls(**d)
 
 
 def complementary_grouping(n_classes, super_classes=None):
@@ -195,7 +185,6 @@ class Dataset:
 
 def generate_synthetic(spec):
     """Draw a Dataset from the class-conditional generative model."""
-    spec.validate()
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n_cls = spec.n_classes
     schema = default_schema(n_cls)

@@ -7,6 +7,7 @@ end to end.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,31 +84,42 @@ class MetadataSchema:
 
     @classmethod
     def from_json(cls, text):
+        """Parse ``to_json`` output; ``SchemaError`` names a malformed column and key."""
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise SchemaError(f"schema is not valid JSON: {e}") from e
-        cols = []
-        for c in raw.get("columns", []):
-            if c.get("kind") == "categorical":
-                cols.append(
-                    Column(
-                        name=c["name"],
-                        kind="categorical",
-                        vocab=tuple(c["vocab"]),
-                        policy=c.get("policy", "lenient"),
-                    )
-                )
-            else:
-                cols.append(
-                    Column(
-                        name=c["name"],
-                        kind="numeric",
-                        vmin=float(c.get("min", 0.0)),
-                        vmax=float(c.get("max", 1.0)),
-                    )
-                )
-        return cls(columns=tuple(cols), classes=tuple(raw.get("classes", ())))
+        if not isinstance(raw, dict):
+            raise SchemaError("schema must be a JSON object")
+        columns, classes = raw.get("columns", []), raw.get("classes", [])
+        if not isinstance(columns, list):
+            raise SchemaError("schema 'columns' must be a list")
+        if not _strings(classes):
+            raise SchemaError("schema 'classes' must be a list of strings")
+        return cls(
+            columns=tuple(_column_from_json(i, c) for i, c in enumerate(columns)),
+            classes=tuple(classes),
+        )
+
+
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _column_from_json(i, c):
+    if not isinstance(c, dict) or not isinstance(c.get("name"), str):
+        raise SchemaError(f"schema column {i} must be an object with a string 'name'")
+    where = f"schema column {c['name']!r}"
+    kind = c.get("kind", "numeric")
+    if kind == "categorical":
+        if not _strings(c.get("vocab")):
+            raise SchemaError(f"{where}: 'vocab' must be a list of strings")
+        policy = c.get("policy", "lenient")
+        return Column(c["name"], kind, vocab=tuple(c["vocab"]), policy=policy)
+    bounds = c.get("min", 0.0), c.get("max", 1.0)
+    if not all(type(b) in (int, float) and abs(b) <= sys.float_info.max for b in bounds):
+        raise SchemaError(f"{where}: 'min' and 'max' must be finite numbers")
+    return Column(c["name"], kind, vmin=float(bounds[0]), vmax=float(bounds[1]))
 
 
 def one_hot_encode(row, schema):

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the ``Config`` base.
+
+Every config section (model, train, dataset, synthetic spec, the experiment
+itself) is a frozen dataclass that subclasses ``Config``: it is parsed from
+JSON by the one ``Config.from_dict`` and validated whenever it is built.
+"""
 
 import dataclasses
 import typing
@@ -49,22 +54,44 @@ class DegenerateSampleError(MMFuseError):
     """A statistical test received a sample it cannot be computed on."""
 
 
-def check_known_keys(cls, d, what):
-    """Raise ``ConfigError`` unless ``d`` is a dict of fields of ``cls`` whose
-    values fit the fields' annotations. Values are checked, never converted:
-    an int fits ``float``, a bool fits only ``bool``, a list fits
-    ``tuple[X, ...]`` when its elements fit ``X``, a dict a nested config."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be an object, got {d!r}")
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(d) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    for name, value in d.items():
-        t = fields[name]
-        if not _fits(value, t):
-            t = t.__name__ if isinstance(t, type) else t
-            raise ConfigError(f"{what} key {name!r} must be {t}, got {value!r}")
+class Config:
+    """Base of every config dataclass: one parser, validated when built.
+
+    ``from_dict`` checks a JSON object against the dataclass fields, turns
+    lists into tuples and parses nested ``Config`` sections. Values are
+    checked, never converted: an int fits ``float``, a bool fits only
+    ``bool``, a list fits ``tuple[X, ...]`` when its elements fit ``X``.
+    Every construction, ``dataclasses.replace`` included, runs ``validate``.
+    """
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Raise ``ConfigError`` on an out-of-range or inconsistent value."""
+
+    @classmethod
+    def from_dict(cls, d, prefix=""):
+        """Build from ``d``; ``prefix`` is the dotted path of a nested section."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"config {prefix[:-1] or 'file'} must be an object, got {d!r}")
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(prefix + k for k in set(d) - set(fields))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
+        kwargs = {}
+        for name, value in d.items():
+            t = fields[name]
+            if not _fits(value, t):
+                t = t.__name__ if isinstance(t, type) else t
+                raise ConfigError(f"config key '{prefix}{name}' must be {t}, got {value!r}")
+            sections = [a for a in typing.get_args(t) or (t,) if dataclasses.is_dataclass(a)]
+            if sections and isinstance(value, dict):
+                value = sections[0].from_dict(value, f"{prefix}{name}.")
+            elif isinstance(value, list):
+                value = tuple(value)
+            kwargs[name] = value
+        return cls(**kwargs)
 
 
 def _fits(value, annotation):

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .data import SyntheticSpec, generate_synthetic, load_dataset
 from .encoders import ImageEncoder, MetadataEncoder
-from .errors import ConfigError, NumericError, check_known_keys
+from .errors import Config, ConfigError, NumericError
 from .evaluation import confusion, metric_report, stratified_kfold
 from .fusion import ConcatFusion, MMFAFusion, fuse_concat
 from .structures import (
@@ -44,7 +44,7 @@ REPORTS = ("ofb", "all")
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Config):
     structure: str = "jif"
     fusion: str = "mmfa"
     report: str = "all"
@@ -73,20 +73,26 @@ class ModelConfig:
         ):
             raise ConfigError(f"heads={self.heads} must divide attention width {width}")
 
-    @classmethod
-    def from_dict(cls, d):
-        check_known_keys(cls, d, "model config")
-        d = dict(d)
-        for key in ("channels", "metadata_hidden"):
-            if key in d:
-                d[key] = tuple(d[key])
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+
+@dataclass(frozen=True)
+class DatasetConfig(Config):
+    """The ``dataset`` section: a synthetic spec, or a directory to load
+    (optionally resized to ``resize`` = (height, width))."""
+
+    synthetic: SyntheticSpec | None = None
+    dir: str | None = None
+    resize: tuple[int, ...] | None = None
+
+    def validate(self):
+        if (self.synthetic is None) == (self.dir is None):
+            raise ConfigError("dataset needs exactly one of 'synthetic' or 'dir'")
+        size = self.resize
+        if size is not None and (self.dir is None or len(size) != 2 or min(size) < 1):
+            raise ConfigError(f"dataset resize must be 2 sizes >= 1 with 'dir', got {size}")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     dataset: dict = field(default_factory=dict)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -97,47 +103,17 @@ class ExperimentConfig:
     save_checkpoints: bool = True
     jobs: int = 1
 
-    @classmethod
-    def from_dict(cls, d):
-        check_known_keys(cls, d, "experiment config")
-        d = dict(d)
-        if "model" in d:
-            d["model"] = ModelConfig.from_dict(d["model"])
-        if "train" in d:
-            d["train"] = TrainConfig.from_dict(d["train"])
-        if "seeds" in d:
-            d["seeds"] = tuple(d["seeds"])
-        cfg = cls(**d)
-        cfg.model.validate()
-        cfg.train.validate()
-        if cfg.folds < 2:
-            raise ConfigError("need at least 2 folds")
-        if not cfg.seeds:
+    def validate(self):
+        # ``dataset`` stays the raw dict, so digests and manifests keep its bytes
+        DatasetConfig.from_dict(self.dataset, "dataset.")
+        if self.folds < 3:
+            raise ConfigError(
+                "experiment runs need k >= 3 folds (held-out test, validation, training)"
+            )
+        if not self.seeds:
             raise ConfigError("need at least one seed")
-        if min(cfg.seeds) < 0 or cfg.split_seed < 0 or cfg.train.seed < 0:
-            raise ConfigError("seeds, split_seed and train seed must be >= 0")
-        if not cfg.dataset:
-            raise ConfigError("config must name a dataset source")
-        return cfg
-
-    @classmethod
-    def from_json_file(cls, path, overrides=()):
-        raw = load_json_config(path)
-        for key, value in overrides:
-            _set_path(raw, key, value)
-        return cls.from_dict(raw)
-
-
-def load_json_config(path):
-    """The JSON object in ``path``; ``ConfigError`` naming the file otherwise."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return raw
+        if min(self.seeds) < 0 or self.split_seed < 0:
+            raise ConfigError("seeds and split_seed must be >= 0")
 
 
 def _set_path(raw, dotted, value):
@@ -156,12 +132,11 @@ def _set_path(raw, dotted, value):
 
 
 def resolve_dataset(dataset_cfg):
-    if "synthetic" in dataset_cfg:
-        return generate_synthetic(SyntheticSpec.from_dict(dataset_cfg["synthetic"]))
-    if "dir" in dataset_cfg:
-        size = dataset_cfg.get("resize")
-        return load_dataset(dataset_cfg["dir"], size=None if size is None else tuple(size))
-    raise ConfigError("dataset config needs a 'synthetic' spec or a 'dir' path")
+    """The Dataset that a raw ``dataset`` config section names."""
+    source = DatasetConfig.from_dict(dataset_cfg, "dataset.")
+    if source.synthetic is not None:
+        return generate_synthetic(source.synthetic)
+    return load_dataset(source.dir, size=source.resize)
 
 
 def build_assembly(model_cfg, dataset, rng):
@@ -307,10 +282,6 @@ def _write_confusion(path, cm, classes):
 
 def run_experiment(cfg):
     """Train and evaluate the full fold x seed grid; write artifacts under out."""
-    if cfg.folds < 3:
-        raise ConfigError(
-            "experiment runs need k >= 3 folds (held-out test, validation, training)"
-        )
     dataset = resolve_dataset(cfg.dataset)
     folds = stratified_kfold(dataset.labels, cfg.folds, cfg.split_seed)
     tasks = [(seed, fold) for seed in cfg.seeds for fold in range(cfg.folds)]

@@ -80,11 +80,8 @@ class Module:
 class Linear(Module):
     """Affine map; ``bias=False`` drops the redundant bias of a layer feeding BN."""
 
-    def __init__(self, d_in, d_out, rng, init="he", bias=True):
-        if init == "he":
-            std = np.sqrt(2.0 / d_in)
-        else:
-            std = np.sqrt(1.0 / d_in)
+    def __init__(self, d_in, d_out, rng, bias=True):
+        std = np.sqrt(2.0 / d_in)
         self.w = Tensor(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True)
         self.b = Tensor(np.zeros(d_out), requires_grad=bias)
 
@@ -93,14 +90,11 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """Same-padded stride-1 convolution with an odd square kernel."""
+    """Same-padded stride-1 3x3 convolution."""
 
-    def __init__(self, c_in, c_out, rng, kernel=3, bias=True):
-        std = np.sqrt(2.0 / (c_in * kernel * kernel))
-        self.w = Tensor(
-            rng.normal(0.0, std, size=(c_out, c_in, kernel, kernel)),
-            requires_grad=True,
-        )
+    def __init__(self, c_in, c_out, rng, bias=True):
+        std = np.sqrt(2.0 / (c_in * 9))
+        self.w = Tensor(rng.normal(0.0, std, size=(c_out, c_in, 3, 3)), requires_grad=True)
         self.b = Tensor(np.zeros(c_out), requires_grad=bias)
 
     def __call__(self, x):
@@ -108,12 +102,10 @@ class Conv2d(Module):
 
 
 class BatchNorm(Module):
-    def __init__(self, width, eps=1e-5, momentum=0.1):
+    def __init__(self, width):
         self.gamma = Tensor(np.ones(width), requires_grad=True)
         self.beta = Tensor(np.zeros(width), requires_grad=True)
-        self.stats = RunningStats(
-            mean=np.zeros(width), var=np.ones(width), momentum=momentum, eps=eps
-        )
+        self.stats = RunningStats(mean=np.zeros(width), var=np.ones(width))
 
     def __call__(self, x, mode):
         return batch_norm(x, self.gamma, self.beta, self.stats, mode)

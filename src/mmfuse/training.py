@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, no_graph
-from .errors import ConfigError, FormatError, NumericError, check_known_keys
+from .errors import Config, ConfigError, FormatError, NumericError
 from .evaluation import balanced_accuracy, confusion
 from .structures import (
     STRUCTURES,
@@ -38,7 +38,7 @@ from .structures import (
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Config):
     epochs: int = 150
     lr0: float = 0.005
     eta_min: float = 0.0
@@ -66,11 +66,8 @@ class TrainConfig:
         if self.batch_size < 2:
             # train-mode batch norm over one sample outputs zeros
             raise ConfigError("batch_size must be >= 2")
-
-    @classmethod
-    def from_dict(cls, d):
-        check_known_keys(cls, d, "train config")
-        return cls(**d)
+        if self.seed < 0:
+            raise ConfigError("train seed must be >= 0")
 
 
 @dataclass
@@ -138,20 +135,20 @@ def _rescale_axis(n, size):
     return src.astype(np.intp), (j >= 0) & (j < n[:, None])
 
 
-def augment(images, rng, prob=0.5, max_shift=0.125, scale_range=(0.9, 1.1),
-            small_angle=15.0):
+def augment(images, rng, prob=0.5):
     """Augment a ``(B, C, H, W)`` batch, each transform applying to each
     image independently with the given probability.
 
     Per image, in this order: horizontal flip, vertical flip, integer shift
-    of each axis up to ``max_shift`` of its length (zero padded), rotation
-    about the center (a quarter turn or a small angle), and rescaling with
-    each axis center-cropped or zero-padded back to its size. The parameters
-    are drawn image by image in that order, so the result is deterministic
-    given the generator state. The module docstring says how the maps compose.
+    of each axis up to an eighth of its length (zero padded), rotation about
+    the center (a quarter turn or an angle within 15 degrees), and rescaling
+    by 0.9-1.1 with each axis center-cropped or zero-padded back to its size.
+    The parameters are drawn image by image in that order, so the result is
+    deterministic given the generator state. The module docstring says how
+    the maps compose.
     """
     b, c, h, w = images.shape
-    my, mx = (max(int(round(n * max_shift)), 1) for n in (h, w))
+    my, mx = (max(int(round(n * 0.125)), 1) for n in (h, w))
     flip = np.zeros((b, 2), dtype=bool)  # horizontal, vertical
     shift = np.zeros((b, 2), dtype=np.intp)  # dy, dx
     degrees = np.zeros(b)
@@ -165,9 +162,9 @@ def augment(images, rng, prob=0.5, max_shift=0.125, scale_range=(0.9, 1.1),
             if rng.random() < 0.5:
                 degrees[i] = 90.0 if rng.random() < 0.5 else -90.0
             else:
-                degrees[i] = rng.uniform(-small_angle, small_angle)
+                degrees[i] = rng.uniform(-15.0, 15.0)
         if rng.random() < prob:
-            factor[i] = rng.uniform(*scale_range)
+            factor[i] = rng.uniform(0.9, 1.1)
 
     def inside(ys, xs):  # a negative index wraps to a large unsigned one
         return (ys.view(np.uintp) < h) & (xs.view(np.uintp) < w)
@@ -226,8 +223,8 @@ def predict_probs(assembly, dataset, batch_size=256):
     return {k: np.concatenate(v, axis=0) for k, v in probs.items()}
 
 
-def eval_bac(assembly, dataset, report, batch_size=256):
-    probs = predict_probs(assembly, dataset, batch_size)
+def eval_bac(assembly, dataset, report):
+    probs = predict_probs(assembly, dataset)
     scores = probs[reported_scores(assembly.structure, report)[-1][1]]
     cm = confusion(dataset.labels, scores.argmax(axis=1), assembly.n_classes)
     return balanced_accuracy(cm)
@@ -249,7 +246,6 @@ def _batches(order, batch_size):
 
 def train(assembly, train_set, val_set, cfg, report="all"):
     """Fit the assembly; returns (assembly with best-epoch weights, TrainLog)."""
-    cfg.validate()
     if len(train_set) < 2 or len(val_set) == 0:
         raise ConfigError(
             "the train split needs at least 2 samples and the validation split 1"

@@ -213,6 +213,14 @@ class TestRun:
         ("train.lr0=NaN", "lr0"),
         ("train.eta_min=NaN", "eta_min"),
         ("train.augment=1", "augment"),
+        ('dataset={"dir":5}', "dir"),
+        ('dataset={"dir":"d","resize":3}', "resize"),
+        ('dataset={"dir":"d","resize":[8]}', "resize"),
+        ('dataset={"dir":"d","resize":[0,8]}', "resize"),
+        ("dataset.resize=[8,8]", "resize"),
+        ('dataset={"synthetic":{},"dir":"d"}', "exactly one"),
+        ("dataset={}", "exactly one"),
+        ("dataset.path=d", "dataset.path"),
     ])
     def test_set_bad_value_exits_2(self, tmp_path, capsys, setting, key):
         out = tmp_path / "bad"
@@ -221,6 +229,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("schema, where", [
+        ("[]", "object"),
+        ('{"columns": [{"kind": "numeric"}]}', "column 0"),
+        ('{"columns": [{"name": "age", "kind": "categorical"}]}', "'age': 'vocab'"),
+        ('{"columns": 5}', "'columns'"),
+        ('{"columns": [{"name": "age", "kind": "numeric", "min": "x"}]}', "'age': 'min'"),
+    ])
+    def test_malformed_schema_exits_2(self, tmp_path, capsys, schema, where):
+        data = tmp_path / "ds"
+        assert main([
+            "generate", "--out", str(data), "--set", "per_class=2",
+            "--set", "n_classes=2", "--set", "image_shape=[3,8,8]",
+        ]) == 0
+        (data / "schema.json").write_text(schema)
+        cfg = run_config(tmp_path, dataset={"dir": str(data)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: schema") and where in err
 
     def test_heads_not_dividing_attention_width_exits_2_before_data(
         self, tmp_path, capsys, monkeypatch
@@ -283,6 +310,15 @@ class TestRun:
         # surviving folds still produced rows
         rows = (out / "results.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * 2  # two variants x two surviving folds
+
+    def test_out_flag_is_taken_literally(self, tmp_path, monkeypatch):
+        # a JSON-looking --out is a directory name, not a number
+        cfg = run_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", "2024", "--seed", "1"]) == 0
+        assert (tmp_path / "2024" / "results.csv").exists()
+        manifest = json.loads((tmp_path / "2024" / "manifest.json").read_text())
+        assert manifest["config"]["split_seed"] == 1
 
     def test_too_few_folds_rejected(self, tmp_path):
         cfg = run_config(tmp_path, folds=2)

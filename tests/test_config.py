@@ -1,8 +1,11 @@
-"""Property test of config parsing: any JSON value at any known key either
-parses or raises ``ConfigError``, never another exception."""
+"""Property tests of config and schema parsing: any JSON value at any known
+key either parses or raises ``ConfigError``, never another exception; any
+JSON text is a metadata schema or raises ``SchemaError`` or ``ConfigError``.
+Configs built directly are validated as well."""
 
 import copy
 import dataclasses
+import json
 
 import pytest
 
@@ -10,8 +13,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mmfuse.data import SyntheticSpec  # noqa: E402
-from mmfuse.errors import ConfigError  # noqa: E402
-from mmfuse.experiment import ExperimentConfig, ModelConfig  # noqa: E402
+from mmfuse.encoders import MetadataSchema  # noqa: E402
+from mmfuse.errors import ConfigError, SchemaError  # noqa: E402
+from mmfuse.experiment import DatasetConfig, ExperimentConfig, ModelConfig  # noqa: E402
 from mmfuse.training import TrainConfig  # noqa: E402
 
 SPEC = {
@@ -46,7 +50,11 @@ def keys(cls, prefix=""):
 
 
 EXPERIMENT_KEYS = (
-    keys(ExperimentConfig) + keys(ModelConfig, "model.") + keys(TrainConfig, "train.")
+    keys(ExperimentConfig)
+    + keys(ModelConfig, "model.")
+    + keys(TrainConfig, "train.")
+    + keys(DatasetConfig, "dataset.")
+    + keys(SyntheticSpec, "dataset.synthetic.")
 )
 
 # what json.loads can return, NaN and the infinities included
@@ -83,11 +91,49 @@ def test_experiment_config_parses_or_raises_config_error(key, value):
 @given(key=st.sampled_from(keys(SyntheticSpec)), value=json_values)
 def test_synthetic_spec_parses_or_raises_config_error(key, value):
     try:
-        SyntheticSpec.from_dict(replaced(SPEC, key, value)).validate()
+        SyntheticSpec.from_dict(replaced(SPEC, key, value))
     except ConfigError:
+        pass
+
+
+# schema.json columns with the keys MetadataSchema.to_json writes, any values
+schema_columns = st.dictionaries(
+    st.sampled_from(["name", "kind", "vocab", "policy", "min", "max"]),
+    json_values | st.sampled_from(["categorical", "numeric", "strict"]),
+    max_size=6,
+)
+schema_texts = (
+    json_values
+    | st.fixed_dictionaries(
+        {}, optional={"columns": st.lists(schema_columns, max_size=3), "classes": json_values}
+    )
+).map(json.dumps)
+
+
+@PROPERTY
+@given(text=schema_texts)
+def test_schema_parses_or_raises_schema_or_config_error(text):
+    try:
+        MetadataSchema.from_json(text)
+    except (SchemaError, ConfigError):
         pass
 
 
 def test_base_configs_are_valid():
     ExperimentConfig.from_dict(EXPERIMENT)
-    SyntheticSpec.from_dict(SPEC).validate()
+    SyntheticSpec.from_dict(SPEC)
+
+
+MODEL = ModelConfig.from_dict(EXPERIMENT["model"])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dataclasses.replace(MODEL, fusion="concat"),
+    lambda: ModelConfig(heads=5),
+    lambda: SyntheticSpec(alpha_img=2.0),
+    lambda: dataclasses.replace(ExperimentConfig.from_dict(EXPERIMENT), folds=2),
+    lambda: ExperimentConfig(dataset={"dir": 5}),
+], ids=["replaced-fusion", "heads", "alpha_img", "folds", "dataset-dir"])
+def test_direct_construction_validates(build):
+    with pytest.raises(ConfigError):
+        build()

@@ -476,7 +476,7 @@ def graph_recording_probs(assembly, dataset, batch_size):
 
 
 class TestInferenceRecordsNoGraph:
-    STRUCTURES = (("image", "mmfa"), ("jf", "concat"), ("jf", "mmfa"), ("jif", "mmfa"))
+    STRUCTURES = (("image", "mmfa"), ("jf", "cat"), ("jf", "mmfa"), ("jif", "mmfa"))
 
     def _trained_stats(self, structure, fusion, ds):
         # one train-mode forward moves the running statistics off their defaults
