@@ -15,7 +15,7 @@ from mmfuse.encoders import (
     MetadataSchema,
     encode_rows,
 )
-from mmfuse.fusion import MMFAFusion, fuse_concat
+from mmfuse.fusion import ConcatFusion, MMFAFusion
 
 rng = np.random.default_rng(1)
 
@@ -44,12 +44,12 @@ f_i = img_enc(Tensor(rng.uniform(size=(3, 3, 32, 32))), "eval")
 print(f"metadata features: {f_m.shape}, image features: {f_i.shape}")
 
 print("\n== concatenation vs attention fusion ==")
-cat = fuse_concat(f_i, f_m)
+cat = ConcatFusion(32, 16)(f_i, f_m, "eval")
 mmfa = MMFAFusion(32, 16, rng=rng, heads=8)
 fused = mmfa(f_i, f_m, "eval")
 print(f"concat width {cat.shape[1]}, attention-fused width {fused.shape[1]} "
       f"(always image+meta = {f_i.shape[1]}+{f_m.shape[1]})")
-print(f"heads: {mmfa.cfg.heads}, per-head width: {mmfa.cfg.head_width}")
+print(f"heads: {mmfa.heads}, per-head width: {mmfa.out_width // mmfa.heads}")
 w = mmfa.last_weights
 print(f"attention weights {w.shape}; per-head sums all 1: "
       f"{np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)}")

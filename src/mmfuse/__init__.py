@@ -22,7 +22,7 @@ from .evaluation import (
     confusion,
     stratified_kfold,
 )
-from .fusion import AttentionConfig, ConcatFusion, MMFAFusion, fuse_concat
+from .fusion import ConcatFusion, MMFAFusion
 from .layers import Module
 from .stats import FoldResultTable, compare_methods, friedman, wilcoxon_signed_rank
 from .structures import (

@@ -71,10 +71,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def zero_grad(self):
         self.grad = None
 
@@ -100,25 +96,6 @@ class Tensor:
                 _accumulate(x, np.broadcast_to(g, x.data.shape))
             out._backward = bw
         return out
-
-    def mean(self):
-        return scale(self.sum(), 1.0 / self.data.size)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
 
     def __repr__(self):
         req = ", requires_grad=True" if self.requires_grad else ""

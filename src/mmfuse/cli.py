@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .data import SyntheticSpec, generate_synthetic, write_dataset
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
     MMFuseError,
 )
 from .experiment import (
+    DatasetConfig,
     ExperimentConfig,
     _set_path,
     config_digest,
@@ -100,13 +102,19 @@ def _load_config(path, settings):
 
 def cmd_generate(args):
     raw = _load_config(args.config, args.set)
-    # an experiment config nests the spec as dataset.synthetic
-    for section in ("dataset", "synthetic"):
-        if isinstance(raw.get(section), dict):
-            raw = raw[section]
+    # the file is an experiment config, a dataset section or a bare spec,
+    # each parsed whole, so a key the file's type lacks is an error
+    prefix = ""
+    if "dataset" in raw:
+        raw, prefix = ExperimentConfig.from_dict(raw).dataset, "dataset."
+    if "synthetic" in raw or "dir" in raw:
+        spec = DatasetConfig.from_dict(raw, prefix).synthetic
+        if spec is None:
+            raise ConfigError(f"generate needs {prefix}synthetic, not a dataset 'dir'")
+    else:
+        spec = SyntheticSpec.from_dict(raw)
     if args.seed is not None:
-        raw["seed"] = args.seed
-    spec = SyntheticSpec.from_dict(raw)
+        spec = replace(spec, seed=args.seed)
     dataset = generate_synthetic(spec)
     write_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} samples to {args.out}")

@@ -84,7 +84,8 @@ class MetadataSchema:
 
     @classmethod
     def from_json(cls, text):
-        """Parse ``to_json`` output; ``SchemaError`` names a malformed column and key."""
+        """Parse ``to_json`` output; any malformed part raises ``SchemaError``
+        naming the column and key."""
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
@@ -114,12 +115,16 @@ def _column_from_json(i, c):
     if kind == "categorical":
         if not _strings(c.get("vocab")):
             raise SchemaError(f"{where}: 'vocab' must be a list of strings")
-        policy = c.get("policy", "lenient")
-        return Column(c["name"], kind, vocab=tuple(c["vocab"]), policy=policy)
-    bounds = c.get("min", 0.0), c.get("max", 1.0)
-    if not all(type(b) in (int, float) and abs(b) <= sys.float_info.max for b in bounds):
-        raise SchemaError(f"{where}: 'min' and 'max' must be finite numbers")
-    return Column(c["name"], kind, vmin=float(bounds[0]), vmax=float(bounds[1]))
+        fields = {"vocab": tuple(c["vocab"]), "policy": c.get("policy", "lenient")}
+    else:
+        bounds = c.get("min", 0.0), c.get("max", 1.0)
+        if not all(type(b) in (int, float) and abs(b) <= sys.float_info.max for b in bounds):
+            raise SchemaError(f"{where}: 'min' and 'max' must be finite numbers")
+        fields = {"vmin": float(bounds[0]), "vmax": float(bounds[1])}
+    try:
+        return Column(c["name"], kind, **fields)
+    except ConfigError as e:  # its message names the column
+        raise SchemaError(f"schema {e}") from None
 
 
 def one_hot_encode(row, schema):

@@ -23,7 +23,7 @@ from .data import SyntheticSpec, generate_synthetic, load_dataset
 from .encoders import ImageEncoder, MetadataEncoder
 from .errors import Config, ConfigError, NumericError
 from .evaluation import confusion, metric_report, stratified_kfold
-from .fusion import ConcatFusion, MMFAFusion, fuse_concat
+from .fusion import ConcatFusion, MMFAFusion
 from .structures import (
     STRUCTURES,
     ModelAssembly,
@@ -114,6 +114,8 @@ class ExperimentConfig(Config):
             raise ConfigError("need at least one seed")
         if min(self.seeds) < 0 or self.split_seed < 0:
             raise ConfigError("seeds and split_seed must be >= 0")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _set_path(raw, dotted, value):
@@ -140,40 +142,8 @@ def resolve_dataset(dataset_cfg):
 
 
 def build_assembly(model_cfg, dataset, rng):
-    """Construct the configured structure; the encoders and fusion draw rng
-    before the heads, which draw in ``STRUCTURES`` order."""
-    n_classes = dataset.n_classes
-    image_encoder = ImageEncoder(
-        in_shape=dataset.images.shape[1:],
-        channels=model_cfg.channels,
-        out_dim=model_cfg.image_features,
-        rng=rng,
-    )
-    widths = {"i": model_cfg.image_features, "m": model_cfg.metadata_features}
-    heads = STRUCTURES[model_cfg.structure]
-    metadata_encoder = fusion = None
-    if "im" in heads:
-        metadata_encoder = MetadataEncoder(
-            in_width=dataset.meta.shape[1],
-            out_dim=model_cfg.metadata_features,
-            hidden=model_cfg.metadata_hidden,
-            rng=rng,
-        )
-        if model_cfg.fusion == "mmfa":
-            fusion = MMFAFusion(
-                model_cfg.image_features,
-                model_cfg.metadata_features,
-                rng=rng,
-                heads=model_cfg.heads,
-                scale_after_softmax=model_cfg.scale_after_softmax,
-            )
-        else:
-            fusion = ConcatFusion(model_cfg.image_features, model_cfg.metadata_features)
-        widths["im"] = fusion.out_width
-    return ModelAssembly(
-        model_cfg.structure, n_classes, image_encoder, metadata_encoder, fusion,
-        **{f"head_{k}": make_head(widths[k], n_classes, rng) for k in heads},
-    )
+    """The configured structure; ``ModelAssembly`` says how it draws ``rng``."""
+    return ModelAssembly(model_cfg, dataset, rng)
 
 
 def method_base(model_cfg):
@@ -397,11 +367,12 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
     rng = np.random.default_rng(13)
     fi = Tensor(rng.normal(size=(3, 4)), requires_grad=True, name="f_img")
     fm = Tensor(rng.normal(size=(3, 2)), requires_grad=True, name="f_meta")
+    cat = ConcatFusion(4, 2)
     reports.append(
         _check_targets(
             "concat_fusion",
             [("f_img", fi), ("f_meta", fm)],
-            lambda: _sumsq(fuse_concat(fi, fm)),
+            lambda: _sumsq(cat(fi, fm, "train")),
             step,
             tol,
         )

@@ -3,6 +3,9 @@
 ``STRUCTURES`` lists the heads each structure trains, in construction
 order; assembly, loss, prediction and reporting all read it. Head ``im``
 reads the fused feature, ``i`` the image feature, ``m`` the metadata one.
+``ModelAssembly`` is built from a ``ModelConfig`` alone, and its
+``forward`` returns each head's logits: the loss reads them directly, and
+only prediction applies the softmax.
 
 * ``image``: the image encoder and head ``i``.
 * ``jf`` (joint fusion): both encoders, a fusion module and head ``im``.
@@ -20,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, DimensionError
+from .encoders import ImageEncoder, MetadataEncoder
+from .errors import ConfigError, ContractError
+from .fusion import ConcatFusion, MMFAFusion
 from .layers import Linear, Module
 
 STRUCTURES = {"image": ("i",), "jf": ("im",), "jif": ("im", "i", "m")}
@@ -37,60 +42,65 @@ def reported_scores(structure, report):
 
 @dataclass
 class PredictionTriple:
-    """Per-branch predicted distributions (and the logits they came from)."""
+    """Per-head logits; a head the structure lacks stays None."""
 
-    p_im: ad.Tensor = None
-    p_i: ad.Tensor = None
-    p_m: ad.Tensor = None
     logits_im: ad.Tensor = None
     logits_i: ad.Tensor = None
     logits_m: ad.Tensor = None
 
 
 class ModelAssembly(Module):
-    """Encoders + fusion + heads wired as one of the supported structures."""
+    """Encoders + fusion + heads wired as the structure a ``ModelConfig`` names."""
 
-    def __init__(self, structure, n_classes, image_encoder, metadata_encoder=None,
-                 fusion=None, head_im=None, head_i=None, head_m=None):
-        if structure not in STRUCTURES:
-            raise ConfigError(f"unknown structure {structure!r}")
-        self.structure = structure
-        self.n_classes = n_classes
-        self.image_encoder = image_encoder
-        self.metadata_encoder = metadata_encoder
-        self.fusion = fusion
-        self.head_im = head_im
-        self.head_i = head_i
-        self.head_m = head_m
-        self._validate()
-
-    def _validate(self):
-        s, heads = self.structure, STRUCTURES[self.structure]
-        given = tuple(
-            k for k in ("im", "i", "m") if getattr(self, f"head_{k}") is not None
+    def __init__(self, model_cfg, dataset, rng):
+        """Build from the config; the image encoder, metadata encoder and
+        fusion draw from ``rng`` in that order, then the heads in
+        ``STRUCTURES`` order."""
+        heads = STRUCTURES[model_cfg.structure]
+        self.structure = model_cfg.structure
+        self.n_classes = dataset.n_classes
+        self.image_encoder = ImageEncoder(
+            in_shape=dataset.images.shape[1:],
+            channels=model_cfg.channels,
+            out_dim=model_cfg.image_features,
+            rng=rng,
         )
-        if given != heads:
-            raise ConfigError(f"{s} structure takes heads {heads}, got {given}")
-        fused = "im" in heads
-        if fused != (self.fusion is not None) or (fused and self.metadata_encoder is None):
-            raise ConfigError(f"{s}: fusion and metadata encoder go with head 'im'")
+        widths = {"i": model_cfg.image_features, "m": model_cfg.metadata_features}
+        self.metadata_encoder = self.fusion = None
+        if "im" in heads:
+            self.metadata_encoder = MetadataEncoder(
+                in_width=dataset.meta.shape[1],
+                out_dim=model_cfg.metadata_features,
+                hidden=model_cfg.metadata_hidden,
+                rng=rng,
+            )
+            if model_cfg.fusion == "mmfa":
+                self.fusion = MMFAFusion(
+                    model_cfg.image_features,
+                    model_cfg.metadata_features,
+                    rng=rng,
+                    heads=model_cfg.heads,
+                    scale_after_softmax=model_cfg.scale_after_softmax,
+                )
+            else:
+                self.fusion = ConcatFusion(
+                    model_cfg.image_features, model_cfg.metadata_features
+                )
+            widths["im"] = self.fusion.out_width
+        self.head_im = self.head_i = self.head_m = None
+        for k in heads:
+            setattr(self, "head_" + k, make_head(widths[k], self.n_classes, rng))
 
     def forward(self, images, meta, mode):
-        """Run the structure on a batch; returns the prediction triple."""
-        if self.fusion is not None and images.data.shape[0] != meta.data.shape[0]:
-            raise DimensionError(
-                f"batch sizes differ: {images.data.shape[0]} vs {meta.data.shape[0]}"
-            )
+        """Run the structure on a batch; returns the per-head logits."""
         features = {"i": self.image_encoder(images, mode)}
         if self.fusion is not None:
             features["m"] = self.metadata_encoder(meta, mode)
             features["im"] = self.fusion(features["i"], features["m"], mode)
-        out = {}
-        for key in STRUCTURES[self.structure]:
-            z = getattr(self, "head_" + key)(features[key])
-            out["logits_" + key] = z
-            out["p_" + key] = ad.softmax(z)
-        return PredictionTriple(**out)
+        return PredictionTriple(**{
+            "logits_" + k: getattr(self, "head_" + k)(features[k])
+            for k in STRUCTURES[self.structure]
+        })
 
 
 def weighted_ce(logits, labels, class_weights):
@@ -141,11 +151,11 @@ def total_loss(triple, labels, class_weights, beta, structure):
     return total, {"L_" + key.upper(): float(loss.data) for key, loss in losses.items()}
 
 
-def decision_fuse(triple):
+def decision_fuse(p_i, p_m, p_im):
     """Average the three predicted distributions (test-time fusion)."""
-    if triple.p_i is None or triple.p_m is None or triple.p_im is None:
+    if p_i is None or p_m is None or p_im is None:
         raise ContractError("decision fusion needs all three predictions")
-    return (triple.p_i.data + triple.p_m.data + triple.p_im.data) / 3.0
+    return (p_i + p_m + p_im) / 3.0
 
 
 def class_weights_from_counts(counts):

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor, no_graph
 from .errors import Config, ConfigError, FormatError, NumericError
 from .evaluation import balanced_accuracy, confusion
@@ -203,7 +204,9 @@ def augment(images, rng, prob=0.5):
 
 
 def predict_probs(assembly, dataset, batch_size=256):
-    """Eval-mode class probabilities per branch over a whole dataset.
+    """Eval-mode class probabilities per branch over a whole dataset: the
+    softmax of each head's logits, plus their decision-level average
+    ("fused") for a three-head structure.
 
     The forward passes run under ``no_graph``: nothing differentiates them.
     """
@@ -215,9 +218,12 @@ def predict_probs(assembly, dataset, batch_size=256):
         meta = Tensor(dataset.meta[idx])
         with no_graph():
             triple = assembly.forward(images, meta, "eval")
-        parts = {k: getattr(triple, "p_" + k).data for k in STRUCTURES[assembly.structure]}
+            parts = {
+                k: ad.softmax(getattr(triple, "logits_" + k)).data
+                for k in STRUCTURES[assembly.structure]
+            }
         if len(parts) == 3:
-            parts["fused"] = decision_fuse(triple)
+            parts["fused"] = decision_fuse(parts["i"], parts["m"], parts["im"])
         for key, val in parts.items():
             probs.setdefault(key, []).append(val)
     return {k: np.concatenate(v, axis=0) for k, v in probs.items()}
@@ -272,8 +278,7 @@ def train(assembly, train_set, val_set, cfg, report="all"):
             loss, comps = total_loss(
                 triple, train_set.labels[idx], weights, cfg.beta, assembly.structure
             )
-            for _, p in named:
-                p.zero_grad()
+            assembly.zero_grads()
             loss.backward()
             sgd_step(named, lr)
             for key, val in comps.items():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from mmfuse import autodiff as ad
 from mmfuse.autodiff import Tensor
 from mmfuse.data import SyntheticSpec, generate_synthetic
 from mmfuse.errors import DimensionError
@@ -30,7 +31,7 @@ from mmfuse.experiment import (
     gradcheck_suite,
     run_experiment,
 )
-from mmfuse.fusion import MMFAFusion, attention_heads, fuse_concat
+from mmfuse.fusion import MMFAFusion, attention_heads
 from mmfuse.stats import FoldResultTable, compare_methods, friedman, wilcoxon_signed_rank
 from mmfuse.structures import combine_losses, total_loss
 from mmfuse.training import cosine_lr
@@ -122,7 +123,7 @@ def test_c03_skip_identity():
         f_m = Tensor(rng.normal(scale=rng.uniform(0.1, 5.0), size=(b, 4)))
         mode = "train" if i % 2 == 0 else "eval"
         fused = mmfa(f_i, f_m, mode)
-        ok = ok and np.array_equal(fused.data, fuse_concat(f_i, f_m).data)
+        ok = ok and np.array_equal(fused.data, ad.concat(f_i, f_m).data)
     _report(ok, "criterion 3: zeroed module == concatenation bit-exactly on 100 batches")
 
 
@@ -132,15 +133,12 @@ def test_c03_skip_identity():
 
 def test_c04_attention_normalization():
     rng = np.random.default_rng(40)
-    from mmfuse.fusion import AttentionConfig
-
-    cfg = AttentionConfig(heads=4, d_img=8, d_meta=4)
     seen = 0
     worst = 0.0
     while seen < 1000:
         b = 50
         args = [Tensor(rng.normal(scale=3.0, size=(b, 12))) for _ in range(3)]
-        _, weights = attention_heads(*args, cfg)
+        _, weights = attention_heads(*args, heads=4)
         worst = max(worst, float(np.abs(weights.sum(axis=-1) - 1.0).max()))
         assert np.all(weights >= 0.0)
         seen += b
@@ -172,8 +170,8 @@ def test_c05_structure_equivalence():
             ModelConfig(structure="jif", **base), ds, np.random.default_rng(5)
         )
         images, meta = Tensor(ds.images[:6]), Tensor(ds.meta[:6])
-        p_jf = jf.forward(images, meta, mode).p_im.data
-        p_jif = jif.forward(images, meta, mode).p_im.data
+        p_jf = ad.softmax(jf.forward(images, meta, mode).logits_im).data
+        p_jif = ad.softmax(jif.forward(images, meta, mode).logits_im).data
         bits_equal = bits_equal and np.array_equal(p_jf, p_jif)
 
     jif = build_assembly(

@@ -45,6 +45,22 @@ def run_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def config_shapes(tmp_path):
+    """Paths of the three files ``generate --config`` takes, all naming one
+    synthetic spec: an experiment config, its dataset section, the bare spec."""
+    experiment = json.loads(run_config(tmp_path).read_text())
+    contents = {
+        "experiment": experiment,
+        "dataset": experiment["dataset"],
+        "spec": experiment["dataset"]["synthetic"],
+    }
+    paths = {}
+    for name, content in contents.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(content))
+    return paths
+
+
 class TestGenerate:
     def test_default_spec_writes_layout(self, tmp_path, capsys):
         out = tmp_path / "ds"
@@ -99,6 +115,39 @@ class TestGenerate:
             "--set", "dataset.synthetic.per_class=3",
         ]) == 0
         assert len(os.listdir(out / "images")) == 2 * 3
+
+    @pytest.mark.parametrize("config, setting, key", [
+        ("experiment", "per_class=3", "'per_class'"),
+        ("dataset", "per_class=3", "'per_class'"),
+        ("spec", "folds=3", "'folds'"),
+    ])
+    def test_set_key_the_file_lacks_exits_2(self, tmp_path, capsys, config, setting, key):
+        path = config_shapes(tmp_path)[config]
+        out = tmp_path / "ds"
+        assert main([
+            "generate", "--config", str(path), "--out", str(out), "--set", setting,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys") and key in err
+        assert not out.exists()
+
+    def test_seed_flag_overrides_each_file_shape(self, tmp_path):
+        shapes = config_shapes(tmp_path)
+        metas = []
+        for name, path in shapes.items():
+            out = tmp_path / f"ds-{name}"
+            assert main(["generate", "--config", str(path), "--out", str(out), "--seed", "9"]) == 0
+            metas.append((out / "meta.csv").read_bytes())
+        ref = tmp_path / "ref"
+        assert main([
+            "generate", "--config", str(shapes["spec"]), "--out", str(ref), "--set", "seed=9",
+        ]) == 0
+        assert metas == [(ref / "meta.csv").read_bytes()] * 3
+
+    def test_dir_dataset_exits_2(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, dataset={"dir": "somewhere"})
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "synthetic" in capsys.readouterr().err
 
 
 class TestRun:
@@ -221,6 +270,8 @@ class TestRun:
         ('dataset={"synthetic":{},"dir":"d"}', "exactly one"),
         ("dataset={}", "exactly one"),
         ("dataset.path=d", "dataset.path"),
+        ("jobs=0", "jobs"),
+        ("jobs=-3", "jobs"),
     ])
     def test_set_bad_value_exits_2(self, tmp_path, capsys, setting, key):
         out = tmp_path / "bad"
@@ -236,6 +287,7 @@ class TestRun:
         ('{"columns": [{"name": "age", "kind": "categorical"}]}', "'age': 'vocab'"),
         ('{"columns": 5}', "'columns'"),
         ('{"columns": [{"name": "age", "kind": "numeric", "min": "x"}]}', "'age': 'min'"),
+        ('{"columns": [{"name": "age", "kind": "ordinal"}]}', "'age': unknown kind"),
     ])
     def test_malformed_schema_exits_2(self, tmp_path, capsys, schema, where):
         data = tmp_path / "ds"

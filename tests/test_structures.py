@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mmfuse import autodiff as ad
 from mmfuse.autodiff import Tensor
 from mmfuse.data import SyntheticSpec, generate_synthetic
 from mmfuse.errors import ConfigError, ContractError
@@ -42,8 +43,8 @@ class TestForward:
             for _, t in head.params():
                 t.data[...] = 0.0
         triple = asm.forward(*batch(dataset), "eval")
-        for p in (triple.p_im, triple.p_i, triple.p_m):
-            np.testing.assert_allclose(p.data, 1.0 / 3.0, rtol=1e-15)
+        for z in (triple.logits_im, triple.logits_i, triple.logits_m):
+            np.testing.assert_allclose(ad.softmax(z).data, 1.0 / 3.0, rtol=1e-15)
 
     def test_jf_and_jif_share_fused_path(self, dataset):
         jf = build_assembly(
@@ -53,14 +54,15 @@ class TestForward:
         )
         jif = build_assembly(MODEL, dataset, np.random.default_rng(42))
         for mode in ("eval", "train"):
-            p_jf = jf.forward(*batch(dataset), mode).p_im.data
-            p_jif = jif.forward(*batch(dataset), mode).p_im.data
+            p_jf = ad.softmax(jf.forward(*batch(dataset), mode).logits_im).data
+            p_jif = ad.softmax(jif.forward(*batch(dataset), mode).logits_im).data
             assert np.array_equal(p_jf, p_jif)
 
     def test_shapes_and_simplex(self, dataset):
         asm = build_assembly(MODEL, dataset, np.random.default_rng(1))
         triple = asm.forward(*batch(dataset, n=2), "eval")
-        for p in (triple.p_im, triple.p_i, triple.p_m):
+        for z in (triple.logits_im, triple.logits_i, triple.logits_m):
+            p = ad.softmax(z)
             assert p.data.shape == (2, 3)
             np.testing.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -68,18 +70,17 @@ class TestForward:
         cfg = ModelConfig(**{**vars(MODEL), "structure": "image"})
         asm = build_assembly(cfg, dataset, np.random.default_rng(2))
         triple = asm.forward(batch(dataset)[0], None, "eval")
-        assert triple.p_i is not None and triple.p_im is None
+        assert triple.logits_i is not None and triple.logits_im is None
 
-    def test_structure_validation(self, dataset):
-        asm = build_assembly(MODEL, dataset, np.random.default_rng(3))
-        from mmfuse.structures import ModelAssembly
-
-        with pytest.raises(ConfigError):
-            ModelAssembly("jf", 3, asm.image_encoder, asm.metadata_encoder,
-                          asm.fusion, head_im=asm.head_im, head_i=asm.head_i)
-        with pytest.raises(ConfigError):
-            ModelAssembly("jif", 3, asm.image_encoder, asm.metadata_encoder,
-                          asm.fusion, head_im=asm.head_im)
+    def test_training_forward_records_no_softmax(self, dataset, monkeypatch):
+        # only prediction turns the heads' logits into probabilities
+        cfg = ModelConfig(**{**vars(MODEL), "fusion": "cat"})
+        asm = build_assembly(cfg, dataset, np.random.default_rng(3))
+        calls = []
+        monkeypatch.setattr(ad, "softmax", calls.append)
+        triple = asm.forward(*batch(dataset), "train")
+        assert calls == []
+        assert all(z.requires_grad for z in (triple.logits_im, triple.logits_i, triple.logits_m))
 
 
 class TestWeightedCE:
@@ -168,20 +169,13 @@ class TestTotalLoss:
 
 
 class TestDecisionFuse:
-    def _triple(self, p_i, p_m, p_im):
-        from mmfuse.structures import PredictionTriple
-
-        return PredictionTriple(
-            p_i=Tensor(p_i), p_m=Tensor(p_m), p_im=Tensor(p_im)
-        )
-
     def test_idempotence(self):
         p = np.array([[0.2, 0.8]])
-        np.testing.assert_allclose(decision_fuse(self._triple(p, p, p)), p)
+        np.testing.assert_allclose(decision_fuse(p, p, p), p)
 
     def test_mean(self):
         fused = decision_fuse(
-            self._triple([[1.0, 0.0]], [[0.0, 1.0]], [[0.5, 0.5]])
+            np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]])
         )
         np.testing.assert_allclose(fused, [[0.5, 0.5]])
 
@@ -189,17 +183,15 @@ class TestDecisionFuse:
         rng = np.random.default_rng(10)
         for _ in range(20):
             ps = [rng.dirichlet(np.ones(4), size=3) for _ in range(3)]
-            fused = decision_fuse(self._triple(*ps))
+            fused = decision_fuse(*ps)
             np.testing.assert_allclose(fused.sum(axis=1), 1.0, atol=1e-12)
             stacked = np.stack(ps)
             assert np.all(fused >= stacked.min(axis=0) - 1e-15)
             assert np.all(fused <= stacked.max(axis=0) + 1e-15)
 
     def test_missing_component(self):
-        from mmfuse.structures import PredictionTriple
-
         with pytest.raises(ContractError):
-            decision_fuse(PredictionTriple(p_im=Tensor([[1.0]])))
+            decision_fuse(None, None, np.array([[1.0]]))
 
 
 class TestClassWeights:

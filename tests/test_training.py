@@ -77,7 +77,7 @@ class TestSgdStep:
         p = Tensor([1.0], requires_grad=True)
         for _ in range(2):
             p.zero_grad()
-            loss = (p * p).sum()
+            loss = ad.mul(p, p).sum()
             loss.backward()
             sgd_step([("p", p)], 0.1)
         np.testing.assert_allclose(p.data, [0.64], rtol=1e-15)
@@ -465,13 +465,15 @@ def graph_recording_probs(assembly, dataset, batch_size):
         triple = assembly.forward(
             Tensor(dataset.images[idx]), Tensor(dataset.meta[idx]), "eval"
         )
-        parts = {"im": triple.p_im, "i": triple.p_i, "m": triple.p_m}
-        parts = {key: t for key, t in parts.items() if t is not None}
+        parts = {"im": triple.logits_im, "i": triple.logits_i, "m": triple.logits_m}
+        parts = {key: ad.softmax(t) for key, t in parts.items() if t is not None}
         assert all(t.requires_grad for t in parts.values())
         for key, t in parts.items():
             probs.setdefault(key, []).append(t.data)
         if len(parts) == 3:
-            probs.setdefault("fused", []).append(decision_fuse(triple))
+            probs.setdefault("fused", []).append(
+                decision_fuse(parts["i"].data, parts["m"].data, parts["im"].data)
+            )
     return {k: np.concatenate(v, axis=0) for k, v in probs.items()}
 
 
@@ -494,7 +496,7 @@ class TestInferenceRecordsNoGraph:
         recorded = asm.forward(images, meta, "eval")
         with ad.no_graph():
             bare = asm.forward(images, meta, "eval")
-        for field_name in ("p_im", "p_i", "p_m", "logits_im", "logits_i", "logits_m"):
+        for field_name in ("logits_im", "logits_i", "logits_m"):
             t, ref = getattr(bare, field_name), getattr(recorded, field_name)
             assert not t.requires_grad and t._parents == () and t._backward is None
             assert ref.requires_grad
