@@ -225,7 +225,8 @@ def linear(x, w, b):
         def bw(g):
             _accumulate(x, g @ w.data.T)
             _accumulate(w, x.data.T @ g)
-            _accumulate(b, g.sum(axis=0))
+            if b.requires_grad:
+                _accumulate(b, g.sum(axis=0))
         out._backward = bw
     return out
 
