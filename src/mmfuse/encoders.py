@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, DimensionError, SchemaError
-from .layers import BatchNorm, Conv2d, Linear, Module
+from .layers import BatchNorm, Conv2d, Linear, LinearBN, Module
 
 MISSING = (None, "")
 
@@ -164,10 +164,8 @@ def encode_rows(rows, schema):
 
 
 class MetadataEncoder(Module):
-    """Fully connected blocks (linear -> batch norm -> ReLU) over encoded rows.
-
-    Block i is ``fc{i}`` followed by ``bn{i}``.
-    """
+    """Fully connected blocks over encoded rows: block i is the bias-free
+    linear -> batch norm unit ``block{i}`` (a ``LinearBN``), then a ReLU."""
 
     def __init__(self, in_width, out_dim=64, hidden=(64,), rng=None):
         rng = np.random.default_rng(0) if rng is None else rng
@@ -176,9 +174,7 @@ class MetadataEncoder(Module):
         self.out_dim = out_dim
         self.depth = len(widths) - 1
         for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
-            # the batch norm that follows makes a linear bias redundant
-            setattr(self, f"fc{i}", Linear(a, b, rng, bias=False))
-            setattr(self, f"bn{i}", BatchNorm(b))
+            setattr(self, f"block{i}", LinearBN(a, b, rng))
 
     def __call__(self, x, mode):
         if x.data.ndim != 2 or x.data.shape[1] != self.in_width:
@@ -188,8 +184,7 @@ class MetadataEncoder(Module):
             )
         h = x
         for i in range(self.depth):
-            lin, bn = getattr(self, f"fc{i}"), getattr(self, f"bn{i}")
-            h = ad.relu(bn(lin(h), mode))
+            h = ad.relu(getattr(self, f"block{i}")(h, mode))
         return h
 
 

@@ -3,11 +3,11 @@
 Both fusion modules are called as ``fusion(f_img, f_meta, mode)`` and
 output width(f_img) + width(f_meta) columns. ``ConcatFusion`` joins the
 two vectors, image first. ``MMFAFusion`` (multi-modal fusion attention)
-projects each modality to query/key/value triples with a shared
-single-layer network per modality, concatenates them metadata-first,
-applies multi-head per-coordinate gating attention (``attention_heads``),
-projects back, and adds the plain image-first concatenation as a skip
-connection.
+projects each modality to a (query, key, value) triple with one bias-free
+linear -> batch norm unit (``LinearBN``) per modality, concatenates them
+metadata-first, applies multi-head per-coordinate gating attention
+(``attention_heads``), projects back with a third ``LinearBN``, and adds
+the plain image-first concatenation as a skip connection.
 
 Attention here gates feature coordinates: each head forms weights
 softmax((K * Q) / sqrt(s)) over its s coordinates and multiplies them into
@@ -20,22 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionError
-from .layers import BatchNorm, Linear, Module
-
-
-class QkvBranch(Module):
-    """Single-layer projection of one modality to a (q, k, v) triple.
-
-    The linear output of width 3*d is batch-normalized and divided into
-    contiguous equal thirds, in (query, key, value) order.
-    """
-
-    def __init__(self, d_in, d_out, rng):
-        self.lin = Linear(d_in, 3 * d_out, rng)
-        self.bn = BatchNorm(3 * d_out)
-
-    def __call__(self, f, mode):
-        return ad.split_thirds(self.bn(self.lin(f), mode))
+from .layers import LinearBN, Module
 
 
 def _check_heads(width, heads):
@@ -90,23 +75,21 @@ class MMFAFusion(Module):
         _check_heads(self.out_width, heads)
         self.heads = heads
         self.scale_after_softmax = scale_after_softmax
-        self.qkv_img = QkvBranch(d_img_in, d_img_in, rng)
-        self.qkv_meta = QkvBranch(d_meta_in, d_meta_in, rng)
-        self.out_lin = Linear(self.out_width, self.out_width, rng)
-        self.out_bn = BatchNorm(self.out_width)
+        self.qkv_img = LinearBN(d_img_in, 3 * d_img_in, rng)
+        self.qkv_meta = LinearBN(d_meta_in, 3 * d_meta_in, rng)
+        self.out = LinearBN(self.out_width, self.out_width, rng)
         self.last_weights = None
 
     def __call__(self, f_img, f_meta, mode):
-        """out_bn(out_lin(MHA(...))) + concat(f_img, f_meta); the attention
-        inputs F_Q, F_K, F_V put the metadata part first."""
-        iq, ik, iv = self.qkv_img(f_img, mode)
-        mq, mk, mv = self.qkv_meta(f_meta, mode)
+        """out(MHA(...)) + concat(f_img, f_meta); q, k, v are the thirds of
+        each projection, and F_Q, F_K, F_V put the metadata part first."""
+        iq, ik, iv = ad.split_thirds(self.qkv_img(f_img, mode))
+        mq, mk, mv = ad.split_thirds(self.qkv_meta(f_meta, mode))
         attended, self.last_weights = attention_heads(
             ad.concat(mq, iq), ad.concat(mk, ik), ad.concat(mv, iv),
             self.heads, self.scale_after_softmax,
         )
-        projected = self.out_bn(self.out_lin(attended), mode)
-        return ad.add(projected, ad.concat(f_img, f_meta))
+        return ad.add(self.out(attended, mode), ad.concat(f_img, f_meta))
 
 
 class ConcatFusion(Module):

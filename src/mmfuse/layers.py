@@ -1,5 +1,5 @@
 """Parameter-holding building blocks: the ``Module`` base, linear,
-convolution and batch norm.
+convolution, batch norm and the bias-free linear -> batch norm unit.
 
 Every model component subclasses ``Module``, which finds its parameters
 and buffers by walking its attributes; see ``Module`` for the naming rule
@@ -78,7 +78,7 @@ class Module:
 
 
 class Linear(Module):
-    """Affine map; ``bias=False`` drops the redundant bias of a layer feeding BN."""
+    """Affine map x @ w + b; ``bias=False`` keeps ``b`` at zero and untrained."""
 
     def __init__(self, d_in, d_out, rng, bias=True):
         std = np.sqrt(2.0 / d_in)
@@ -109,3 +109,18 @@ class BatchNorm(Module):
 
     def __call__(self, x, mode):
         return batch_norm(x, self.gamma, self.beta, self.stats, mode)
+
+
+class LinearBN(Module):
+    """Linear map then batch norm, as ``lin`` and ``bn``.
+
+    The linear layer has no bias: batch norm subtracts the batch mean, so
+    a bias in front of it would have no effect and a gradient of zero.
+    """
+
+    def __init__(self, d_in, d_out, rng):
+        self.lin = Linear(d_in, d_out, rng, bias=False)
+        self.bn = BatchNorm(d_out)
+
+    def __call__(self, x, mode):
+        return self.bn(self.lin(x), mode)

@@ -107,7 +107,7 @@ class TestMetadataEncoder:
 
     def test_identity_weights_pass_through_bn_and_relu(self):
         enc = MetadataEncoder(in_width=4, out_dim=4, hidden=(), rng=np.random.default_rng(0))
-        lin, bn = enc.fc0, enc.bn0
+        lin, bn = enc.block0.lin, enc.block0.bn
         lin.w.data[...] = np.eye(4)
         x = np.random.default_rng(2).normal(size=(8, 4))
         out = enc(Tensor(x), "train")

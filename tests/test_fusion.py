@@ -4,7 +4,8 @@ import pytest
 from mmfuse import autodiff as ad, fusion
 from mmfuse.autodiff import Tensor, grad_check
 from mmfuse.errors import DimensionError
-from mmfuse.fusion import ConcatFusion, MMFAFusion, QkvBranch, attention_heads
+from mmfuse.fusion import ConcatFusion, MMFAFusion, attention_heads
+from mmfuse.layers import LinearBN
 
 
 def zero_params(module):
@@ -43,25 +44,30 @@ class TestFuseConcat:
 
 class TestQkvProjection:
     def test_zero_parameters_give_zero_qkv(self):
-        branch = QkvBranch(4, 4, np.random.default_rng(0))
+        branch = LinearBN(4, 12, np.random.default_rng(0))
         zero_params(branch)
-        q, k, v = branch(Tensor(np.random.default_rng(1).normal(size=(3, 4))), "train")
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
+        q, k, v = ad.split_thirds(branch(x, "train"))
         for part in (q, k, v):
             np.testing.assert_array_equal(part.data, np.zeros((3, 4)))
 
     def test_projection_width_is_three_d(self):
-        branch = QkvBranch(128, 128, np.random.default_rng(0))
+        branch = LinearBN(128, 384, np.random.default_rng(0))
         assert branch.lin.w.data.shape == (128, 384)
-        q, k, v = branch(Tensor(np.zeros((1, 128))), "eval")
+        assert [n for n, _ in branch.params()] == ["lin.w", "bn.gamma", "bn.beta"]
+        q, k, v = ad.split_thirds(branch(Tensor(np.zeros((1, 128))), "eval"))
         assert q.data.shape == k.data.shape == v.data.shape == (1, 128)
+        mmfa = MMFAFusion(128, 64, heads=8)
+        assert mmfa.qkv_img.lin.w.data.shape == (128, 384)
+        assert mmfa.qkv_meta.lin.w.data.shape == (64, 192)
 
     def test_gradcheck_linear_bn_split(self):
         rng = np.random.default_rng(2)
-        branch = QkvBranch(3, 2, rng)
+        branch = LinearBN(3, 6, rng)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
         def f(_t):
-            q, k, v = branch(x, "train")
+            q, k, v = ad.split_thirds(branch(x, "train"))
             s = ad.add(ad.mul(q, q), ad.add(ad.mul(k, k), ad.scale(v, 3.0)))
             return s.sum()
 
@@ -71,10 +77,12 @@ class TestQkvProjection:
 
 def assemble_kqv(monkeypatch, img, meta, heads=1):
     """The (F_Q, F_K, F_V) that ``MMFAFusion`` passes to ``attention_heads``
-    when its q/k/v branches return the triples ``img`` and ``meta``."""
+    when its q/k/v projections output the triples ``img`` and ``meta``,
+    each joined as one (B, 3d) tensor."""
     mmfa = MMFAFusion(img[0].data.shape[1], meta[0].data.shape[1], heads=heads)
-    monkeypatch.setattr(mmfa, "qkv_img", lambda f, mode: img)
-    monkeypatch.setattr(mmfa, "qkv_meta", lambda f, mode: meta)
+    for name, triple in (("qkv_img", img), ("qkv_meta", meta)):
+        joined = Tensor(np.concatenate([t.data for t in triple], axis=1))
+        monkeypatch.setattr(mmfa, name, lambda f, mode, joined=joined: joined)
     seen = []
 
     def spy(f_q, f_k, f_v, heads, scale_after_softmax):
@@ -207,7 +215,8 @@ class TestMMFA:
         mmfa = MMFAFusion(128, 64, rng=np.random.default_rng(9), heads=8)
         assert mmfa.out_width == 192
         assert mmfa.heads == 8
-        assert mmfa.out_lin.w.data.shape == (192, 192)
+        assert mmfa.out.lin.w.data.shape == (192, 192)
+        assert not [n for n, _ in mmfa.params() if n.endswith(".b")]
         mmfa(Tensor(np.zeros((2, 128))), Tensor(np.zeros((2, 64))), "eval")
         assert mmfa.last_weights.shape == (2, 8, 24)
 
@@ -230,11 +239,13 @@ class TestMMFA:
 
             def f(_t):
                 out = mmfa(f_i, f_m, "train")
-                return ad.scale(ad.mul(out, out).sum(), 1e-4)
+                return ad.mul(out, out).sum()
 
-            for target in (f_i, f_m, mmfa.out_lin.w, mmfa.qkv_img.lin.w):
+            targets = [("f_img", f_i), ("f_meta", f_m)] + mmfa.params()
+            assert len(targets) == 11
+            for name, target in targets:
                 rep = grad_check(f, target)
-                assert rep.passed, (post, rep.max_rel_error)
+                assert rep.passed, (post, name, rep.max_rel_error)
 
     def test_attention_weights_exposed(self):
         rng = np.random.default_rng(12)

@@ -725,12 +725,12 @@ PINNED_STATE = {
         ("image_encoder.bn2.beta", (4,)),
         ("image_encoder.proj.w", (4, 8)),
         ("image_encoder.proj.b", (8,)),
-        ("metadata_encoder.fc0.w", (16, 6)),
-        ("metadata_encoder.bn0.gamma", (6,)),
-        ("metadata_encoder.bn0.beta", (6,)),
-        ("metadata_encoder.fc1.w", (6, 4)),
-        ("metadata_encoder.bn1.gamma", (4,)),
-        ("metadata_encoder.bn1.beta", (4,)),
+        ("metadata_encoder.block0.lin.w", (16, 6)),
+        ("metadata_encoder.block0.bn.gamma", (6,)),
+        ("metadata_encoder.block0.bn.beta", (6,)),
+        ("metadata_encoder.block1.lin.w", (6, 4)),
+        ("metadata_encoder.block1.bn.gamma", (4,)),
+        ("metadata_encoder.block1.bn.beta", (4,)),
         ("head_im.w", (12, 2)),
         ("head_im.b", (2,)),
         ("image_encoder.bn0.running_mean", (2,)),
@@ -739,10 +739,10 @@ PINNED_STATE = {
         ("image_encoder.bn1.running_var", (3,)),
         ("image_encoder.bn2.running_mean", (4,)),
         ("image_encoder.bn2.running_var", (4,)),
-        ("metadata_encoder.bn0.running_mean", (6,)),
-        ("metadata_encoder.bn0.running_var", (6,)),
-        ("metadata_encoder.bn1.running_mean", (4,)),
-        ("metadata_encoder.bn1.running_var", (4,)),
+        ("metadata_encoder.block0.bn.running_mean", (6,)),
+        ("metadata_encoder.block0.bn.running_var", (6,)),
+        ("metadata_encoder.block1.bn.running_mean", (4,)),
+        ("metadata_encoder.block1.bn.running_var", (4,)),
     ],
     ("jif", "mmfa"): [
         ("image_encoder.conv0.w", (2, 3, 3, 3)),
@@ -756,24 +756,21 @@ PINNED_STATE = {
         ("image_encoder.bn2.beta", (4,)),
         ("image_encoder.proj.w", (4, 8)),
         ("image_encoder.proj.b", (8,)),
-        ("metadata_encoder.fc0.w", (16, 6)),
-        ("metadata_encoder.bn0.gamma", (6,)),
-        ("metadata_encoder.bn0.beta", (6,)),
-        ("metadata_encoder.fc1.w", (6, 4)),
-        ("metadata_encoder.bn1.gamma", (4,)),
-        ("metadata_encoder.bn1.beta", (4,)),
+        ("metadata_encoder.block0.lin.w", (16, 6)),
+        ("metadata_encoder.block0.bn.gamma", (6,)),
+        ("metadata_encoder.block0.bn.beta", (6,)),
+        ("metadata_encoder.block1.lin.w", (6, 4)),
+        ("metadata_encoder.block1.bn.gamma", (4,)),
+        ("metadata_encoder.block1.bn.beta", (4,)),
         ("fusion.qkv_img.lin.w", (8, 24)),
-        ("fusion.qkv_img.lin.b", (24,)),
         ("fusion.qkv_img.bn.gamma", (24,)),
         ("fusion.qkv_img.bn.beta", (24,)),
         ("fusion.qkv_meta.lin.w", (4, 12)),
-        ("fusion.qkv_meta.lin.b", (12,)),
         ("fusion.qkv_meta.bn.gamma", (12,)),
         ("fusion.qkv_meta.bn.beta", (12,)),
-        ("fusion.out_lin.w", (12, 12)),
-        ("fusion.out_lin.b", (12,)),
-        ("fusion.out_bn.gamma", (12,)),
-        ("fusion.out_bn.beta", (12,)),
+        ("fusion.out.lin.w", (12, 12)),
+        ("fusion.out.bn.gamma", (12,)),
+        ("fusion.out.bn.beta", (12,)),
         ("head_im.w", (12, 2)),
         ("head_im.b", (2,)),
         ("head_i.w", (8, 2)),
@@ -786,15 +783,15 @@ PINNED_STATE = {
         ("image_encoder.bn1.running_var", (3,)),
         ("image_encoder.bn2.running_mean", (4,)),
         ("image_encoder.bn2.running_var", (4,)),
-        ("metadata_encoder.bn0.running_mean", (6,)),
-        ("metadata_encoder.bn0.running_var", (6,)),
-        ("metadata_encoder.bn1.running_mean", (4,)),
-        ("metadata_encoder.bn1.running_var", (4,)),
+        ("metadata_encoder.block0.bn.running_mean", (6,)),
+        ("metadata_encoder.block0.bn.running_var", (6,)),
+        ("metadata_encoder.block1.bn.running_mean", (4,)),
+        ("metadata_encoder.block1.bn.running_var", (4,)),
         ("fusion.qkv_img.bn.running_mean", (24,)),
         ("fusion.qkv_img.bn.running_var", (24,)),
         ("fusion.qkv_meta.bn.running_mean", (12,)),
         ("fusion.qkv_meta.bn.running_var", (12,)),
-        ("fusion.out_bn.running_mean", (12,)),
-        ("fusion.out_bn.running_var", (12,)),
+        ("fusion.out.bn.running_mean", (12,)),
+        ("fusion.out.bn.running_var", (12,)),
     ],
 }
