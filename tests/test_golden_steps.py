@@ -2,10 +2,11 @@
 
 For each case a toy model is built from a fixed init rng, trained for three
 plain SGD steps on one fixed batch, and then run in eval mode on the whole
-toy set. The loss components of every step and the eval logits of every
-head are compared with ``tests/golden_steps.json`` at rtol 1e-10: last-bit
-reorderings of a sum pass, while a change of what is computed fails. The
-pins do not name parameters, so renaming state leaves them valid.
+toy set. The loss components of every step, every parameter and batch-norm
+buffer after the last step (by its dotted ``state()`` name) and the eval
+logits of every head are compared with ``tests/golden_steps.json`` at rtol
+1e-10: last-bit reorderings of a sum pass, while a change of what is
+computed fails. Renaming state is a change of the file.
 
 Regenerate the file (a change to a check, to be stated with its reason)::
 
@@ -51,7 +52,8 @@ def toy_dataset():
 
 
 def run_case(name, ds):
-    """Loss components of each step, then eval logits per head, as lists."""
+    """Loss components of each step, the state after them, then eval logits
+    per head, as lists."""
     model = ModelConfig(
         image_features=6, metadata_features=4, channels=(2, 3, 4),
         metadata_hidden=(5,), heads=2, **CASES[name],
@@ -71,13 +73,14 @@ def run_case(name, ds):
         loss.backward()
         sgd_step(named, LR)
         losses.append({"total": float(loss.data), **comps})
+    state = {k: v.tolist() for k, v in asm.state().items()}
     with no_graph():
         triple = asm.forward(Tensor(ds.images), Tensor(ds.meta), "eval")
     logits = {
         k: getattr(triple, "logits_" + k).data.tolist()
         for k in STRUCTURES[model.structure]
     }
-    return {"losses": losses, "logits": logits}
+    return {"losses": losses, "state": state, "logits": logits}
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +108,11 @@ def test_three_steps_match_golden(name, golden, dataset):
             np.testing.assert_allclose(
                 g[key], w[key], rtol=RTOL, atol=ATOL, err_msg=f"step {step} {key}"
             )
+    assert sorted(got["state"]) == sorted(want["state"])
+    for key, w in want["state"].items():
+        np.testing.assert_allclose(
+            got["state"][key], w, rtol=RTOL, atol=ATOL, err_msg=f"state {key}"
+        )
     assert sorted(got["logits"]) == sorted(want["logits"])
     for head, w in want["logits"].items():
         np.testing.assert_allclose(
