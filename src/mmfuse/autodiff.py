@@ -44,7 +44,13 @@ Layout rule: an op's input gradient has its input's memory order, so the
 batch-innermost layout carries through batch norm, ReLU and max-pool both
 ways, and conv reads its output gradient as ``(Cout, H*W*B)`` without a copy.
 
-Under ``with no_graph():`` ops record no graph (see ``no_graph``).
+Op protocol: an op computes its output value, defines ``bw(g)`` taking
+the output gradient, and returns ``_result(value, parents, bw)``, which
+alone decides what the output records: the parents and ``bw`` when some
+parent needs a gradient and no ``no_graph`` block is open, else ``()`` and
+``None``. A backward hands each parent gradient, in the parent's shape, to
+``_accumulate``, the only writer of ``.grad``; it drops gradients of
+tensors that need none.
 """
 
 from dataclasses import dataclass
@@ -57,13 +63,12 @@ from .errors import ContractError, DimensionError, NumericError
 class Tensor:
     """Dense float64 array, optionally tracked by the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.array(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents = ()
         self._backward = None
 
@@ -89,17 +94,13 @@ class Tensor:
                 node._backward(node.grad)
 
     def sum(self):
-        x = self
-        out = _result(np.array(x.data.sum()), (x,))
-        if out.requires_grad:
-            def bw(g):
-                _accumulate(x, np.broadcast_to(g, x.data.shape))
-            out._backward = bw
-        return out
+        def bw(g):
+            _accumulate(self, np.broadcast_to(g, self.data.shape))
+        return _result(np.array(self.data.sum()), (self,), bw)
 
     def __repr__(self):
         req = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{req}, name={self.name!r})"
+        return f"Tensor(shape={self.data.shape}{req})"
 
 
 class no_graph:
@@ -119,19 +120,21 @@ class no_graph:
         no_graph.depth -= 1
 
 
-def _result(data, parents):
-    """Build an op output; graph links are kept only if a parent needs them."""
+def _result(data, parents, backward):
+    """Build an op output; it keeps ``parents`` and ``backward`` only if a
+    parent needs a gradient and no ``no_graph`` block is open."""
     t = Tensor.__new__(Tensor)
     t.data = data
     t.grad = None
     t.requires_grad = not no_graph.depth and any(p.requires_grad for p in parents)
-    t.name = None
     t._parents = tuple(parents) if t.requires_grad else ()
-    t._backward = None
+    t._backward = backward if t.requires_grad else None
     return t
 
 
 def _accumulate(t, g):
+    """Add ``g`` to ``t.grad``, a fresh array on the first call, unless
+    ``t`` needs no gradient."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -165,45 +168,33 @@ def _toposort(root):
 def add(a, b):
     if a.data.shape != b.data.shape:
         raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    out = _result(a.data + b.data, (a, b))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
-        out._backward = bw
-    return out
+    def bw(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
+    return _result(a.data + b.data, (a, b), bw)
 
 
 def mul(a, b):
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-    out = _result(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
-        out._backward = bw
-    return out
+    def bw(g):
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
+    return _result(a.data * b.data, (a, b), bw)
 
 
 def scale(a, c):
     c = float(c)
-    out = _result(a.data * c, (a,))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(a, g * c)
-        out._backward = bw
-    return out
+    def bw(g):
+        _accumulate(a, g * c)
+    return _result(a.data * c, (a,), bw)
 
 
 def relu(a):
     mask = a.data > 0.0
-    out = _result(a.data * mask, (a,))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(a, g * mask)
-        out._backward = bw
-    return out
+    def bw(g):
+        _accumulate(a, g * mask)
+    return _result(a.data * mask, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +211,13 @@ def linear(x, w, b):
         raise DimensionError(
             f"linear: bias {b.data.shape} incompatible with weight {w.data.shape}"
         )
-    out = _result(x.data @ w.data + b.data, (x, w, b))
-    if out.requires_grad:
-        def bw(g):
+    def bw(g):
+        if x.requires_grad:
             _accumulate(x, g @ w.data.T)
-            _accumulate(w, x.data.T @ g)
-            if b.requires_grad:
-                _accumulate(b, g.sum(axis=0))
-        out._backward = bw
-    return out
+        _accumulate(w, x.data.T @ g)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+    return _result(x.data @ w.data + b.data, (x, w, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +225,9 @@ def linear(x, w, b):
 
 
 def reshape(x, shape):
-    out = _result(x.data.reshape(shape), (x,))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(x, g.reshape(x.data.shape))
-        out._backward = bw
-    return out
+    def bw(g):
+        _accumulate(x, g.reshape(x.data.shape))
+    return _result(x.data.reshape(shape), (x,), bw)
 
 
 def concat(a, b):
@@ -251,13 +237,10 @@ def concat(a, b):
             f"concat: shapes {a.data.shape} and {b.data.shape} differ off the last axis"
         )
     p = a.data.shape[-1]
-    out = _result(np.concatenate([a.data, b.data], axis=-1), (a, b))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(a, g[..., :p])
-            _accumulate(b, g[..., p:])
-        out._backward = bw
-    return out
+    def bw(g):
+        _accumulate(a, g[..., :p])
+        _accumulate(b, g[..., p:])
+    return _result(np.concatenate([a.data, b.data], axis=-1), (a, b), bw)
 
 
 def split_thirds(x):
@@ -269,14 +252,11 @@ def split_thirds(x):
     parts = []
     for k in range(3):
         sl = slice(k * d, (k + 1) * d)
-        part = _result(np.ascontiguousarray(x.data[..., sl]), (x,))
-        if part.requires_grad:
-            def bw(g, sl=sl):
-                if x.grad is None:
-                    x.grad = np.zeros_like(x.data)
-                x.grad[..., sl] += g
-            part._backward = bw
-        parts.append(part)
+        def bw(g, sl=sl):
+            padded = np.zeros_like(x.data)
+            padded[..., sl] = g
+            _accumulate(x, padded)
+        parts.append(_result(np.ascontiguousarray(x.data[..., sl]), (x,), bw))
     return tuple(parts)
 
 
@@ -292,13 +272,10 @@ def softmax(x):
     z = xd - xd.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _result(y, (x,))
-    if out.requires_grad:
-        def bw(g):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            _accumulate(x, y * (g - dot))
-        out._backward = bw
-    return out
+    def bw(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        _accumulate(x, y * (g - dot))
+    return _result(y, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +384,12 @@ def batch_norm(x, gamma, beta, stats, mode):
         raise DimensionError(f"batch_norm: expected 2-D or 4-D input, got {xd.shape}")
     _check_bn(xd.shape[1], gamma, beta, mode)
     y, xhat, gam_inv = _bn_forward(xd, gamma, beta, stats, mode)
-    out = _result(_batch_major(y, xd.shape), (x, gamma, beta))
-    if out.requires_grad:
-        def bw(g):
-            dx = _bn_backward(_features_first(g), xhat, gam_inv, gamma, beta,
-                              mode, x.requires_grad)
-            if dx is not None:
-                _accumulate(x, _batch_major(dx, xd.shape))
-        out._backward = bw
-    return out
+    def bw(g):
+        dx = _bn_backward(_features_first(g), xhat, gam_inv, gamma, beta,
+                          mode, x.requires_grad)
+        if dx is not None:
+            _accumulate(x, _batch_major(dx, xd.shape))
+    return _result(_batch_major(y, xd.shape), (x, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +454,14 @@ def conv2d(x, w, b):
     cols = _im2col(xd, k)
     y = wd.reshape(Cout, -1) @ cols
     y += b.data[:, None]
-    out = _result(_bchw(y.reshape(Cout, H, W, B)), (x, w, b))
-    if out.requires_grad:
-        # keep only what backward reads: cols for dW, the weight for dX
-        cols_kept = cols if w.requires_grad else None
-
-        def bw(g):
-            g_mat = _features_first(g)
-            if b.requires_grad:
-                _accumulate(b, g_mat.sum(axis=1))
-            _conv_backward(g_mat, x, w, cols_kept)
-        out._backward = bw
-    return out
+    # keep only what backward reads: cols for dW, the weight for dX
+    cols = cols if w.requires_grad else None
+    def bw(g):
+        g_mat = _features_first(g)
+        if b.requires_grad:
+            _accumulate(b, g_mat.sum(axis=1))
+        _conv_backward(g_mat, x, w, cols)
+    return _result(_bchw(y.reshape(Cout, H, W, B)), (x, w, b), bw)
 
 
 def _check_pool(shape, op):
@@ -530,16 +500,13 @@ def max_pool2(x):
     _check_pool(xd.shape, "max_pool2")
     win = _windows(_chwb(xd))
     y = _max4(win)
-    out = _result(_bchw(y), (x,))
-    if out.requires_grad:
-        def bw(g):
-            # same memory layout as x
-            dx = np.empty_like(xd)
-            _route_first_max(win, y, _chwb(g), _windows(_chwb(dx)),
-                             np.zeros(y.shape, dtype=bool))
-            _accumulate(x, dx)
-        out._backward = bw
-    return out
+    def bw(g):
+        # same memory layout as x
+        dx = np.empty_like(xd)
+        _route_first_max(win, y, _chwb(g), _windows(_chwb(dx)),
+                         np.zeros(y.shape, dtype=bool))
+        _accumulate(x, dx)
+    return _result(_bchw(y), (x,), bw)
 
 
 def conv_block(x, w, gamma, beta, stats, mode):
@@ -562,19 +529,16 @@ def conv_block(x, w, gamma, beta, stats, mode):
     z, xhat, gam_inv = _bn_forward(conv, gamma, beta, stats, mode)
     win = _windows(z.reshape(Cout, H, W, B))
     pooled = _max4(win)
-    out = _result(_bchw(pooled * (pooled > 0.0)), (x, w, gamma, beta))
-    if out.requires_grad:
-        def bw(g):
-            dz = np.empty(z.shape)
-            # the ReLU passes nothing where the block max is not positive
-            _route_first_max(win, pooled, _chwb(g), _windows(dz.reshape(Cout, H, W, B)),
-                             pooled <= 0.0)
-            dconv = _bn_backward(dz, xhat, gam_inv, gamma, beta, mode,
-                                 x.requires_grad or w.requires_grad)
-            if dconv is not None:
-                _conv_backward(dconv, x, w, cols)
-        out._backward = bw
-    return out
+    def bw(g):
+        dz = np.empty(z.shape)
+        # the ReLU passes nothing where the block max is not positive
+        _route_first_max(win, pooled, _chwb(g), _windows(dz.reshape(Cout, H, W, B)),
+                         pooled <= 0.0)
+        dconv = _bn_backward(dz, xhat, gam_inv, gamma, beta, mode,
+                             x.requires_grad or w.requires_grad)
+        if dconv is not None:
+            _conv_backward(dconv, x, w, cols)
+    return _result(_bchw(pooled * (pooled > 0.0)), (x, w, gamma, beta), bw)
 
 
 def global_avg_pool(x):
@@ -582,15 +546,12 @@ def global_avg_pool(x):
     if xd.ndim != 4:
         raise DimensionError(f"global_avg_pool: expected 4-D input, got {xd.shape}")
     area = xd.shape[2] * xd.shape[3]
-    out = _result(xd.mean(axis=(2, 3)), (x,))
-    if out.requires_grad:
-        def bw(g):
-            # same memory layout as x
-            dx = np.empty_like(xd)
-            dx[...] = g[:, :, None, None] / area
-            _accumulate(x, dx)
-        out._backward = bw
-    return out
+    def bw(g):
+        # same memory layout as x
+        dx = np.empty_like(xd)
+        dx[...] = g[:, :, None, None] / area
+        _accumulate(x, dx)
+    return _result(xd.mean(axis=(2, 3)), (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -615,14 +576,11 @@ def cross_entropy_logits(logits, labels, class_weights):
     m = z.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
     logp = z[np.arange(B), labels] - lse[:, 0]
-    out = _result(np.array(-(w * logp).sum() / B), (logits,))
-    if out.requires_grad:
-        def bw(g):
-            p = np.exp(z - lse)
-            p[np.arange(B), labels] -= 1.0
-            _accumulate(logits, p * (w * (float(g) / B))[:, None])
-        out._backward = bw
-    return out
+    def bw(g):
+        p = np.exp(z - lse)
+        p[np.arange(B), labels] -= 1.0
+        _accumulate(logits, p * (w * (float(g) / B))[:, None])
+    return _result(np.array(-(w * logp).sum() / B), (logits,), bw)
 
 
 # ---------------------------------------------------------------------------

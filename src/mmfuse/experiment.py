@@ -346,7 +346,7 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
 
     rng = np.random.default_rng(11)
     enc = MetadataEncoder(in_width=7, out_dim=5, hidden=(6,), rng=rng)
-    x = Tensor(rng.normal(size=(3, 7)), requires_grad=True, name="meta_in")
+    x = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
     targets = [("meta_in", x)] + enc.params()
     reports.append(
         _check_targets(
@@ -356,7 +356,7 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
 
     rng = np.random.default_rng(12)
     ienc = ImageEncoder(in_shape=(3, 8, 8), channels=(2, 3, 4), out_dim=5, rng=rng)
-    xi = Tensor(rng.normal(size=(4, 3, 8, 8)), requires_grad=True, name="img_in")
+    xi = Tensor(rng.normal(size=(4, 3, 8, 8)), requires_grad=True)
     targets = [("img_in", xi)] + ienc.params()
     reports.append(
         _check_targets(
@@ -365,8 +365,8 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
     )
 
     rng = np.random.default_rng(13)
-    fi = Tensor(rng.normal(size=(3, 4)), requires_grad=True, name="f_img")
-    fm = Tensor(rng.normal(size=(3, 2)), requires_grad=True, name="f_meta")
+    fi = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    fm = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     cat = ConcatFusion(4, 2)
     reports.append(
         _check_targets(
@@ -381,8 +381,8 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
     for label, post in (("mmfa", False), ("mmfa_post_softmax_scale", True)):
         rng = np.random.default_rng(14)
         mmfa = MMFAFusion(6, 3, rng=rng, heads=3, scale_after_softmax=post)
-        fi = Tensor(rng.normal(size=(4, 6)), requires_grad=True, name="f_img")
-        fm = Tensor(rng.normal(size=(4, 3)), requires_grad=True, name="f_meta")
+        fi = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        fm = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         targets = [("f_img", fi), ("f_meta", fm)] + mmfa.params()
         reports.append(
             _check_targets(
@@ -399,7 +399,7 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
     weights = np.array([1.5, 0.75, 1.0])
     for label, width in (("head_fused", 9), ("head_image", 6), ("head_meta", 3)):
         head = make_head(width, 3, rng)
-        feats = Tensor(rng.normal(size=(6, width)), requires_grad=True, name="feats")
+        feats = Tensor(rng.normal(size=(6, width)), requires_grad=True)
         targets = [("feats", feats)] + head.params()
         reports.append(
             _check_targets(
@@ -413,10 +413,7 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
 
     rng = np.random.default_rng(16)
     for beta in (0.0, 0.5, 1.0):
-        zs = [
-            Tensor(rng.normal(size=(4, 3)), requires_grad=True, name=f"logits{j}")
-            for j in range(3)
-        ]
+        zs = [Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(3)]
         lbl = rng.integers(0, 3, size=4)
 
         def loss_fn(zs=zs, lbl=lbl, beta=beta):

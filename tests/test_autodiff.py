@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -424,6 +426,12 @@ class TestConcatSplit:
         ad.add(ad.scale(q, 1.0), ad.add(ad.scale(k, 2.0), ad.scale(v, 3.0))).sum().backward()
         np.testing.assert_array_equal(x.grad, [1, 1, 2, 2, 3, 3])
 
+    def test_split_thirds_gradient_adds_to_other_uses(self):
+        x = Tensor(np.arange(6.0), requires_grad=True)
+        q, _, _ = ad.split_thirds(x)
+        ad.add(ad.scale(q, 4.0).sum(), ad.scale(x, 2.0).sum()).backward()
+        np.testing.assert_array_equal(x.grad, [6, 6, 2, 2, 2, 2])
+
 
 class TestBackward:
     def test_power_rule(self):
@@ -534,9 +542,72 @@ class TestNoGraph:
             assert self._graph().requires_grad
 
     def test_is_not_a_graph_op(self):
-        import inspect
-
         assert not inspect.isfunction(ad.no_graph)
+
+
+def _t(shape, requires_grad):
+    return Tensor(np.random.default_rng(0).normal(size=shape), requires_grad=requires_grad)
+
+
+def _stats(n):
+    return RunningStats(mean=np.zeros(n), var=np.ones(n))
+
+
+# one call per graph op; each builds every tensor input with the given requires_grad
+OP_CASES = {
+    "add": lambda r: ad.add(_t((2, 3), r), _t((2, 3), r)),
+    "mul": lambda r: ad.mul(_t((2, 3), r), _t((2, 3), r)),
+    "scale": lambda r: ad.scale(_t((2, 3), r), 2.0),
+    "relu": lambda r: ad.relu(_t((2, 3), r)),
+    "linear": lambda r: ad.linear(_t((2, 3), r), _t((3, 4), r), _t((4,), r)),
+    "reshape": lambda r: ad.reshape(_t((2, 3), r), (3, 2)),
+    "concat": lambda r: ad.concat(_t((2, 3), r), _t((2, 1), r)),
+    "split_thirds": lambda r: ad.split_thirds(_t((2, 6), r)),
+    "softmax": lambda r: ad.softmax(_t((2, 3), r)),
+    "batch_norm": lambda r: ad.batch_norm(
+        _t((4, 3), r), _t((3,), r), _t((3,), r), _stats(3), "train"
+    ),
+    "conv2d": lambda r: ad.conv2d(_t((2, 1, 4, 4), r), _t((2, 1, 3, 3), r), _t((2,), r)),
+    "max_pool2": lambda r: ad.max_pool2(_t((2, 1, 4, 4), r)),
+    "conv_block": lambda r: ad.conv_block(
+        _t((2, 1, 4, 4), r), _t((2, 1, 3, 3), r), _t((2,), r), _t((2,), r),
+        _stats(2), "train",
+    ),
+    "global_avg_pool": lambda r: ad.global_avg_pool(_t((2, 1, 4, 4), r)),
+    "cross_entropy_logits": lambda r: ad.cross_entropy_logits(
+        _t((2, 3), r), [0, 2], np.ones(3)
+    ),
+    "Tensor.sum": lambda r: _t((2, 3), r).sum(),
+}
+
+
+def graph_ops():
+    """Public functions defined in ``mmfuse.autodiff`` other than
+    ``grad_check``, the rule perfbench traces ops by, plus ``Tensor.sum``."""
+    return {
+        name for name, fn in vars(ad).items()
+        if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+        and not name.startswith("_") and name != "grad_check"
+    } | {"Tensor.sum"}
+
+
+def _outputs(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+class TestOpProtocol:
+    def test_cases_cover_every_op(self):
+        assert set(OP_CASES) == graph_ops()
+
+    @pytest.mark.parametrize("op", sorted(OP_CASES))
+    def test_records_parents_and_backward_only_when_needed(self, op):
+        for out in _outputs(OP_CASES[op](True)):
+            assert out.requires_grad and callable(out._backward)
+            assert out._parents and all(isinstance(p, Tensor) for p in out._parents)
+        with ad.no_graph():
+            unrecorded = _outputs(OP_CASES[op](True))
+        for out in _outputs(OP_CASES[op](False)) + unrecorded:
+            assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 class TestGradCheck:
