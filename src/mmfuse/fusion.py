@@ -56,7 +56,7 @@ def attention_heads(f_q, f_k, f_v, heads, scale_after_softmax=False):
         w = ad.softmax(ad.scale(kq, 1.0 / np.sqrt(s)))
     v = ad.reshape(f_v, (b * heads, s))
     out = ad.reshape(ad.mul(w, v), (b, width))
-    return out, w.data.reshape(b, heads, s).copy()
+    return out, w.data.reshape(b, heads, s)
 
 
 class MMFAFusion(Module):
