@@ -257,14 +257,16 @@ class TestMMFA:
     def test_second_forward_leaves_first_weights_unchanged(self, post):
         rng = np.random.default_rng(13)
         mmfa = MMFAFusion(4, 2, rng=rng, heads=2, scale_after_softmax=post)
-        first = None
-        for _ in range(2):
+
+        def step():
             f_i = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
             f_m = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
             out = mmfa(f_i, f_m, "train")
             ad.mul(out, out).sum().backward()
-            if first is None:
-                first, kept = mmfa.last_weights, mmfa.last_weights.copy()
-        assert mmfa.last_weights is not first
-        assert not np.array_equal(mmfa.last_weights, kept)
+            return mmfa.last_weights
+
+        first = step()
+        kept = first.copy()
+        second = step()
+        assert not np.array_equal(second, kept)
         np.testing.assert_array_equal(first, kept)
