@@ -3,9 +3,9 @@
 The graph is recorded implicitly: every operation returns a Tensor that
 keeps references to its parents and a closure computing the parent
 gradients from the output gradient. ``Tensor.backward()`` topologically
-orders the recorded operations and replays them once each, accumulating
-gradients additively so a value consumed k times receives the sum of its
-k upstream gradients.
+orders the recorded operations (leaves have no backward and are not
+visited) and replays them once each, accumulating gradients additively so
+a value consumed k times receives the sum of its k upstream gradients.
 
 All computation is double precision; the finite-difference checker
 (``grad_check``) relies on that.
@@ -40,6 +40,19 @@ quarter of the elements. It shares every kernel with the separate ops:
 im2col/col2im, the batch-norm normalisation and closed-form backward, and
 the 2x2 max with its first-max routing.
 
+``dense_block`` is one fully connected block, ``batch_norm(x @ w)`` with
+an optional ReLU, as one node on the same batch-norm kernels.
+``gating_attention`` is MMFA's multi-head per-coordinate attention as one
+node that reads q, k and v as slices of the two (B, 3d) projections,
+metadata first. With p the softmax output, c = 1/sqrt(s) and w the
+weights (p, or p * c when the scale follows the softmax), its backward is
+dV = g*w; d = g*V, times c when the scale follows the softmax;
+dz = p*(d - sum(d*p)), times c when the scale precedes it; dQ = dz*K and
+dK = dz*Q. ``weighted_sum`` adds weighted terms, such as the three head
+losses, as one node. Each of these computes the expressions of the chain
+it replaces in the same order, so its values and gradients are bitwise
+those of the chain.
+
 Layout rule: an op's input gradient has its input's memory order, so the
 batch-innermost layout carries through batch norm, ReLU and max-pool both
 ways, and conv reads its output gradient as ``(Cout, H*W*B)`` without a copy.
@@ -50,7 +63,9 @@ alone decides what the output records: the parents and ``bw`` when some
 parent needs a gradient and no ``no_graph`` block is open, else ``()`` and
 ``None``. A backward hands each parent gradient, in the parent's shape, to
 ``_accumulate``, the only writer of ``.grad``; it drops gradients of
-tensors that need none.
+tensors that need none. A parameter's ``.grad`` may be a view into a flat
+gradient vector (``layers.Params``): ``_accumulate`` adds into it and
+``Tensor.zero_grad`` zeros it in place, so the view stays one.
 """
 
 from dataclasses import dataclass
@@ -77,7 +92,10 @@ class Tensor:
         return self.data.shape
 
     def zero_grad(self):
-        self.grad = None
+        """Zero the gradient in place, so a view into a flat gradient vector
+        stays one; a tensor without a gradient keeps none."""
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def backward(self):
         """Populate ``grad`` of every requires-grad ancestor of this scalar."""
@@ -144,6 +162,8 @@ def _accumulate(t, g):
 
 
 def _toposort(root):
+    """Op nodes reachable from ``root`` in depth-first post-order; leaves,
+    which have no backward, are not visited."""
     order, seen = [], set()
     stack = [(root, False)]
     while stack:
@@ -156,7 +176,7 @@ def _toposort(root):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p._parents and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -181,13 +201,6 @@ def mul(a, b):
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
     return _result(a.data * b.data, (a, b), bw)
-
-
-def scale(a, c):
-    c = float(c)
-    def bw(g):
-        _accumulate(a, g * c)
-    return _result(a.data * c, (a,), bw)
 
 
 def relu(a):
@@ -224,12 +237,6 @@ def linear(x, w, b):
 # shape ops
 
 
-def reshape(x, shape):
-    def bw(g):
-        _accumulate(x, g.reshape(x.data.shape))
-    return _result(x.data.reshape(shape), (x,), bw)
-
-
 def concat(a, b):
     """Join along the last (feature) axis; leading axes must match."""
     if a.data.ndim != b.data.ndim or a.data.shape[:-1] != b.data.shape[:-1]:
@@ -243,25 +250,8 @@ def concat(a, b):
     return _result(np.concatenate([a.data, b.data], axis=-1), (a, b), bw)
 
 
-def split_thirds(x):
-    """Divide the last axis into contiguous equal thirds (query, key, value)."""
-    n = x.data.shape[-1]
-    if n % 3 != 0:
-        raise DimensionError(f"split_thirds: last axis {n} not divisible by 3")
-    d = n // 3
-    parts = []
-    for k in range(3):
-        sl = slice(k * d, (k + 1) * d)
-        def bw(g, sl=sl):
-            padded = np.zeros_like(x.data)
-            padded[..., sl] = g
-            _accumulate(x, padded)
-        parts.append(_result(np.ascontiguousarray(x.data[..., sl]), (x,), bw))
-    return tuple(parts)
-
-
 # ---------------------------------------------------------------------------
-# softmax
+# softmax and attention
 
 
 def softmax(x):
@@ -276,6 +266,71 @@ def softmax(x):
         dot = (g * y).sum(axis=-1, keepdims=True)
         _accumulate(x, y * (g - dot))
     return _result(y, (x,), bw)
+
+
+def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
+    """Multi-head per-coordinate gating attention over two q/k/v
+    projections, as one graph op.
+
+    ``qkv_meta`` (B, 3 d_m) and ``qkv_img`` (B, 3 d_i) each hold a query,
+    a key and a value third. F_Q, F_K and F_V join the matching thirds,
+    metadata first, into (B, width) with width = d_m + d_i, and are split
+    into ``heads`` contiguous blocks of s = width // heads coordinates. Per
+    head the weights are softmax(F_K * F_Q / sqrt(s)) and the output is
+    weights * F_V elementwise; ``scale_after_softmax`` divides the softmax
+    output by sqrt(s) instead of its input.
+
+    Returns the (B, width) output and the weights as a plain
+    (B, heads, s) array. Values and gradients are those of the chain of
+    thirds, concatenations, products, the softmax and the scaling.
+    """
+    for t in (qkv_meta, qkv_img):
+        if t.data.ndim != 2 or t.data.shape[1] % 3:
+            raise DimensionError(
+                f"gating_attention: projection {t.data.shape} is not (B, 3d)"
+            )
+    b = qkv_meta.data.shape[0]
+    if qkv_img.data.shape[0] != b:
+        raise DimensionError(
+            f"gating_attention: batch sizes {b} and {qkv_img.data.shape[0]} differ"
+        )
+    dm, di = qkv_meta.data.shape[1] // 3, qkv_img.data.shape[1] // 3
+    width = dm + di
+    if heads < 1 or width % heads:
+        raise DimensionError(f"attention width {width} not divisible by {heads} heads")
+    s = width // heads
+    c = 1.0 / np.sqrt(s)
+    q, k, v = (np.empty((b, width)) for _ in range(3))
+    for j, part in enumerate((q, k, v)):
+        part[:, :dm] = qkv_meta.data[:, j * dm : (j + 1) * dm]
+        part[:, dm:] = qkv_img.data[:, j * di : (j + 1) * di]
+    kq = (k * q).reshape(b * heads, s)
+    z = kq if scale_after_softmax else kq * c
+    if not np.all(np.isfinite(z)):
+        raise NumericError("gating_attention: softmax input contains non-finite values")
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    w = p * c if scale_after_softmax else p
+    vh = v.reshape(b * heads, s)
+    def bw(g):
+        g = g.reshape(b * heads, s)
+        d = g * vh
+        if scale_after_softmax:
+            d = d * c
+        dz = p * (d - (d * p).sum(axis=-1, keepdims=True))
+        if not scale_after_softmax:
+            dz = dz * c
+        dz = dz.reshape(b, width)
+        grads = (dz * k, dz * q, (g * w).reshape(b, width))  # dQ, dK, dV
+        for t, lo, d3 in ((qkv_meta, 0, dm), (qkv_img, dm, di)):
+            if t.requires_grad:
+                # 0.0 + g turns -0.0 into 0.0, as summing zero-padded thirds does
+                gt = np.zeros_like(t.data)
+                for j, part in enumerate(grads):
+                    gt[:, j * d3 : (j + 1) * d3] += part[:, lo : lo + d3]
+                _accumulate(t, gt)
+    out = _result((w * vh).reshape(b, width), (qkv_meta, qkv_img), bw)
+    return out, w.reshape(b, heads, s)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +388,16 @@ def _bn_forward(xd, gamma, beta, stats, mode):
     axes = (0,) + tuple(range(2, xd.ndim))
     bshape = (1, nfeat) + (1,) * (xd.ndim - 2)
     if mode == "train":
-        mean = xd.mean(axis=axes)
+        # the sum divided by the count is how np.mean computes, bit for bit
+        n = xd.size // nfeat
+        mean = np.add.reduce(xd, axis=axes) / n
         xc = xd - mean.reshape(bshape)
         # equals np.var(xd, axis=axes) bit for bit: np.var also centres first
-        var = (xc * xc).mean(axis=axes)
-        stats.mean[:] = (1.0 - stats.momentum) * stats.mean + stats.momentum * mean
-        stats.var[:] = (1.0 - stats.momentum) * stats.var + stats.momentum * var
+        var = np.add.reduce(xc * xc, axis=axes) / n
+        m = stats.momentum
+        for running, batch in ((stats.mean, mean), (stats.var, var)):
+            running *= 1.0 - m
+            running += m * batch
     else:
         xc = xd - stats.mean.reshape(bshape)
         var = stats.var
@@ -390,6 +449,36 @@ def batch_norm(x, gamma, beta, stats, mode):
         if dx is not None:
             _accumulate(x, _batch_major(dx, xd.shape))
     return _result(_batch_major(y, xd.shape), (x, gamma, beta), bw)
+
+
+def dense_block(x, w, gamma, beta, stats, mode, relu):
+    """``batch_norm(x @ w)``, then a ReLU if ``relu``, as one graph op.
+
+    ``x`` is (B, n) and ``w`` (n, m). There is no bias: the batch norm would
+    cancel it. Values and gradients are those of the chain of ``linear``
+    with a zero bias, ``batch_norm`` and ``relu``.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+        raise DimensionError(
+            f"dense_block: input {xd.shape} incompatible with weight {wd.shape}"
+        )
+    _check_bn(wd.shape[1], gamma, beta, mode)
+    y, xhat, gam_inv = _bn_forward(xd @ wd, gamma, beta, stats, mode)
+    out = y.T
+    if relu:
+        mask = out > 0.0
+        out = out * mask
+    def bw(g):
+        if relu:
+            g = g * mask
+        dz = _bn_backward(g.T, xhat, gam_inv, gamma, beta, mode,
+                          x.requires_grad or w.requires_grad)
+        if dz is not None:
+            if x.requires_grad:
+                _accumulate(x, dz.T @ wd.T)
+            _accumulate(w, xd.T @ dz.T)
+    return _result(out, (x, w, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +670,22 @@ def cross_entropy_logits(logits, labels, class_weights):
         p[np.arange(B), labels] -= 1.0
         _accumulate(logits, p * (w * (float(g) / B))[:, None])
     return _result(np.array(-(w * logp).sum() / B), (logits,), bw)
+
+
+def weighted_sum(terms, weights):
+    """``weights[0] * terms[0] + weights[1] * terms[1] + ...`` of tensors of
+    one shape, added left to right."""
+    shape = terms[0].data.shape
+    if len(terms) != len(weights) or any(t.data.shape != shape for t in terms):
+        raise DimensionError("weighted_sum: needs one weight per term and terms of one shape")
+    weights = [float(c) for c in weights]
+    total = terms[0].data * weights[0]
+    for t, c in zip(terms[1:], weights[1:]):
+        total = total + t.data * c
+    def bw(g):
+        for t, c in zip(terms, weights):
+            _accumulate(t, g * c)
+    return _result(total, tuple(terms), bw)
 
 
 # ---------------------------------------------------------------------------

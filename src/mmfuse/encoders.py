@@ -165,7 +165,7 @@ def encode_rows(rows, schema):
 
 class MetadataEncoder(Module):
     """Fully connected blocks over encoded rows: block i is the bias-free
-    linear -> batch norm unit ``block{i}`` (a ``LinearBN``), then a ReLU."""
+    linear -> batch norm unit ``block{i}`` (a ``LinearBN``) with a ReLU."""
 
     def __init__(self, in_width, out_dim=64, hidden=(64,), rng=None):
         rng = np.random.default_rng(0) if rng is None else rng
@@ -184,7 +184,7 @@ class MetadataEncoder(Module):
             )
         h = x
         for i in range(self.depth):
-            h = ad.relu(getattr(self, f"block{i}")(h, mode))
+            h = getattr(self, f"block{i}")(h, mode, relu=True)
         return h
 
 

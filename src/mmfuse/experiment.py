@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, grad_check
+from .autodiff import RunningStats, Tensor, grad_check
 from .data import SyntheticSpec, generate_synthetic, load_dataset
 from .encoders import ImageEncoder, MetadataEncoder
 from .errors import Config, ConfigError, NumericError
@@ -243,6 +243,18 @@ def _run_single(cfg, dataset, folds, seed, fold_idx):
     return RunOutcome(run=run_id, rows=rows)
 
 
+_WORKER_GRID = None  # (cfg, dataset, folds) of the grid a pool worker serves
+
+
+def _init_worker(cfg, dataset, folds):
+    global _WORKER_GRID
+    _WORKER_GRID = (cfg, dataset, folds)
+
+
+def _run_task(seed, fold_idx):
+    return _run_single(*_WORKER_GRID, seed, fold_idx)
+
+
 def _write_confusion(path, cm, classes):
     with open(path, "w") as fh:
         fh.write("true\\pred," + ",".join(classes) + "\n")
@@ -259,13 +271,11 @@ def run_experiment(cfg):
         os.makedirs(cfg.out, exist_ok=True)
 
     if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(
-                pool.map(
-                    _run_single,
-                    *zip(*[(cfg, dataset, folds, s, f) for s, f in tasks]),
-                )
-            )
+        # each worker gets (cfg, dataset, folds) once; a task is (seed, fold)
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=cfg.jobs, initializer=_init_worker, initargs=(cfg, dataset, folds)
+        ) as pool:
+            outcomes = list(pool.map(_run_task, *zip(*tasks)))
     else:
         outcomes = [_run_single(cfg, dataset, folds, s, f) for s, f in tasks]
 
@@ -393,6 +403,32 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
                 tol,
             )
         )
+
+    rng = np.random.default_rng(17)
+    x, w, gamma, beta = (
+        Tensor(rng.normal(size=shape), requires_grad=True)
+        for shape in ((5, 3), (3, 4), 4, 4)
+    )
+    stats = RunningStats(mean=np.zeros(4), var=np.ones(4))
+    # per-element weights: a plain sum of squares of a train-mode batch norm
+    # output does not depend on x or w
+    coef = Tensor(rng.normal(size=(5, 4)))
+    targets = [("x", x), ("w", w), ("gamma", gamma), ("beta", beta)]
+    for label, relu in (("dense_block", False), ("dense_block_relu", True)):
+        def loss_fn(relu=relu):
+            return _sumsq(ad.mul(ad.dense_block(x, w, gamma, beta, stats, "train", relu), coef))
+
+        reports.append(_check_targets(label, targets, loss_fn, step, tol))
+
+    qkv_meta, qkv_img = (Tensor(rng.normal(size=(3, n)), requires_grad=True) for n in (6, 12))
+    targets = [("qkv_meta", qkv_meta), ("qkv_img", qkv_img)]
+    for label, post in (
+        ("gating_attention", False), ("gating_attention_post_softmax_scale", True)
+    ):
+        def loss_fn(post=post):
+            return _sumsq(ad.gating_attention(qkv_meta, qkv_img, 2, post)[0])
+
+        reports.append(_check_targets(label, targets, loss_fn, step, tol))
 
     rng = np.random.default_rng(15)
     labels = rng.integers(0, 3, size=6)

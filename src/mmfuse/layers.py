@@ -1,5 +1,6 @@
-"""Parameter-holding building blocks: the ``Module`` base, linear,
-convolution, batch norm and the bias-free linear -> batch norm unit.
+"""Parameter-holding building blocks: the ``Module`` base, the flat
+parameter vectors ``Params``, linear, convolution, batch norm and the
+bias-free linear -> batch norm unit.
 
 Every model component subclasses ``Module``, which finds its parameters
 and buffers by walking its attributes; see ``Module`` for the naming rule
@@ -8,8 +9,45 @@ that is also the checkpoint layout.
 
 import numpy as np
 
-from .autodiff import RunningStats, Tensor, batch_norm, conv2d, linear
-from .errors import FormatError
+from .autodiff import RunningStats, Tensor, batch_norm, conv2d, dense_block, linear
+from .errors import ContractError, FormatError
+
+
+class Params(list):
+    """(dotted name, Tensor) pairs whose arrays live in two flat vectors.
+
+    Building one copies every tensor's values into the float64 vector
+    ``data`` and its gradient (zero if it has none) into ``grad``, in list
+    order, and rebinds each ``Tensor.data`` and ``Tensor.grad`` to a view
+    into them, as ``torch.nn.utils.parameters_to_vector`` and JAX's
+    ``ravel_pytree`` lay parameters out. In-place writes through a tensor
+    or a vector reach the other; ``ends[i]`` is where tensor ``i`` ends.
+    A tensor whose data is already a view, such as one bound to another
+    ``Params``, is refused: rebinding it would silently cut it off from
+    the vectors it lives in.
+    """
+
+    def __init__(self, named):
+        super().__init__(named)
+        for name, t in self:
+            if t.data.base is not None:
+                raise ContractError(f"parameter {name!r} is already a view into another array")
+        self.ends = np.cumsum([t.data.size for _, t in self], dtype=np.intp)
+        size = int(self.ends[-1]) if len(self) else 0
+        self.data, self.grad = np.empty(size), np.zeros(size)
+        start = 0
+        for (_, t), end in zip(self, self.ends):
+            shape = t.data.shape
+            self.data[start:end] = t.data.ravel()
+            if t.grad is not None:
+                self.grad[start:end] = t.grad.ravel()
+            t.data = self.data[start:end].reshape(shape)
+            t.grad = self.grad[start:end].reshape(shape)
+            start = end
+
+    def name_at(self, i):
+        """Name of the parameter that holds flat index ``i``."""
+        return self[int(np.searchsorted(self.ends, i, side="right"))][0]
 
 
 class Module:
@@ -72,10 +110,6 @@ class Module:
         for name, arr in targets:
             arr[...] = st[name]
 
-    def zero_grads(self):
-        for _, t in self.params():
-            t.zero_grad()
-
 
 class Linear(Module):
     """Affine map x @ w + b; ``bias=False`` keeps ``b`` at zero and untrained."""
@@ -112,7 +146,8 @@ class BatchNorm(Module):
 
 
 class LinearBN(Module):
-    """Linear map then batch norm, as ``lin`` and ``bn``.
+    """Linear map then batch norm, as ``lin`` and ``bn``, run as one
+    ``autodiff.dense_block`` graph node with an optional ReLU after it.
 
     The linear layer has no bias: batch norm subtracts the batch mean, so
     a bias in front of it would have no effect and a gradient of zero.
@@ -122,5 +157,6 @@ class LinearBN(Module):
         self.lin = Linear(d_in, d_out, rng, bias=False)
         self.bn = BatchNorm(d_out)
 
-    def __call__(self, x, mode):
-        return self.bn(self.lin(x), mode)
+    def __call__(self, x, mode, relu=False):
+        bn = self.bn
+        return dense_block(x, self.lin.w, bn.gamma, bn.beta, bn.stats, mode, relu)

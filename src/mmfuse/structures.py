@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .encoders import ImageEncoder, MetadataEncoder
 from .errors import ConfigError, ContractError
 from .fusion import ConcatFusion, MMFAFusion
-from .layers import Linear, Module
+from .layers import Linear, Module, Params
 
 STRUCTURES = {"image": ("i",), "jf": ("im",), "jif": ("im", "i", "m")}
 
@@ -90,6 +90,17 @@ class ModelAssembly(Module):
         self.head_im = self.head_i = self.head_m = None
         for k in heads:
             setattr(self, "head_" + k, make_head(widths[k], self.n_classes, rng))
+        self._params = Params(super().params())
+
+    def params(self):
+        """The ``Params`` built with the model: every parameter and its
+        gradient are views into its two flat vectors."""
+        return self._params
+
+    named_parameters = params
+
+    def zero_grads(self):
+        self._params.grad.fill(0.0)
 
     def forward(self, images, meta, mode):
         """Run the structure on a batch; returns the per-head logits."""
@@ -126,7 +137,7 @@ def combine_losses(l_i, l_m, l_im, beta):
     """Total loss of the three-branch structure: beta*L_i + (1-beta)*L_m + L_im."""
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
-    return ad.add(ad.add(ad.scale(l_i, beta), ad.scale(l_m, 1.0 - beta)), l_im)
+    return ad.weighted_sum((l_i, l_m, l_im), (beta, 1.0 - beta, 1.0))
 
 
 def total_loss(triple, labels, class_weights, beta, structure):

@@ -27,8 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_graph
-from .errors import Config, ConfigError, FormatError, NumericError
+from .errors import Config, ConfigError, ContractError, FormatError, NumericError
 from .evaluation import balanced_accuracy, confusion
+from .layers import Params
 from .structures import (
     STRUCTURES,
     class_weights_from_counts,
@@ -109,19 +110,25 @@ def cosine_lr(t, total, lr0, eta_min=0.0):
 
 
 def sgd_step(named_params, lr):
-    """Plain SGD update p <- p - lr * grad for every parameter with a gradient.
+    """Plain SGD update p <- p - lr * grad of every parameter, made once on
+    the flat vectors of ``named_params``, a ``layers.Params`` such as a
+    built model's ``params()``.
 
-    Every gradient is checked before any parameter moves, so a non-finite
-    gradient raises ``NumericError`` and leaves all parameters unchanged.
+    The whole gradient vector is checked before any parameter moves, so a
+    non-finite gradient raises ``NumericError`` naming the first parameter
+    that has one, and leaves all parameters unchanged.
     """
     if lr < 0:
         raise ConfigError("learning rate must be non-negative")
-    live = [(name, p) for name, p in named_params if p.grad is not None]
-    for name, p in live:
-        if not np.isfinite(p.grad).all():
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-    for _, p in live:
-        p.data -= lr * p.grad
+    if not isinstance(named_params, Params):
+        raise ContractError("sgd_step needs a layers.Params, such as a model's params()")
+    grad = named_params.grad
+    if not np.isfinite(grad).all():
+        first = int(np.flatnonzero(~np.isfinite(grad))[0])
+        raise NumericError(
+            f"non-finite gradient for parameter {named_params.name_at(first)!r}"
+        )
+    named_params.data -= lr * grad
 
 
 # ---------------------------------------------------------------------------

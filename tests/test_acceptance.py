@@ -31,7 +31,7 @@ from mmfuse.experiment import (
     gradcheck_suite,
     run_experiment,
 )
-from mmfuse.fusion import MMFAFusion, attention_heads
+from mmfuse.fusion import MMFAFusion
 from mmfuse.stats import FoldResultTable, compare_methods, friedman, wilcoxon_signed_rank
 from mmfuse.structures import combine_losses, total_loss
 from mmfuse.training import cosine_lr
@@ -137,8 +137,9 @@ def test_c04_attention_normalization():
     worst = 0.0
     while seen < 1000:
         b = 50
-        args = [Tensor(rng.normal(scale=3.0, size=(b, 12))) for _ in range(3)]
-        _, weights = attention_heads(*args, heads=4)
+        # F_Q, F_K and F_V as the image thirds, with no metadata part
+        qkv = np.concatenate([rng.normal(scale=3.0, size=(b, 12)) for _ in range(3)], 1)
+        _, weights = ad.gating_attention(Tensor(np.zeros((b, 0))), Tensor(qkv), 4, False)
         worst = max(worst, float(np.abs(weights.sum(axis=-1) - 1.0).max()))
         assert np.all(weights >= 0.0)
         seen += b

@@ -71,6 +71,51 @@ def batch_norm_oracle(x, gamma, beta, stats, mode, g):
     return y, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
 
+def dense_block_oracle(x, w, gamma, beta, stats, mode, relu, g):
+    """The unfused chain x @ w -> batch norm -> optional ReLU and its
+    x/w/gamma/beta gradients for upstream ``g``: returns
+    (y, dx, dw, dgamma, dbeta)."""
+    z = matmul_oracle(x, w)
+    y = batch_norm_oracle(z, gamma, beta, stats, mode, g)[0]
+    if relu:
+        g = g * (y > 0.0)
+        y = np.maximum(y, 0.0)
+    _, dz, dgamma, dbeta = batch_norm_oracle(z, gamma, beta, stats, mode, g)
+    return y, matmul_oracle(dz, w.T), matmul_oracle(x.T, dz), dgamma, dbeta
+
+
+def gating_attention_oracle(qkv_meta, qkv_img, heads, post, g):
+    """Per-coordinate gating attention by loops over samples and heads, with
+    the softmax gradient through its full Jacobian: returns the output,
+    the (B, heads, s) weights and the gradients of both projections."""
+    mq, mk, mv = np.split(qkv_meta, 3, axis=1)
+    iq, ik, iv = np.split(qkv_img, 3, axis=1)
+    q, k, v = np.hstack([mq, iq]), np.hstack([mk, ik]), np.hstack([mv, iv])
+    b, width = q.shape
+    s = width // heads
+    root = np.sqrt(s)
+    out, weights = np.empty_like(q), np.empty((b, heads, s))
+    dq, dk, dv = np.empty_like(q), np.empty_like(q), np.empty_like(q)
+    for n in range(b):
+        for h in range(heads):
+            sl = slice(h * s, (h + 1) * s)
+            z = k[n, sl] * q[n, sl] / (1.0 if post else root)
+            p = np.exp(z - z.max())
+            p /= p.sum()
+            wt = p / root if post else p
+            weights[n, h] = wt
+            out[n, sl] = wt * v[n, sl]
+            dv[n, sl] = g[n, sl] * wt
+            dp = g[n, sl] * v[n, sl] / (root if post else 1.0)
+            dz = (np.diag(p) - np.outer(p, p)) @ dp / (1.0 if post else root)
+            dq[n, sl] = dz * k[n, sl]
+            dk[n, sl] = dz * q[n, sl]
+    dm = qkv_meta.shape[1] // 3
+    d_meta = np.hstack([dq[:, :dm], dk[:, :dm], dv[:, :dm]])
+    d_img = np.hstack([dq[:, dm:], dk[:, dm:], dv[:, dm:]])
+    return out, weights, d_meta, d_img
+
+
 class TestLinear:
     def test_identity(self):
         x = Tensor([[1.0, 0.0], [0.0, 1.0]])
@@ -406,31 +451,126 @@ class TestConcatSplit:
         np.testing.assert_array_equal(a.grad, np.ones(3))
         np.testing.assert_array_equal(b.grad, np.ones(1))
 
-    def test_split_thirds(self):
-        q, k, v = ad.split_thirds(Tensor([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
-        np.testing.assert_array_equal(q.data, [1.0, 2.0])
-        np.testing.assert_array_equal(k.data, [3.0, 4.0])
-        np.testing.assert_array_equal(v.data, [5.0, 6.0])
 
-    def test_split_thirds_scalars(self):
-        parts = ad.split_thirds(Tensor([1.0, 2.0, 3.0]))
-        assert all(p.data.shape == (1,) for p in parts)
+class TestDenseBlock:
+    """dense_block against the unfused chain, computed in plain numpy."""
 
-    def test_split_thirds_rejects_indivisible(self):
+    def _inputs(self, x_grad, seed=0):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=x_grad)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=5), requires_grad=True)
+        # beta of both signs leaves some features mostly cut by the ReLU
+        beta = Tensor(np.array([1.0, -1.0, 0.2, -0.2, 0.0]), requires_grad=True)
+        return x, w, gamma, beta
+
+    def _stats(self):
+        return RunningStats(mean=np.array([0.3, -0.2, 0.0, 0.5, -0.4]),
+                            var=np.array([1.4, 0.6, 2.0, 1.0, 0.8]))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_matches_unfused_chain(self, relu, mode, x_grad):
+        x, w, gamma, beta = self._inputs(x_grad)
+        stats, ref_stats = self._stats(), self._stats()
+        out = ad.dense_block(x, w, gamma, beta, stats, mode, relu)
+        g = np.random.default_rng(1).normal(size=out.shape)
+        y, dx, dw, dgamma, dbeta = dense_block_oracle(
+            x.data, w.data, gamma.data, beta.data, ref_stats, mode, relu, g
+        )
+        assert_close_rel(out.data, y)
+        if relu:
+            assert (out.data == 0.0).any() and (out.data > 0.0).any()
+        ad.mul(out, Tensor(g)).sum().backward()
+        assert_close_rel(w.grad, dw)
+        assert_close_rel(gamma.grad, dgamma)
+        assert_close_rel(beta.grad, dbeta)
+        if x_grad:
+            assert_close_rel(x.grad, dx)
+        else:
+            assert x.grad is None
+
+    def test_fixed_weight_still_trains_gamma_and_beta(self):
+        x, w, gamma, beta = self._inputs(False)
+        w.requires_grad = False
+        out = ad.dense_block(x, w, gamma, beta, self._stats(), "train", True)
+        ad.mul(out, out).sum().backward()
+        assert w.grad is None and gamma.grad.any() and beta.grad.any()
+
+    def test_running_stats_match_batch_norm(self):
+        x, w, gamma, beta = self._inputs(False)
+        fused, chain = self._stats(), self._stats()
+        ad.dense_block(x, w, gamma, beta, fused, "train", True)
+        ad.batch_norm(Tensor(x.data @ w.data), gamma, beta, chain, "train")
+        np.testing.assert_array_equal(fused.mean, chain.mean)
+        np.testing.assert_array_equal(fused.var, chain.var)
+
+    def test_shape_mismatch_names_both_shapes(self):
+        x, w, gamma, beta = self._inputs(False)
+        with pytest.raises(DimensionError, match=r"\(6, 3\).*\(4, 5\)"):
+            ad.dense_block(Tensor(np.zeros((6, 3))), w, gamma, beta, self._stats(),
+                           "train", False)
+
+
+class TestGatingAttention:
+    """gating_attention against per-head loops with the softmax Jacobian."""
+
+    def _inputs(self, dm, di, seed=0):
+        rng = np.random.default_rng(seed)
+        return (Tensor(rng.normal(scale=1.5, size=(3, 3 * dm)), requires_grad=True),
+                Tensor(rng.normal(scale=1.5, size=(3, 3 * di)), requires_grad=True))
+
+    @pytest.mark.parametrize("post", [False, True])
+    @pytest.mark.parametrize("dm, di, heads", [(2, 4, 1), (3, 5, 8)])
+    def test_matches_unfused_chain(self, post, dm, di, heads):
+        meta, img = self._inputs(dm, di)
+        out, weights = ad.gating_attention(meta, img, heads, post)
+        g = np.random.default_rng(1).normal(size=out.shape)
+        y, w_ref, d_meta, d_img = gating_attention_oracle(
+            meta.data, img.data, heads, post, g
+        )
+        assert_close_rel(out.data, y)
+        assert_close_rel(weights, w_ref)
+        ad.mul(out, Tensor(g)).sum().backward()
+        assert_close_rel(meta.grad, d_meta)
+        assert_close_rel(img.grad, d_img)
+
+    def test_reads_thirds_metadata_first(self):
+        # zero queries give uniform weights over one head of s = 2
+        meta = Tensor([[0.0, 3.0, 4.0]])
+        img = Tensor([[0.0, 6.0, 7.0]])
+        out, weights = ad.gating_attention(meta, img, 1, False)
+        np.testing.assert_array_equal(weights, [[[0.5, 0.5]]])
+        np.testing.assert_array_equal(out.data, [[2.0, 3.5]])
+
+    def test_gradient_adds_to_other_uses(self):
+        meta, img = self._inputs(1, 2)
+        alone = Tensor(img.data, requires_grad=True)
+        ad.gating_attention(Tensor(meta.data), alone, 1, False)[0].sum().backward()
+        out, _ = ad.gating_attention(meta, img, 1, False)
+        ad.add(out.sum(), ad.mul(img, img).sum()).backward()
+        np.testing.assert_allclose(img.grad, alone.grad + 2.0 * img.data, rtol=1e-14)
+
+    def test_non_finite_softmax_input_rejected(self):
+        meta = Tensor([[np.nan, 1.0, 1.0]])
+        with pytest.raises(NumericError):
+            ad.gating_attention(meta, Tensor(np.ones((1, 3))), 1, False)
+
+
+class TestWeightedSum:
+    def test_value_and_gradients(self):
+        a, b, c = (Tensor(v, requires_grad=True) for v in (2.0, 4.0, 1.0))
+        total = ad.weighted_sum((a, b, c), (0.25, 0.75, 1.0))
+        assert float(total.data) == 0.25 * 2.0 + 0.75 * 4.0 + 1.0
+        total.backward()
+        assert (float(a.grad), float(b.grad), float(c.grad)) == (0.25, 0.75, 1.0)
+
+    def test_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            ad.split_thirds(Tensor([1.0, 2.0, 3.0, 4.0]))
-
-    def test_split_thirds_gradient(self):
-        x = Tensor(np.arange(6.0), requires_grad=True)
-        q, k, v = ad.split_thirds(x)
-        ad.add(ad.scale(q, 1.0), ad.add(ad.scale(k, 2.0), ad.scale(v, 3.0))).sum().backward()
-        np.testing.assert_array_equal(x.grad, [1, 1, 2, 2, 3, 3])
-
-    def test_split_thirds_gradient_adds_to_other_uses(self):
-        x = Tensor(np.arange(6.0), requires_grad=True)
-        q, _, _ = ad.split_thirds(x)
-        ad.add(ad.scale(q, 4.0).sum(), ad.scale(x, 2.0).sum()).backward()
-        np.testing.assert_array_equal(x.grad, [6, 6, 2, 2, 2, 2])
+            ad.weighted_sum((Tensor(1.0), Tensor([1.0, 2.0])), (1.0, 1.0))
+        with pytest.raises(DimensionError):
+            ad.weighted_sum((Tensor(1.0), Tensor(2.0)), (1.0,))
 
 
 class TestBackward:
@@ -475,7 +615,7 @@ class TestBackward:
 
     def test_each_node_visited_once(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        mid = ad.scale(x, 2.0)
+        mid = ad.mul(x, Tensor([2.0, 2.0]))
         calls = []
         orig = mid._backward
 
@@ -504,10 +644,10 @@ class TestBackward:
 
 class TestAccumulate:
     def test_first_gradient_is_a_copy(self):
-        # a view op hands its output gradient on as a view; the parent must
-        # own its gradient so that later accumulation cannot reach the child
+        # concat hands slices of its output gradient on as views; the parent
+        # must own its gradient so that later accumulation cannot reach the child
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        y = ad.reshape(x, (3, 2))
+        y = ad.concat(x, Tensor(np.zeros((2, 0))))
         ad.add(y.sum(), y.sum()).backward()
         assert not np.shares_memory(x.grad, y.grad)
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
@@ -516,7 +656,7 @@ class TestAccumulate:
 class TestNoGraph:
     def _graph(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        return ad.relu(ad.scale(x, 2.0))
+        return ad.relu(ad.mul(x, x))
 
     def test_ops_inside_record_nothing(self):
         with ad.no_graph():
@@ -557,15 +697,18 @@ def _stats(n):
 OP_CASES = {
     "add": lambda r: ad.add(_t((2, 3), r), _t((2, 3), r)),
     "mul": lambda r: ad.mul(_t((2, 3), r), _t((2, 3), r)),
-    "scale": lambda r: ad.scale(_t((2, 3), r), 2.0),
     "relu": lambda r: ad.relu(_t((2, 3), r)),
     "linear": lambda r: ad.linear(_t((2, 3), r), _t((3, 4), r), _t((4,), r)),
-    "reshape": lambda r: ad.reshape(_t((2, 3), r), (3, 2)),
     "concat": lambda r: ad.concat(_t((2, 3), r), _t((2, 1), r)),
-    "split_thirds": lambda r: ad.split_thirds(_t((2, 6), r)),
     "softmax": lambda r: ad.softmax(_t((2, 3), r)),
+    "gating_attention": lambda r: ad.gating_attention(
+        _t((2, 6), r), _t((2, 3), r), 3, False
+    )[0],
     "batch_norm": lambda r: ad.batch_norm(
         _t((4, 3), r), _t((3,), r), _t((3,), r), _stats(3), "train"
+    ),
+    "dense_block": lambda r: ad.dense_block(
+        _t((4, 2), r), _t((2, 3), r), _t((3,), r), _t((3,), r), _stats(3), "train", True
     ),
     "conv2d": lambda r: ad.conv2d(_t((2, 1, 4, 4), r), _t((2, 1, 3, 3), r), _t((2,), r)),
     "max_pool2": lambda r: ad.max_pool2(_t((2, 1, 4, 4), r)),
@@ -577,6 +720,7 @@ OP_CASES = {
     "cross_entropy_logits": lambda r: ad.cross_entropy_logits(
         _t((2, 3), r), [0, 2], np.ones(3)
     ),
+    "weighted_sum": lambda r: ad.weighted_sum((_t((), r), _t((), r)), (0.5, 1.0)),
     "Tensor.sum": lambda r: _t((2, 3), r).sum(),
 }
 
@@ -620,7 +764,7 @@ class TestGradCheck:
     def test_rejects_non_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            grad_check(lambda t: ad.scale(t, 2.0), x)
+            grad_check(lambda t: ad.mul(t, t), x)
 
     def test_rejects_non_finite(self):
         x = Tensor([1e308], requires_grad=True)
@@ -640,7 +784,7 @@ class TestPoolingAndConv:
 
     def test_maxpool_four_way_tie_goes_to_first(self):
         x = Tensor(np.full((1, 1, 2, 2), 5.0), requires_grad=True)
-        ad.scale(ad.max_pool2(x), 3.0).sum().backward()
+        ad.mul(ad.max_pool2(x), Tensor(np.full((1, 1, 1, 1), 3.0))).sum().backward()
         np.testing.assert_array_equal(x.grad[0, 0], [[3.0, 0], [0, 0]])
 
     def test_maxpool_two_way_tie_goes_to_first_in_row_major_order(self):

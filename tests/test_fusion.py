@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mmfuse import autodiff as ad, fusion
+from mmfuse import autodiff as ad
 from mmfuse.autodiff import Tensor, grad_check
 from mmfuse.errors import DimensionError
-from mmfuse.fusion import ConcatFusion, MMFAFusion, attention_heads
+from mmfuse.fusion import ConcatFusion, MMFAFusion
 from mmfuse.layers import LinearBN
 
 
@@ -47,16 +47,15 @@ class TestQkvProjection:
         branch = LinearBN(4, 12, np.random.default_rng(0))
         zero_params(branch)
         x = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
-        q, k, v = ad.split_thirds(branch(x, "train"))
-        for part in (q, k, v):
-            np.testing.assert_array_equal(part.data, np.zeros((3, 4)))
+        for part in np.split(branch(x, "train").data, 3, axis=1):
+            np.testing.assert_array_equal(part, np.zeros((3, 4)))
 
     def test_projection_width_is_three_d(self):
         branch = LinearBN(128, 384, np.random.default_rng(0))
         assert branch.lin.w.data.shape == (128, 384)
         assert [n for n, _ in branch.params()] == ["lin.w", "bn.gamma", "bn.beta"]
-        q, k, v = ad.split_thirds(branch(Tensor(np.zeros((1, 128))), "eval"))
-        assert q.data.shape == k.data.shape == v.data.shape == (1, 128)
+        q, k, v = np.split(branch(Tensor(np.zeros((1, 128))), "eval").data, 3, axis=1)
+        assert q.shape == k.shape == v.shape == (1, 128)
         mmfa = MMFAFusion(128, 64, heads=8)
         assert mmfa.qkv_img.lin.w.data.shape == (128, 384)
         assert mmfa.qkv_meta.lin.w.data.shape == (64, 192)
@@ -66,69 +65,86 @@ class TestQkvProjection:
         branch = LinearBN(3, 6, rng)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
+        # sum of q*q + k*k + 3v over the thirds of the projection
+        square = Tensor(np.tile([1.0, 1.0, 1.0, 1.0, 0.0, 0.0], (4, 1)))
+        linear = Tensor(np.tile([0.0, 0.0, 0.0, 0.0, 3.0, 3.0], (4, 1)))
+
         def f(_t):
-            q, k, v = ad.split_thirds(branch(x, "train"))
-            s = ad.add(ad.mul(q, q), ad.add(ad.mul(k, k), ad.scale(v, 3.0)))
-            return s.sum()
+            out = branch(x, "train")
+            return ad.add(ad.mul(ad.mul(out, out), square), ad.mul(out, linear)).sum()
 
         rep = grad_check(f, x)
         assert rep.passed, rep.max_rel_error
 
 
-def assemble_kqv(monkeypatch, img, meta, heads=1):
-    """The (F_Q, F_K, F_V) that ``MMFAFusion`` passes to ``attention_heads``
-    when its q/k/v projections output the triples ``img`` and ``meta``,
-    each joined as one (B, 3d) tensor."""
+def attention_inputs(monkeypatch, img, meta, heads=1):
+    """The (qkv_meta, qkv_img) that ``MMFAFusion`` passes to
+    ``gating_attention``, and the attention output, when its q/k/v
+    projections output the triples ``img`` and ``meta``, each joined as one
+    (B, 3d) tensor."""
     mmfa = MMFAFusion(img[0].data.shape[1], meta[0].data.shape[1], heads=heads)
     for name, triple in (("qkv_img", img), ("qkv_meta", meta)):
         joined = Tensor(np.concatenate([t.data for t in triple], axis=1))
         monkeypatch.setattr(mmfa, name, lambda f, mode, joined=joined: joined)
     seen = []
+    attend = ad.gating_attention
 
-    def spy(f_q, f_k, f_v, heads, scale_after_softmax):
-        seen.append((f_q, f_k, f_v))
-        return attention_heads(f_q, f_k, f_v, heads, scale_after_softmax)
+    def spy(qkv_meta, qkv_img, heads, scale_after_softmax):
+        out, weights = attend(qkv_meta, qkv_img, heads, scale_after_softmax)
+        seen.append((qkv_meta.data, qkv_img.data, out.data))
+        return out, weights
 
-    monkeypatch.setattr(fusion, "attention_heads", spy)
+    monkeypatch.setattr(ad, "gating_attention", spy)
     f_img = Tensor(np.zeros(img[0].data.shape))
     f_meta = Tensor(np.zeros(meta[0].data.shape))
     mmfa(f_img, f_meta, "eval")
-    (kqv,) = seen
-    return kqv
+    (inputs,) = seen
+    return inputs
+
+
+def attention(f_q, f_k, f_v, heads, scale_after_softmax=False):
+    """``gating_attention`` on given (B, width) F_Q, F_K and F_V: the
+    projections hold no metadata part and the image part F_Q|F_K|F_V."""
+    qkv_img = Tensor(np.concatenate([f_q.data, f_k.data, f_v.data], axis=1))
+    qkv_meta = Tensor(np.zeros((qkv_img.data.shape[0], 0)))
+    return ad.gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax)
 
 
 class TestAssembleKqv:
     def test_metadata_part_first(self, monkeypatch):
         img = (Tensor([[5.0]]), Tensor([[6.0]]), Tensor([[7.0]]))
         meta = (Tensor([[2.0]]), Tensor([[3.0]]), Tensor([[4.0]]))
-        f_q, f_k, f_v = assemble_kqv(monkeypatch, img, meta)
-        np.testing.assert_array_equal(f_q.data, [[2.0, 5.0]])
-        np.testing.assert_array_equal(f_k.data, [[3.0, 6.0]])
-        np.testing.assert_array_equal(f_v.data, [[4.0, 7.0]])
+        qkv_meta, qkv_img, out = attention_inputs(monkeypatch, img, meta)
+        np.testing.assert_array_equal(qkv_meta, [[2.0, 3.0, 4.0]])
+        np.testing.assert_array_equal(qkv_img, [[5.0, 6.0, 7.0]])
+        # F_Q = [2, 5], F_K = [3, 6], F_V = [4, 7]: one head of s = 2
+        z = np.array([3.0 * 2.0, 6.0 * 5.0]) / np.sqrt(2.0)
+        w = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+        np.testing.assert_allclose(out, [w * [4.0, 7.0]], rtol=1e-14)
 
     def test_default_width(self, monkeypatch):
         img = tuple(Tensor(np.zeros((2, 128))) for _ in range(3))
         meta = tuple(Tensor(np.zeros((2, 64))) for _ in range(3))
-        f_q, _, _ = assemble_kqv(monkeypatch, img, meta, heads=8)
-        assert f_q.data.shape == (2, 192)
+        _, _, out = attention_inputs(monkeypatch, img, meta, heads=8)
+        assert out.shape == (2, 192)
 
     def test_batch_permutation_equivariance(self, monkeypatch):
         rng = np.random.default_rng(3)
         img = tuple(Tensor(rng.normal(size=(4, 3))) for _ in range(3))
         meta = tuple(Tensor(rng.normal(size=(4, 2))) for _ in range(3))
-        outs = assemble_kqv(monkeypatch, img, meta)
+        outs = attention_inputs(monkeypatch, img, meta)
         perm = np.array([2, 0, 3, 1])
         img_p = tuple(Tensor(t.data[perm]) for t in img)
         meta_p = tuple(Tensor(t.data[perm]) for t in meta)
-        outs_p = assemble_kqv(monkeypatch, img_p, meta_p)
+        outs_p = attention_inputs(monkeypatch, img_p, meta_p)
         for a, b in zip(outs, outs_p):
-            np.testing.assert_array_equal(a.data[perm], b.data)
+            np.testing.assert_array_equal(a[perm], b)
 
 
 class TestAttentionHeads:
     def test_zero_kq_gives_uniform_weights(self):
         f_v = Tensor(np.random.default_rng(4).normal(size=(3, 6)))
-        out, weights = attention_heads(
+        out, weights = attention(
             Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))), f_v, 2
         )
         s = 3
@@ -141,14 +157,14 @@ class TestAttentionHeads:
         f_k = Tensor([[np.log(2.0) * np.sqrt(2.0), 0.0]])
         f_q = Tensor([[1.0, 1.0]])
         f_v = Tensor([[1.0, 1.0]])
-        _, weights = attention_heads(f_q, f_k, f_v, 1)
+        _, weights = attention(f_q, f_k, f_v, 1)
         np.testing.assert_allclose(weights[0, 0], [2 / 3, 1 / 3], rtol=1e-12)
 
     def test_saturation_picks_one_coordinate(self):
         f_k = Tensor([[200.0, 0.0, 0.0]])
         f_q = Tensor([[1.0, 1.0, 1.0]])
         f_v = Tensor([[7.0, 5.0, 3.0]])
-        out, weights = attention_heads(f_q, f_k, f_v, 1)
+        out, weights = attention(f_q, f_k, f_v, 1)
         assert weights[0, 0, 0] > 1 - 1e-12
         assert np.all(weights[0, 0, 1:] < 1e-12)
         np.testing.assert_allclose(out.data[0, 0], 7.0, rtol=1e-9)
@@ -158,14 +174,14 @@ class TestAttentionHeads:
         rng = np.random.default_rng(5)
         for _ in range(20):
             args = [Tensor(rng.normal(scale=3.0, size=(5, 6))) for _ in range(3)]
-            _, weights = attention_heads(*args, 3)
+            _, weights = attention(*args, 3)
             assert np.all(weights >= 0)
             np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_post_softmax_scaling_shrinks_weights(self):
         rng = np.random.default_rng(6)
         args = [Tensor(rng.normal(size=(3, 4))) for _ in range(3)]
-        _, weights = attention_heads(*args, 2, scale_after_softmax=True)
+        _, weights = attention(*args, 2, scale_after_softmax=True)
         s = 2
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0 / np.sqrt(s), atol=1e-12)
 
@@ -173,19 +189,20 @@ class TestAttentionHeads:
         args = [Tensor(np.zeros((2, 9))) for _ in range(3)]
         for heads in (4, 0, -3):
             with pytest.raises(DimensionError):
-                attention_heads(*args, heads)
+                attention(*args, heads)
             with pytest.raises(DimensionError):
                 MMFAFusion(6, 3, heads=heads)
 
+    # (qkv_meta, qkv_img): batch mismatch, a width not in thirds, 3-D, 1-D
     @pytest.mark.parametrize("shapes", [
-        ((2, 6), (2, 6), (3, 6)),
-        ((2, 6), (2, 4), (2, 6)),
-        ((2, 6), (2, 6), (2, 3, 2)),
-        ((12,), (12,), (12,)),
+        ((2, 6), (3, 6)),
+        ((2, 6), (2, 4)),
+        ((2, 6), (2, 3, 2)),
+        ((12,), (12,)),
     ])
     def test_inputs_not_one_2d_shape_rejected(self, shapes):
         with pytest.raises(DimensionError):
-            attention_heads(*(Tensor(np.zeros(s)) for s in shapes), 2)
+            ad.gating_attention(*(Tensor(np.zeros(s)) for s in shapes), 2, False)
 
 
 class TestMMFA:

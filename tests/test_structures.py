@@ -83,6 +83,28 @@ class TestForward:
         assert all(z.requires_grad for z in (triple.logits_im, triple.logits_i, triple.logits_m))
 
 
+def recorded_nodes(root):
+    """The op nodes (tensors with parents) that ``root`` reaches."""
+    seen, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if t._parents and id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+class TestGraphSize:
+    def test_jif_mmfa_step_records_twenty_nodes(self, dataset):
+        # image 3 conv blocks + pool + projection, metadata 2 dense blocks,
+        # MMFA 2 projections + attention + output + concat + add, 3 heads,
+        # 3 cross-entropies and the loss sum
+        asm = build_assembly(MODEL, dataset, np.random.default_rng(0))
+        triple = asm.forward(*batch(dataset), "train")
+        total, _ = total_loss(triple, dataset.labels[:6], np.ones(3), 0.5, "jif")
+        assert len(recorded_nodes(total)) == 20
+
+
 class TestWeightedCE:
     def test_uniform_weights_standard_ce(self):
         rng = np.random.default_rng(4)

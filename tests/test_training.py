@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from mmfuse import autodiff as ad, layers, training
-from mmfuse.autodiff import Tensor
+from mmfuse.autodiff import Tensor, grad_check
 from mmfuse.data import SyntheticSpec, generate_synthetic
-from mmfuse.errors import ConfigError, FormatError, NumericError
+from mmfuse.errors import ConfigError, ContractError, FormatError, NumericError
 from mmfuse.experiment import ModelConfig, build_assembly
-from mmfuse.structures import decision_fuse
+from mmfuse.structures import decision_fuse, total_loss
 from mmfuse.training import (
     TrainConfig,
     augment,
@@ -63,30 +63,31 @@ class TestSgdStep:
     def test_zero_lr_keeps_parameters(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
         p.grad = np.array([5.0, -3.0])
-        sgd_step([("p", p)], 0.0)
+        sgd_step(layers.Params([("p", p)]), 0.0)
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
     def test_basic_update(self):
         p = Tensor([1.0], requires_grad=True)
         p.grad = np.array([2.0])
-        sgd_step([("p", p)], 0.5)
+        sgd_step(layers.Params([("p", p)]), 0.5)
         np.testing.assert_array_equal(p.data, [0.0])
 
     def test_two_steps_quadratic(self):
         # f(p) = p^2 from p=1 with lr 0.1: p <- 0.8 p, twice -> 0.64
         p = Tensor([1.0], requires_grad=True)
+        params = layers.Params([("p", p)])
         for _ in range(2):
             p.zero_grad()
             loss = ad.mul(p, p).sum()
             loss.backward()
-            sgd_step([("p", p)], 0.1)
+            sgd_step(params, 0.1)
         np.testing.assert_allclose(p.data, [0.64], rtol=1e-15)
 
     def test_non_finite_gradient_names_parameter(self):
         p = Tensor([1.0], requires_grad=True)
         p.grad = np.array([np.inf])
         with pytest.raises(NumericError, match="mylayer.w"):
-            sgd_step([("mylayer.w", p)], 0.1)
+            sgd_step(layers.Params([("mylayer.w", p)]), 0.1)
 
     def test_non_finite_gradient_moves_no_parameter(self):
         a = Tensor([1.0], requires_grad=True)
@@ -94,7 +95,7 @@ class TestSgdStep:
         a.grad = np.array([5.0])
         b.grad = np.array([1.0, np.nan])
         with pytest.raises(NumericError, match="'b'"):
-            sgd_step([("a", a), ("b", b)], 0.1)
+            sgd_step(layers.Params([("a", a), ("b", b)]), 0.1)
         np.testing.assert_array_equal(a.data, [1.0])
         np.testing.assert_array_equal(b.data, [2.0, 3.0])
 
@@ -102,6 +103,13 @@ class TestSgdStep:
 # The per-image augmentation that the batched ``augment`` replaced, kept
 # with renamed functions as its bitwise oracle. Its rescale crops or pads
 # both axes by the height alone, so it is only right on square images.
+
+    def test_plain_list_rejected(self):
+        p = Tensor([1.0], requires_grad=True)
+        p.grad = np.array([2.0])
+        with pytest.raises(ContractError):
+            sgd_step([("p", p)], 0.1)
+        np.testing.assert_array_equal(p.data, [1.0])
 
 
 def oracle_hflip(img):
@@ -444,19 +452,6 @@ class TestTrainLoop:
             assert key in log.rows[0]
 
 
-def batch_major_eval_norm(x, gamma, beta, stats, mode):
-    """Eval-mode batch norm written on the (B, F[, H, W]) layout, returning a
-    graph-recording Tensor without a backward (inference needs none)."""
-    assert mode == "eval"
-    bshape = (1, x.data.shape[1]) + (1,) * (x.data.ndim - 2)
-    xhat = (x.data - stats.mean.reshape(bshape)) * (
-        1.0 / np.sqrt(stats.var + stats.eps)
-    ).reshape(bshape)
-    out = Tensor(gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape))
-    out.requires_grad, out._parents = True, (x, gamma, beta)
-    return out
-
-
 def graph_recording_probs(assembly, dataset, batch_size):
     """predict_probs without ``no_graph``: every forward records its graph."""
     probs = {}
@@ -503,13 +498,10 @@ class TestInferenceRecordsNoGraph:
             np.testing.assert_array_equal(t.data, ref.data)
 
     @pytest.mark.parametrize("structure, fusion", STRUCTURES)
-    def test_predict_probs_matches_graph_recording_forward(
-        self, structure, fusion, monkeypatch
-    ):
+    def test_predict_probs_matches_graph_recording_forward(self, structure, fusion):
         ds = small_dataset(per_class=8)
         asm = self._trained_stats(structure, fusion, ds)
         got = predict_probs(asm, ds, batch_size=5)
-        monkeypatch.setattr(layers, "batch_norm", batch_major_eval_norm)
         want = graph_recording_probs(asm, ds, batch_size=5)
         assert sorted(got) == sorted(want)
         for key in want:
@@ -525,6 +517,86 @@ class TestInferenceRecordsNoGraph:
         for name, p in asm.params():
             assert p.grad is not None and np.any(p.grad != 0.0), name
             assert not np.array_equal(p.data, before[name]), name
+
+
+class TestFlatParams:
+    """Every parameter and gradient of a built model is a view into the two
+    flat vectors of its ``layers.Params``, in ``params()`` order."""
+
+    def _stepped(self, seed=1):
+        ds = small_dataset(per_class=4)
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(seed))
+        triple = asm.forward(Tensor(ds.images[:8]), Tensor(ds.meta[:8]), "train")
+        loss, _ = total_loss(triple, ds.labels[:8], np.ones(2), 0.5, "jif")
+        asm.zero_grads()
+        loss.backward()
+        return asm
+
+    def test_tensors_are_views_in_params_order(self):
+        asm = self._stepped()
+        params = asm.params()
+        assert isinstance(params, layers.Params)
+        assert asm.named_parameters() is params
+        size = params.data.size
+        params.data[:] = np.arange(size)
+        params.grad[:] = -np.arange(size)
+        start = 0
+        for _, t in params:
+            want = np.arange(start, start + t.data.size)
+            np.testing.assert_array_equal(t.data.ravel(), want)
+            np.testing.assert_array_equal(t.grad.ravel(), -want)
+            start += t.data.size
+        assert start == size == params.grad.size
+
+    def test_non_finite_gradient_names_parameter_and_moves_none(self):
+        asm = self._stepped()
+        params = asm.params()
+        asm.fusion.out.lin.w.grad[1, 2] = np.inf
+        asm.head_m.b.grad[0] = np.nan
+        before = params.data.copy()
+        with pytest.raises(NumericError, match="'fusion.out.lin.w'"):
+            sgd_step(params, 0.1)
+        np.testing.assert_array_equal(params.data, before)
+
+    def test_bound_tensors_are_not_bound_again(self):
+        asm = self._stepped()
+        with pytest.raises(ContractError, match="head_i.w"):
+            layers.Params([("head_i.w", asm.head_i.w)])
+        assert np.shares_memory(asm.head_i.w.data, asm.params().data)
+
+    def test_zero_grads_zeros_every_view(self):
+        asm = self._stepped()
+        params = asm.params()
+        assert all(np.any(t.grad != 0.0) for _, t in params)
+        asm.zero_grads()
+        for _, t in params:
+            np.testing.assert_array_equal(t.grad, np.zeros_like(t.data))
+            assert np.shares_memory(t.grad, params.grad)
+
+    def test_zero_grad_and_grad_check_keep_the_views(self):
+        asm = self._stepped()
+        params = asm.params()
+        w = asm.head_i.w
+        w.zero_grad()
+        assert np.shares_memory(w.grad, params.grad) and not w.grad.any()
+        grad_check(lambda t: ad.mul(t, t).sum(), w)
+        assert np.shares_memory(w.grad, params.grad)
+        assert np.shares_memory(w.data, params.data)
+        np.testing.assert_allclose(w.grad, 2.0 * w.data, rtol=1e-12)
+
+    def test_step_after_load_state_moves_the_loaded_values(self):
+        asm = self._stepped(seed=1)
+        loaded = build_assembly(
+            SMALL_MODEL, small_dataset(per_class=4), np.random.default_rng(2)
+        ).state()
+        asm.load_state(loaded)
+        params = asm.params()
+        for name, t in params:
+            np.testing.assert_array_equal(t.data, loaded[name])
+            assert np.shares_memory(t.data, params.data)
+        sgd_step(params, 0.25)
+        for name, t in params:
+            np.testing.assert_array_equal(t.data, loaded[name] - 0.25 * t.grad)
 
 
 class TestCheckpoint:
