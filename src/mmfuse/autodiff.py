@@ -228,8 +228,7 @@ def linear(x, w, b):
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.T @ g)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
+        _accumulate(b, g.sum(axis=0))
     return _result(x.data @ w.data + b.data, (x, w, b), bw)
 
 
@@ -273,15 +272,16 @@ def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
     projections, as one graph op.
 
     ``qkv_meta`` (B, 3 d_m) and ``qkv_img`` (B, 3 d_i) each hold a query,
-    a key and a value third. F_Q, F_K and F_V join the matching thirds,
-    metadata first, into (B, width) with width = d_m + d_i, and are split
-    into ``heads`` contiguous blocks of s = width // heads coordinates. Per
-    head the weights are softmax(F_K * F_Q / sqrt(s)) and the output is
-    weights * F_V elementwise; ``scale_after_softmax`` divides the softmax
-    output by sqrt(s) instead of its input.
+    a key and a value third. F_Q, F_K and F_V are gathered as (B, width),
+    width = d_m + d_i, by one concatenation of the two viewed as (B, 3, d),
+    metadata first, and split into ``heads`` contiguous blocks of
+    s = width // heads coordinates. Per head the weights are
+    softmax(F_K * F_Q / sqrt(s)) and the output is weights * F_V
+    elementwise; ``scale_after_softmax`` divides the softmax output by
+    sqrt(s) instead of its input.
 
     Returns the (B, width) output and the weights as a plain
-    (B, heads, s) array. Values and gradients are those of the chain of
+    (B, heads, s) array. Values and gradients equal those of the chain of
     thirds, concatenations, products, the softmax and the scaling.
     """
     for t in (qkv_meta, qkv_img):
@@ -300,10 +300,10 @@ def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
         raise DimensionError(f"attention width {width} not divisible by {heads} heads")
     s = width // heads
     c = 1.0 / np.sqrt(s)
-    q, k, v = (np.empty((b, width)) for _ in range(3))
-    for j, part in enumerate((q, k, v)):
-        part[:, :dm] = qkv_meta.data[:, j * dm : (j + 1) * dm]
-        part[:, dm:] = qkv_img.data[:, j * di : (j + 1) * di]
+    qkv = np.concatenate(
+        (qkv_meta.data.reshape(b, 3, dm), qkv_img.data.reshape(b, 3, di)), axis=2
+    )
+    q, k, v = qkv.transpose(1, 0, 2)
     kq = (k * q).reshape(b * heads, s)
     z = kq if scale_after_softmax else kq * c
     if not np.all(np.isfinite(z)):
@@ -321,14 +321,9 @@ def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
         if not scale_after_softmax:
             dz = dz * c
         dz = dz.reshape(b, width)
-        grads = (dz * k, dz * q, (g * w).reshape(b, width))  # dQ, dK, dV
-        for t, lo, d3 in ((qkv_meta, 0, dm), (qkv_img, dm, di)):
-            if t.requires_grad:
-                # 0.0 + g turns -0.0 into 0.0, as summing zero-padded thirds does
-                gt = np.zeros_like(t.data)
-                for j, part in enumerate(grads):
-                    gt[:, j * d3 : (j + 1) * d3] += part[:, lo : lo + d3]
-                _accumulate(t, gt)
+        grads = np.stack((dz * k, dz * q, (g * w).reshape(b, width)), axis=1)  # dQ, dK, dV
+        _accumulate(qkv_meta, grads[:, :, :dm].reshape(b, 3 * dm))
+        _accumulate(qkv_img, grads[:, :, dm:].reshape(b, 3 * di))
     out = _result((w * vh).reshape(b, width), (qkv_meta, qkv_img), bw)
     return out, w.reshape(b, heads, s)
 

@@ -151,7 +151,15 @@ def one_hot_encode(row, schema):
             if val in MISSING:
                 out[pos] = 0.5
             else:
-                x = (float(val) - col.vmin) / (col.vmax - col.vmin)
+                try:
+                    x = float(val)
+                except (TypeError, ValueError):
+                    x = np.nan
+                if not np.isfinite(x):
+                    raise DataError(
+                        f"column {col.name!r}: value {val!r} is not a finite number"
+                    )
+                x = (x - col.vmin) / (col.vmax - col.vmin)
                 out[pos] = min(max(x, 0.0), 1.0)
             pos += 1
     return out

@@ -114,6 +114,8 @@ class ExperimentConfig(Config):
             raise ConfigError("need at least one seed")
         if min(self.seeds) < 0 or self.split_seed < 0:
             raise ConfigError("seeds and split_seed must be >= 0")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 

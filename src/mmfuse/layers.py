@@ -1,6 +1,6 @@
 """Parameter-holding building blocks: the ``Module`` base, the flat
-parameter vectors ``Params``, linear, convolution, batch norm and the
-bias-free linear -> batch norm unit.
+parameter vectors ``Params``, linear with a trained bias, convolution,
+batch norm and the bias-free linear -> batch norm unit (``w`` and ``bn``).
 
 Every model component subclasses ``Module``, which finds its parameters
 and buffers by walking its attributes; see ``Module`` for the naming rule
@@ -75,8 +75,6 @@ class Module:
         """(dotted name, Tensor) of every parameter."""
         return [(n, v) for n, v in self._walk() if isinstance(v, Tensor)]
 
-    named_parameters = params
-
     def buffers(self):
         """(dotted name, array) of every non-learned state array."""
         return [(n, v) for n, v in self._walk() if not isinstance(v, Tensor)]
@@ -112,12 +110,12 @@ class Module:
 
 
 class Linear(Module):
-    """Affine map x @ w + b; ``bias=False`` keeps ``b`` at zero and untrained."""
+    """Affine map x @ w + b with a trained bias ``b``."""
 
-    def __init__(self, d_in, d_out, rng, bias=True):
+    def __init__(self, d_in, d_out, rng):
         std = np.sqrt(2.0 / d_in)
         self.w = Tensor(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True)
-        self.b = Tensor(np.zeros(d_out), requires_grad=bias)
+        self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x):
         return linear(x, self.w, self.b)
@@ -146,17 +144,18 @@ class BatchNorm(Module):
 
 
 class LinearBN(Module):
-    """Linear map then batch norm, as ``lin`` and ``bn``, run as one
+    """Linear map by the weight ``w`` then batch norm ``bn``, run as one
     ``autodiff.dense_block`` graph node with an optional ReLU after it.
 
-    The linear layer has no bias: batch norm subtracts the batch mean, so
-    a bias in front of it would have no effect and a gradient of zero.
+    There is no bias: batch norm subtracts the batch mean, so a bias in
+    front of it would have no effect and a gradient of zero.
     """
 
     def __init__(self, d_in, d_out, rng):
-        self.lin = Linear(d_in, d_out, rng, bias=False)
+        std = np.sqrt(2.0 / d_in)
+        self.w = Tensor(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True)
         self.bn = BatchNorm(d_out)
 
     def __call__(self, x, mode, relu=False):
         bn = self.bn
-        return dense_block(x, self.lin.w, bn.gamma, bn.beta, bn.stats, mode, relu)
+        return dense_block(x, self.w, bn.gamma, bn.beta, bn.stats, mode, relu)

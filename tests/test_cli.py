@@ -258,6 +258,7 @@ class TestRun:
         ("model.channels=[0,2,2]", "channels"),
         ("dataset.synthetic.image_shape=[3,8]", "image_shape"),
         ("seeds=[-1]", "seeds"),
+        ("seeds=[1,1]", "seeds must be distinct"),
         ("dataset.synthetic.seed=-1", "seed"),
         ("train.lr0=NaN", "lr0"),
         ("train.eta_min=NaN", "eta_min"),
@@ -300,6 +301,23 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: schema") and where in err
+
+    @pytest.mark.parametrize("age", ["abc", "nan"])
+    def test_non_numeric_metadata_cell_exits_2(self, tmp_path, capsys, age):
+        data = tmp_path / "ds"
+        assert main([
+            "generate", "--out", str(data), "--set", "per_class=2",
+            "--set", "n_classes=2", "--set", "image_shape=[3,8,8]",
+        ]) == 0
+        meta = data / "meta.csv"
+        header, first, *rest = meta.read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index("age")] = age
+        meta.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        cfg = run_config(tmp_path, dataset={"dir": str(data)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'age': value '{age}'" in err
 
     def test_heads_not_dividing_attention_width_exits_2_before_data(
         self, tmp_path, capsys, monkeypatch

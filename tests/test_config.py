@@ -138,7 +138,8 @@ MODEL = ModelConfig.from_dict(EXPERIMENT["model"])
     lambda: SyntheticSpec(alpha_img=2.0),
     lambda: dataclasses.replace(ExperimentConfig.from_dict(EXPERIMENT), folds=2),
     lambda: ExperimentConfig(dataset={"dir": 5}),
-], ids=["replaced-fusion", "heads", "alpha_img", "folds", "dataset-dir"])
+    lambda: ExperimentConfig.from_dict({**EXPERIMENT, "seeds": [1, 1]}),
+], ids=["replaced-fusion", "heads", "alpha_img", "folds", "dataset-dir", "duplicate-seeds"])
 def test_direct_construction_validates(build):
     with pytest.raises(ConfigError):
         build()

@@ -46,6 +46,11 @@ class TestOneHot:
     def test_missing_numeric_is_half(self):
         assert one_hot_encode({"color": "a", "age": None}, SCHEMA)[4] == 0.5
 
+    @pytest.mark.parametrize("val", ["abc", "nan", "inf", "-inf", float("nan")])
+    def test_non_finite_numeric_raises_naming_column_and_value(self, val):
+        with pytest.raises(DataError, match=rf"'age': value {val!r} is not a finite"):
+            one_hot_encode({"color": "a", "age": val}, SCHEMA)
+
     def test_unknown_value_strict_policy(self):
         schema = MetadataSchema(
             columns=(
@@ -107,8 +112,8 @@ class TestMetadataEncoder:
 
     def test_identity_weights_pass_through_bn_and_relu(self):
         enc = MetadataEncoder(in_width=4, out_dim=4, hidden=(), rng=np.random.default_rng(0))
-        lin, bn = enc.block0.lin, enc.block0.bn
-        lin.w.data[...] = np.eye(4)
+        bn = enc.block0.bn
+        enc.block0.w.data[...] = np.eye(4)
         x = np.random.default_rng(2).normal(size=(8, 4))
         out = enc(Tensor(x), "train")
         expected = ad.relu(

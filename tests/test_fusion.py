@@ -52,13 +52,13 @@ class TestQkvProjection:
 
     def test_projection_width_is_three_d(self):
         branch = LinearBN(128, 384, np.random.default_rng(0))
-        assert branch.lin.w.data.shape == (128, 384)
-        assert [n for n, _ in branch.params()] == ["lin.w", "bn.gamma", "bn.beta"]
+        assert branch.w.data.shape == (128, 384)
+        assert [n for n, _ in branch.params()] == ["w", "bn.gamma", "bn.beta"]
         q, k, v = np.split(branch(Tensor(np.zeros((1, 128))), "eval").data, 3, axis=1)
         assert q.shape == k.shape == v.shape == (1, 128)
         mmfa = MMFAFusion(128, 64, heads=8)
-        assert mmfa.qkv_img.lin.w.data.shape == (128, 384)
-        assert mmfa.qkv_meta.lin.w.data.shape == (64, 192)
+        assert mmfa.qkv_img.w.data.shape == (128, 384)
+        assert mmfa.qkv_meta.w.data.shape == (64, 192)
 
     def test_gradcheck_linear_bn_split(self):
         rng = np.random.default_rng(2)
@@ -232,7 +232,7 @@ class TestMMFA:
         mmfa = MMFAFusion(128, 64, rng=np.random.default_rng(9), heads=8)
         assert mmfa.out_width == 192
         assert mmfa.heads == 8
-        assert mmfa.out.lin.w.data.shape == (192, 192)
+        assert mmfa.out.w.data.shape == (192, 192)
         assert not [n for n, _ in mmfa.params() if n.endswith(".b")]
         mmfa(Tensor(np.zeros((2, 128))), Tensor(np.zeros((2, 64))), "eval")
         assert mmfa.last_weights.shape == (2, 8, 24)

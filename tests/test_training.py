@@ -551,10 +551,10 @@ class TestFlatParams:
     def test_non_finite_gradient_names_parameter_and_moves_none(self):
         asm = self._stepped()
         params = asm.params()
-        asm.fusion.out.lin.w.grad[1, 2] = np.inf
+        asm.fusion.out.w.grad[1, 2] = np.inf
         asm.head_m.b.grad[0] = np.nan
         before = params.data.copy()
-        with pytest.raises(NumericError, match="'fusion.out.lin.w'"):
+        with pytest.raises(NumericError, match="'fusion.out.w'"):
             sgd_step(params, 0.1)
         np.testing.assert_array_equal(params.data, before)
 
@@ -797,10 +797,10 @@ PINNED_STATE = {
         ("image_encoder.bn2.beta", (4,)),
         ("image_encoder.proj.w", (4, 8)),
         ("image_encoder.proj.b", (8,)),
-        ("metadata_encoder.block0.lin.w", (16, 6)),
+        ("metadata_encoder.block0.w", (16, 6)),
         ("metadata_encoder.block0.bn.gamma", (6,)),
         ("metadata_encoder.block0.bn.beta", (6,)),
-        ("metadata_encoder.block1.lin.w", (6, 4)),
+        ("metadata_encoder.block1.w", (6, 4)),
         ("metadata_encoder.block1.bn.gamma", (4,)),
         ("metadata_encoder.block1.bn.beta", (4,)),
         ("head_im.w", (12, 2)),
@@ -828,19 +828,19 @@ PINNED_STATE = {
         ("image_encoder.bn2.beta", (4,)),
         ("image_encoder.proj.w", (4, 8)),
         ("image_encoder.proj.b", (8,)),
-        ("metadata_encoder.block0.lin.w", (16, 6)),
+        ("metadata_encoder.block0.w", (16, 6)),
         ("metadata_encoder.block0.bn.gamma", (6,)),
         ("metadata_encoder.block0.bn.beta", (6,)),
-        ("metadata_encoder.block1.lin.w", (6, 4)),
+        ("metadata_encoder.block1.w", (6, 4)),
         ("metadata_encoder.block1.bn.gamma", (4,)),
         ("metadata_encoder.block1.bn.beta", (4,)),
-        ("fusion.qkv_img.lin.w", (8, 24)),
+        ("fusion.qkv_img.w", (8, 24)),
         ("fusion.qkv_img.bn.gamma", (24,)),
         ("fusion.qkv_img.bn.beta", (24,)),
-        ("fusion.qkv_meta.lin.w", (4, 12)),
+        ("fusion.qkv_meta.w", (4, 12)),
         ("fusion.qkv_meta.bn.gamma", (12,)),
         ("fusion.qkv_meta.bn.beta", (12,)),
-        ("fusion.out.lin.w", (12, 12)),
+        ("fusion.out.w", (12, 12)),
         ("fusion.out.bn.gamma", (12,)),
         ("fusion.out.bn.beta", (12,)),
         ("head_im.w", (12, 2)),
