@@ -30,7 +30,6 @@ from .structures import (
     class_weights_from_counts,
     decision_fuse,
     total_loss,
-    weighted_ce,
 )
 from .training import TrainConfig, augment, cosine_lr, sgd_step, train
 

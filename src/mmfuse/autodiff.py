@@ -48,10 +48,10 @@ metadata first. With p the softmax output, c = 1/sqrt(s) and w the
 weights (p, or p * c when the scale follows the softmax), its backward is
 dV = g*w; d = g*V, times c when the scale follows the softmax;
 dz = p*(d - sum(d*p)), times c when the scale precedes it; dQ = dz*K and
-dK = dz*Q. ``weighted_sum`` adds weighted terms, such as the three head
-losses, as one node. Each of these computes the expressions of the chain
-it replaces in the same order, so its values and gradients are bitwise
-those of the chain.
+dK = dz*Q. ``cross_entropy_logits`` is the whole loss as one node: every
+head's weighted cross-entropy and their weighted sum. Each of these
+computes the expressions of the chain it replaces in the same order, so
+its values and gradients are bitwise those of the chain.
 
 Layout rule: an op's input gradient has its input's memory order, so the
 batch-innermost layout carries through batch norm, ReLU and max-pool both
@@ -642,45 +642,47 @@ def global_avg_pool(x):
 # loss
 
 
-def cross_entropy_logits(logits, labels, class_weights):
-    """Per-class weighted cross-entropy of softmax(logits), via log-sum-exp.
+def cross_entropy_logits(heads, labels, class_weights, coefs):
+    """Per-class weighted cross-entropy of each head's softmax, combined as
+    ``coefs[0] * L_0 + coefs[1] * L_1 + ...`` added left to right, as one
+    graph op.
 
-    loss = -(1/B) sum_b w[y_b] * log softmax(logits[b])[y_b]
+    ``heads`` are (B, N) logits of one shape, and per head, via log-sum-exp,
+    L_k = -(1/B) sum_b w[y_b] * log softmax(heads[k][b])[y_b].
+    Returns the scalar total and the per-head L_k as floats.
     """
-    z = logits.data
-    if z.ndim != 2:
-        raise DimensionError(f"cross_entropy_logits: expected (B,N), got {z.shape}")
-    labels = np.asarray(labels, dtype=np.intp)
-    B = z.shape[0]
-    if labels.shape != (B,):
+    heads = tuple(heads)
+    coefs = [float(c) for c in coefs]
+    if not heads or len(coefs) != len(heads):
+        raise DimensionError(f"cross_entropy_logits: {len(coefs)} coefs for {len(heads)} heads")
+    shape = heads[0].data.shape
+    if len(shape) != 2 or any(h.data.shape != shape for h in heads):
         raise DimensionError(
-            f"cross_entropy_logits: labels shape {labels.shape} != ({B},)"
+            f"cross_entropy_logits: heads {[h.data.shape for h in heads]} not of one (B,N) shape"
         )
+    B, N = shape
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (B,):
+        raise DimensionError(f"cross_entropy_logits: labels shape {labels.shape} != ({B},)")
+    if B and (labels.min() < 0 or labels.max() >= N):
+        raise ContractError(f"cross_entropy_logits: labels out of range [0, {N})")
     w = np.asarray(class_weights, dtype=np.float64)[labels]
-    m = z.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-    logp = z[np.arange(B), labels] - lse[:, 0]
+    rows = np.arange(B)
+    lses, losses, total = [], [], None
+    for h, c in zip(heads, coefs):
+        z = h.data
+        m = z.max(axis=1, keepdims=True)
+        lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+        loss = -(w * (z[rows, labels] - lse[:, 0])).sum() / B
+        total = loss * c if total is None else total + loss * c
+        lses.append(lse)
+        losses.append(float(loss))
     def bw(g):
-        p = np.exp(z - lse)
-        p[np.arange(B), labels] -= 1.0
-        _accumulate(logits, p * (w * (float(g) / B))[:, None])
-    return _result(np.array(-(w * logp).sum() / B), (logits,), bw)
-
-
-def weighted_sum(terms, weights):
-    """``weights[0] * terms[0] + weights[1] * terms[1] + ...`` of tensors of
-    one shape, added left to right."""
-    shape = terms[0].data.shape
-    if len(terms) != len(weights) or any(t.data.shape != shape for t in terms):
-        raise DimensionError("weighted_sum: needs one weight per term and terms of one shape")
-    weights = [float(c) for c in weights]
-    total = terms[0].data * weights[0]
-    for t, c in zip(terms[1:], weights[1:]):
-        total = total + t.data * c
-    def bw(g):
-        for t, c in zip(terms, weights):
-            _accumulate(t, g * c)
-    return _result(total, tuple(terms), bw)
+        for h, c, lse in zip(heads, coefs, lses):
+            p = np.exp(h.data - lse)
+            p[rows, labels] -= 1.0
+            _accumulate(h, p * (w * (float(g) * c / B))[:, None])
+    return _result(np.array(total), heads, bw), losses
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,9 @@ def load_image(path, size=None):
     """Decode a binary NetPBM file to a (3, H, W) array in [0, 1].
 
     Grayscale (P5) rasters are promoted to three identical channels. When
-    ``size`` (height, width) is given the image is bilinearly resized.
+    ``size`` (height, width) is given the image is bilinearly resized. A
+    malformed header, a short raster or a sample above maxval raises
+    ``FormatError``.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -387,7 +389,13 @@ def load_image(path, size=None):
             f"truncated raster: need {need} bytes, have {len(raster)}",
             offset=pos + len(raster),
         )
-    arr = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / maxval
+    samples = np.frombuffer(raster, dtype=np.uint8)
+    over = np.flatnonzero(samples > maxval)
+    if over.size:
+        raise FormatError(
+            f"sample {samples[over[0]]} exceeds maxval {maxval}", offset=pos + int(over[0])
+        )
+    arr = samples.astype(np.float64) / maxval
     if channels == 3:
         img = arr.reshape(height, width, 3).transpose(2, 0, 1)
     else:

@@ -24,14 +24,7 @@ from .encoders import ImageEncoder, MetadataEncoder
 from .errors import Config, ConfigError, NumericError
 from .evaluation import confusion, metric_report, stratified_kfold
 from .fusion import ConcatFusion, MMFAFusion
-from .structures import (
-    STRUCTURES,
-    ModelAssembly,
-    combine_losses,
-    make_head,
-    reported_scores,
-    weighted_ce,
-)
+from .structures import STRUCTURES, ModelAssembly, make_head, reported_scores
 from .training import (
     TrainConfig,
     predict_probs,
@@ -443,7 +436,9 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
             _check_targets(
                 label,
                 targets,
-                lambda h=head, f=feats: weighted_ce(h(f), labels, weights),
+                lambda h=head, f=feats: ad.cross_entropy_logits(
+                    (h(f),), labels, weights, (1.0,)
+                )[0],
                 step,
                 tol,
             )
@@ -455,10 +450,7 @@ def gradcheck_suite(step=1e-5, tol=1e-4):
         lbl = rng.integers(0, 3, size=4)
 
         def loss_fn(zs=zs, lbl=lbl, beta=beta):
-            l_i = weighted_ce(zs[0], lbl, weights)
-            l_m = weighted_ce(zs[1], lbl, weights)
-            l_im = weighted_ce(zs[2], lbl, weights)
-            return combine_losses(l_i, l_m, l_im, beta)
+            return ad.cross_entropy_logits(zs, lbl, weights, (beta, 1.0 - beta, 1.0))[0]
 
         targets = [(f"logits{j}", z) for j, z in enumerate(zs)]
         reports.append(

@@ -13,6 +13,8 @@ only prediction applies the softmax.
   combines the three cross-entropy terms as beta * L_i + (1 - beta) * L_m +
   L_im, and at test time the three predicted distributions can be averaged
   (decision-level fusion). A one-head structure's loss is its head's term.
+  Either way ``total_loss`` builds the loss as one
+  ``autodiff.cross_entropy_logits`` node over the heads' logits.
 
 The fused prediction path of ``jif`` is operation-for-operation the ``jf``
 path; with shared weights the two produce identical fused predictions.
@@ -114,52 +116,36 @@ class ModelAssembly(Module):
         })
 
 
-def weighted_ce(logits, labels, class_weights):
-    """Class-weighted cross-entropy of the softmax distribution.
-
-    Computed from logits with log-sum-exp for stability; identical to
-    -(1/B) * sum_b w[y_b] * log P[b, y_b].
-    """
-    w = np.asarray(class_weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != logits.data.shape[1]:
-        raise ConfigError(
-            f"class weights shape {w.shape} does not match {logits.data.shape[1]} classes"
-        )
-    if np.any(w <= 0):
-        raise ConfigError("class weights must be strictly positive")
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.data.shape[1]):
-        raise ContractError("labels out of range")
-    return ad.cross_entropy_logits(logits, labels, w)
-
-
-def combine_losses(l_i, l_m, l_im, beta):
-    """Total loss of the three-branch structure: beta*L_i + (1-beta)*L_m + L_im."""
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must lie in [0, 1], got {beta}")
-    return ad.weighted_sum((l_i, l_m, l_im), (beta, 1.0 - beta, 1.0))
-
-
 def total_loss(triple, labels, class_weights, beta, structure):
     """Structure loss and its components.
 
-    One weighted cross-entropy per head of the structure. jif combines them
-    as beta*L_i + (1-beta)*L_m + L_im; a one-head structure's loss is its
-    head's term. Returns (total, components dict keyed ``L_<HEAD>``).
+    One weighted cross-entropy per head of the structure, summed in one
+    ``autodiff.cross_entropy_logits`` node: jif as beta*L_i + (1-beta)*L_m
+    + L_im, a one-head structure as its head's term. Returns (total,
+    components dict keyed ``L_<HEAD>``).
     """
     if structure not in STRUCTURES:
         raise ConfigError(f"unknown structure {structure!r}")
-    losses = {}
-    for key in STRUCTURES[structure]:
+    if not 0.0 <= beta <= 1.0:
+        raise ConfigError(f"beta must lie in [0, 1], got {beta}")
+    keys, coefs = STRUCTURES[structure], (1.0,)
+    if len(keys) > 1:  # jif, in summation order
+        keys, coefs = ("i", "m", "im"), (beta, 1.0 - beta, 1.0)
+    heads = []
+    for key in keys:
         logits = getattr(triple, "logits_" + key)
         if logits is None:
             raise ContractError(f"{structure} loss needs the {key!r} prediction branch")
-        losses[key] = weighted_ce(logits, labels, class_weights)
-    if len(losses) == 1:
-        (total,) = losses.values()
-    else:
-        total = combine_losses(losses["i"], losses["m"], losses["im"], beta)
-    return total, {"L_" + key.upper(): float(loss.data) for key, loss in losses.items()}
+        heads.append(logits)
+    w = np.asarray(class_weights, dtype=np.float64)
+    if w.ndim != 1 or w.shape[0] != heads[0].data.shape[-1]:
+        raise ConfigError(
+            f"class weights shape {w.shape} does not match {heads[0].data.shape[-1]} classes"
+        )
+    if np.any(w <= 0):
+        raise ConfigError("class weights must be strictly positive")
+    total, losses = ad.cross_entropy_logits(heads, labels, w, coefs)
+    return total, {"L_" + key.upper(): loss for key, loss in zip(keys, losses)}
 
 
 def decision_fuse(p_i, p_m, p_im):

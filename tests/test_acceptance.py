@@ -33,7 +33,7 @@ from mmfuse.experiment import (
 )
 from mmfuse.fusion import MMFAFusion
 from mmfuse.stats import FoldResultTable, compare_methods, friedman, wilcoxon_signed_rank
-from mmfuse.structures import combine_losses, total_loss
+from mmfuse.structures import PredictionTriple, total_loss
 from mmfuse.training import cosine_lr
 
 
@@ -197,14 +197,26 @@ def test_c05_structure_equivalence():
 
 
 def test_c06_loss_formula():
-    def total(beta):
-        return float(combine_losses(Tensor(2.0), Tensor(4.0), Tensor(1.0), beta).data)
-
-    exact = total(0.5) == 4.0
-    linear = all(total(b) == 5.0 - 2.0 * b for b in (0.0, 0.25, 0.5, 0.75, 1.0))
+    rng = np.random.default_rng(6)
+    triple = PredictionTriple(
+        **{f"logits_{k}": Tensor(rng.normal(size=(5, 3))) for k in ("im", "i", "m")}
+    )
+    labels = np.array([0, 1, 2, 1, 0])
+    runs = {
+        beta: total_loss(triple, labels, np.array([0.5, 2.0, 1.0]), beta, "jif")
+        for beta in (0.0, 0.25, 0.5, 0.75, 1.0)
+    }
+    comps = runs[0.0][1]
+    exact = all(
+        float(t.data) == c["L_I"] * b + c["L_M"] * (1.0 - b) + c["L_IM"]
+        for b, (t, c) in runs.items()
+    )
+    # the components do not move with beta, so the total is linear in it
+    linear = all(c == comps for _, c in runs.values()) and len(set(comps.values())) == 3
     _report(
         exact and linear,
-        "criterion 6: total_loss(2,4,1,beta=0.5) == 4.0; linear in beta at 5 points",
+        "criterion 6: total_loss == beta*L_I + (1-beta)*L_M + L_IM exactly, "
+        "with beta-independent components, at 5 points",
     )
 
 

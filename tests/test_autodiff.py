@@ -558,19 +558,67 @@ class TestGatingAttention:
             ad.gating_attention(meta, Tensor(np.ones((1, 3))), 1, False)
 
 
-class TestWeightedSum:
-    def test_value_and_gradients(self):
-        a, b, c = (Tensor(v, requires_grad=True) for v in (2.0, 4.0, 1.0))
-        total = ad.weighted_sum((a, b, c), (0.25, 0.75, 1.0))
-        assert float(total.data) == 0.25 * 2.0 + 0.75 * 4.0 + 1.0
-        total.backward()
-        assert (float(a.grad), float(b.grad), float(c.grad)) == (0.25, 0.75, 1.0)
+def _ce_oracle(z, labels, w):
+    """Plain-numpy weighted cross-entropy of one (B, N) logit array."""
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    logp = z[np.arange(len(labels)), labels] - lse[:, 0]
+    return -(w[labels] * logp).sum() / len(labels)
 
-    def test_mismatch_rejected(self):
+
+CE_WEIGHTS = np.array([2.0, 1.0, 0.5])
+
+
+def _ce_heads(k):
+    """k (4, 3) logit tensors that need gradients."""
+    rng = np.random.default_rng(7)
+    return [Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(k)]
+
+
+class TestCrossEntropyLogits:
+    @pytest.mark.parametrize("coefs", [(1.0,), (0.25, 0.75, 1.0)], ids=["one_head", "three_heads"])
+    def test_forward_is_the_per_head_sum_bit_for_bit(self, coefs):
+        heads, labels = _ce_heads(len(coefs)), np.array([0, 2, 1, 2])
+        total, losses = ad.cross_entropy_logits(heads, labels, CE_WEIGHTS, coefs)
+        expected = [_ce_oracle(h.data, labels, CE_WEIGHTS) for h in heads]
+        assert losses == expected
+        acc = expected[0] * coefs[0]
+        for loss, c in zip(expected[1:], coefs[1:]):
+            acc = acc + loss * c
+        assert total.data.shape == () and float(total.data) == acc
+
+    def test_forward_matches_log_of_softmax(self):
+        (h,), labels = _ce_heads(1), np.array([0, 2, 1, 2])
+        p = np.exp(h.data) / np.exp(h.data).sum(axis=1, keepdims=True)
+        expected = -(CE_WEIGHTS[labels] * np.log(p[np.arange(4), labels])).mean()
+        _, (loss,) = ad.cross_entropy_logits([h], labels, CE_WEIGHTS, [1.0])
+        np.testing.assert_allclose(loss, expected, rtol=1e-12)
+
+    def test_coefficient_count_must_match_heads(self):
+        heads = _ce_heads(3)
         with pytest.raises(DimensionError):
-            ad.weighted_sum((Tensor(1.0), Tensor([1.0, 2.0])), (1.0, 1.0))
+            ad.cross_entropy_logits(heads, [0, 1, 2, 0], CE_WEIGHTS, (0.5, 0.5))
         with pytest.raises(DimensionError):
-            ad.weighted_sum((Tensor(1.0), Tensor(2.0)), (1.0,))
+            ad.cross_entropy_logits(heads[:1], [0, 1, 2, 0], CE_WEIGHTS, (0.5, 0.5))
+        with pytest.raises(DimensionError):
+            ad.cross_entropy_logits([], [0, 1, 2, 0], CE_WEIGHTS, ())
+
+    def test_heads_of_different_shapes_rejected(self):
+        a = _ce_heads(1)[0]
+        with pytest.raises(DimensionError):
+            ad.cross_entropy_logits(
+                [a, Tensor(np.zeros((4, 2)))], [0, 1, 1, 0], CE_WEIGHTS, (1.0, 1.0)
+            )
+        with pytest.raises(DimensionError):
+            ad.cross_entropy_logits([Tensor(np.zeros(3))], [0], CE_WEIGHTS, (1.0,))
+        with pytest.raises(DimensionError):
+            ad.cross_entropy_logits([a], [0, 1], CE_WEIGHTS, (1.0,))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_out_of_range_rejected(self, bad):
+        # -1 would otherwise score the last class and 3 would index past it
+        with pytest.raises(ContractError, match="out of range"):
+            ad.cross_entropy_logits([Tensor(np.zeros((2, 3)))], [0, bad], CE_WEIGHTS, (1.0,))
 
 
 class TestBackward:
@@ -590,24 +638,26 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [3.0])
 
     def test_weighted_ce_gradient_closed_form(self):
-        rng = np.random.default_rng(7)
-        logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         labels = np.array([0, 2, 1, 2])
-        w = np.array([2.0, 1.0, 0.5])
-        loss = ad.cross_entropy_logits(logits, labels, w)
-        loss.backward()
-        z = logits.data
-        p = np.exp(z - z.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
-        y = np.zeros_like(p)
-        y[np.arange(4), labels] = 1.0
-        expected = (p - y) * w[labels][:, None] / 4.0
-        np.testing.assert_allclose(logits.grad, expected, rtol=1e-10)
-        # and against central finite differences, step 1e-5
-        rep = grad_check(
-            lambda t: ad.cross_entropy_logits(t, labels, w), logits, step=1e-5
-        )
-        assert rep.passed, rep.max_rel_error
+        for coefs in ((1.0,), (0.25, 0.75, 1.0)):
+            heads = _ce_heads(len(coefs))
+            ad.cross_entropy_logits(heads, labels, CE_WEIGHTS, coefs)[0].backward()
+            for h, c in zip(heads, coefs):
+                z = h.data
+                p = np.exp(z - z.max(axis=1, keepdims=True))
+                p /= p.sum(axis=1, keepdims=True)
+                y = np.zeros_like(p)
+                y[np.arange(4), labels] = 1.0
+                expected = c * (p - y) * CE_WEIGHTS[labels][:, None] / 4.0
+                np.testing.assert_allclose(h.grad, expected, rtol=1e-12, atol=1e-15)
+            # and against central finite differences, step 1e-5, head by head
+            for j, h in enumerate(heads):
+                def f(t, j=j, heads=heads, coefs=coefs):
+                    return ad.cross_entropy_logits(
+                        heads[:j] + [t] + heads[j + 1:], labels, CE_WEIGHTS, coefs
+                    )[0]
+                rep = grad_check(f, h, step=1e-5)
+                assert rep.passed, rep.max_rel_error
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):
@@ -718,9 +768,8 @@ OP_CASES = {
     ),
     "global_avg_pool": lambda r: ad.global_avg_pool(_t((2, 1, 4, 4), r)),
     "cross_entropy_logits": lambda r: ad.cross_entropy_logits(
-        _t((2, 3), r), [0, 2], np.ones(3)
-    ),
-    "weighted_sum": lambda r: ad.weighted_sum((_t((), r), _t((), r)), (0.5, 1.0)),
+        (_t((2, 3), r), _t((2, 3), r)), [0, 2], np.ones(3), (0.5, 1.0)
+    )[0],
     "Tensor.sum": lambda r: _t((2, 3), r).sum(),
 }
 

@@ -150,6 +150,13 @@ class TestNetPBM:
             load_image(path)
         assert err.value.offset is not None
 
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5 2 1 1 \x01\x02")
+        with pytest.raises(FormatError, match="exceeds maxval") as err:
+            load_image(path)
+        assert err.value.offset == 10
+
     def test_bad_header_token(self, tmp_path):
         path = tmp_path / "tok.ppm"
         path.write_bytes(b"P6\nxx 2\n255\n")

@@ -7,11 +7,10 @@ from mmfuse.data import SyntheticSpec, generate_synthetic
 from mmfuse.errors import ConfigError, ContractError
 from mmfuse.experiment import ModelConfig, build_assembly
 from mmfuse.structures import (
+    PredictionTriple,
     class_weights_from_counts,
-    combine_losses,
     decision_fuse,
     total_loss,
-    weighted_ce,
 )
 
 MODEL = ModelConfig(
@@ -95,14 +94,22 @@ def recorded_nodes(root):
 
 
 class TestGraphSize:
-    def test_jif_mmfa_step_records_twenty_nodes(self, dataset):
+    def test_jif_mmfa_step_records_seventeen_nodes(self, dataset):
         # image 3 conv blocks + pool + projection, metadata 2 dense blocks,
-        # MMFA 2 projections + attention + output + concat + add, 3 heads,
-        # 3 cross-entropies and the loss sum
+        # MMFA 2 projections + attention + output + concat + add, 3 heads
+        # and one loss node
         asm = build_assembly(MODEL, dataset, np.random.default_rng(0))
         triple = asm.forward(*batch(dataset), "train")
         total, _ = total_loss(triple, dataset.labels[:6], np.ones(3), 0.5, "jif")
-        assert len(recorded_nodes(total)) == 20
+        assert len(recorded_nodes(total)) == 17
+        assert set(total._parents) == {triple.logits_i, triple.logits_m, triple.logits_im}
+
+
+def image_loss(logits, labels, weights):
+    """The image structure's loss: one head's weighted cross-entropy."""
+    total, comps = total_loss(PredictionTriple(logits_i=logits), labels, weights, 0.5, "image")
+    assert float(total.data) == comps["L_I"]
+    return total
 
 
 class TestWeightedCE:
@@ -110,7 +117,7 @@ class TestWeightedCE:
         rng = np.random.default_rng(4)
         logits = Tensor(rng.normal(size=(5, 4)))
         labels = rng.integers(0, 4, size=5)
-        loss = weighted_ce(logits, labels, np.ones(4))
+        loss = image_loss(logits, labels, np.ones(4))
         z = logits.data
         p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         expected = -np.log(p[np.arange(5), labels]).mean()
@@ -118,28 +125,38 @@ class TestWeightedCE:
 
     def test_perfect_predictions(self):
         logits = Tensor(np.array([[40.0, 0.0], [0.0, 40.0]]))
-        loss = weighted_ce(logits, np.array([0, 1]), np.ones(2))
+        loss = image_loss(logits, np.array([0, 1]), np.ones(2))
         assert float(loss.data) < 1e-10
 
     def test_hand_case(self):
-        loss = weighted_ce(Tensor([[0.0, 0.0]]), np.array([0]), np.array([2.0, 1.0]))
+        loss = image_loss(Tensor([[0.0, 0.0]]), np.array([0]), np.array([2.0, 1.0]))
         np.testing.assert_allclose(float(loss.data), 2.0 * np.log(2.0), rtol=1e-15)
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ConfigError):
-            weighted_ce(Tensor([[0.0, 0.0]]), np.array([0]), np.array([0.0, 1.0]))
+            image_loss(Tensor([[0.0, 0.0]]), np.array([0]), np.array([0.0, 1.0]))
         with pytest.raises(ConfigError):
-            weighted_ce(Tensor([[0.0, 0.0]]), np.array([0]), np.array([-1.0, 1.0]))
+            image_loss(Tensor([[0.0, 0.0]]), np.array([0]), np.array([-1.0, 1.0]))
+
+    def test_weights_must_match_classes(self):
+        with pytest.raises(ConfigError, match="does not match"):
+            image_loss(Tensor([[0.0, 0.0]]), np.array([0]), np.ones(3))
+        with pytest.raises(ConfigError, match="does not match"):
+            image_loss(Tensor([[0.0, 0.0]]), np.array([0]), np.ones((1, 2)))
 
 
 class TestTotalLoss:
-    def test_combination_formula(self):
-        total = combine_losses(Tensor(2.0), Tensor(4.0), Tensor(1.0), 0.5)
-        assert float(total.data) == 4.0
+    def test_combination_formula(self, dataset):
+        asm = build_assembly(MODEL, dataset, np.random.default_rng(4))
+        triple = asm.forward(*batch(dataset), "train")
+        total, comps = total_loss(triple, dataset.labels[:6], np.ones(3), 0.25, "jif")
+        assert float(total.data) == comps["L_I"] * 0.25 + comps["L_M"] * 0.75 + comps["L_IM"]
 
     def test_beta_bounds(self):
-        with pytest.raises(ConfigError):
-            combine_losses(Tensor(1.0), Tensor(1.0), Tensor(1.0), 1.5)
+        triple = PredictionTriple(*(Tensor(np.zeros((2, 3))) for _ in range(3)))
+        for beta in (1.5, -0.1):
+            with pytest.raises(ConfigError):
+                total_loss(triple, np.array([0, 1]), np.ones(3), beta, "jif")
 
     def test_beta_zero_drops_image_term(self, dataset):
         asm = build_assembly(MODEL, dataset, np.random.default_rng(5))
