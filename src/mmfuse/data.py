@@ -52,7 +52,6 @@ class SyntheticSpec(Config):
     mode: str = "redundant"  # redundant | complementary | image-only | meta-only
     noise: float = 0.1
     seed: int = 0
-    super_classes: int | None = None
 
     def counts(self):
         if isinstance(self.per_class, int):
@@ -73,25 +72,17 @@ class SyntheticSpec(Config):
             raise ConfigError("signal strengths must lie in [0, 1]")
         if self.mode not in ("redundant", "complementary", "image-only", "meta-only"):
             raise ConfigError(f"unknown complementarity mode {self.mode!r}")
-        if len(self.image_shape) != 3 or min(self.image_shape) < 1:
-            raise ConfigError(f"image_shape must be 3 sizes >= 1, got {self.image_shape}")
-        if self.image_shape[0] not in (1, 3):
-            raise ConfigError("image channels must be 1 or 3")
+        shape = self.image_shape
+        if len(shape) != 3 or shape[0] != 3 or min(shape) < 1:
+            raise ConfigError(f"image_shape must be (3, H, W) with H, W >= 1, got {shape}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.mode == "complementary":
-            complementary_grouping(self.n_classes, self.super_classes)
+            complementary_grouping(self.n_classes)
 
 
-def complementary_grouping(n_classes, super_classes=None):
+def complementary_grouping(n_classes):
     """(group count, members per group) used by the complementary mode."""
-    if super_classes is not None:
-        g = super_classes
-        if g < 2 or n_classes % g != 0 or n_classes // g < 2:
-            raise ConfigError(
-                f"super_classes={g} must divide {n_classes} with >= 2 members each"
-            )
-        return g, n_classes // g
     for members in range(2, n_classes):
         if n_classes % members == 0 and n_classes // members >= 2:
             return n_classes // members, members
@@ -101,8 +92,8 @@ def complementary_grouping(n_classes, super_classes=None):
 
 
 def class_template(idx, image_shape):
-    """Deterministic colored geometric pattern for one class index."""
-    c, h, w = image_shape
+    """Deterministic (3, H, W) colored geometric pattern for one class index."""
+    _, h, w = image_shape
     bg = _PALETTE[idx % len(_PALETTE)]
     fg = _PALETTE[(idx * 3 + 5) % len(_PALETTE)]
     if np.array_equal(bg, fg):
@@ -118,10 +109,7 @@ def class_template(idx, image_shape):
         mask = (yy // max(h // 8, 1)) % 2 == 0
     else:
         mask = ((yy + xx) // max(h // 8, 1)) % 2 == 0
-    rgb = np.where(mask[None, :, :], fg[:, None, None], bg[:, None, None])
-    if c == 1:
-        return rgb.mean(axis=0, keepdims=True)
-    return rgb
+    return np.where(mask[None, :, :], fg[:, None, None], bg[:, None, None])
 
 
 def default_schema(n_classes):
@@ -146,15 +134,18 @@ def default_schema(n_classes):
 
 @dataclass
 class Dataset:
-    """Aligned images, encoded metadata, labels, and raw records."""
+    """Aligned images, encoded metadata, labels, and raw records.
 
-    images: np.ndarray  # (n, C, H, W) float64 in [0, 1]
+    Generated and loaded datasets have the same form: ``images`` is always
+    (n, 3, H, W), and ``records`` holds only the schema's columns.
+    """
+
+    images: np.ndarray  # (n, 3, H, W) float64 in [0, 1]
     meta: np.ndarray  # (n, encoded width)
     labels: np.ndarray  # (n,) int
     schema: MetadataSchema
     ids: list
     records: list
-    tags: list = None
 
     def __post_init__(self):
         n = len(self.labels)
@@ -179,7 +170,6 @@ class Dataset:
             schema=self.schema,
             ids=[self.ids[i] for i in idx],
             records=[self.records[i] for i in idx],
-            tags=None if self.tags is None else [self.tags[i] for i in idx],
         )
 
 
@@ -190,7 +180,7 @@ def generate_synthetic(spec):
     schema = default_schema(n_cls)
     counts = spec.counts()
     if spec.mode == "complementary":
-        groups, members = complementary_grouping(n_cls, spec.super_classes)
+        groups, members = complementary_grouping(n_cls)
     alpha_img, alpha_meta = spec.alpha_img, spec.alpha_meta
     if spec.mode == "image-only":
         alpha_meta = 0.0
@@ -249,16 +239,10 @@ def write_dataset(ds, out_dir):
     colnames = [c.name for c in ds.schema.columns]
     with open(os.path.join(out_dir, "meta.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["id", "diagnostic", *colnames]
-        if ds.tags is not None:
-            header.append("split")
-        writer.writerow(header)
+        writer.writerow(["id", "diagnostic", *colnames])
         for i, rec in enumerate(ds.records):
             row = [ds.ids[i], ds.schema.classes[ds.labels[i]]]
-            row += [_cell(rec.get(c)) for c in colnames]
-            if ds.tags is not None:
-                row.append(ds.tags[i])
-            writer.writerow(row)
+            writer.writerow(row + [_cell(rec.get(c)) for c in colnames])
     for i, img_id in enumerate(ds.ids):
         write_image(os.path.join(out_dir, "images", f"{img_id}.ppm"), ds.images[i])
 
@@ -268,16 +252,13 @@ def _cell(value):
 
 
 def load_metadata_csv(path, schema):
-    """Parse a metadata CSV against the schema (given directly or as a path).
+    """Parse a metadata CSV against a ``MetadataSchema``.
 
     The file must have ``id`` and ``diagnostic`` columns plus every schema
-    column; column order does not matter. Returns (records, labels, ids,
-    tags) where tags comes from an optional ``split`` column.
+    column; column order does not matter and other columns are ignored.
+    Returns (records, labels, ids).
     """
-    if not isinstance(schema, MetadataSchema):
-        with open(schema) as fh:
-            schema = MetadataSchema.from_json(fh.read())
-    records, labels, ids, tags = [], [], [], []
+    records, labels, ids = [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
@@ -297,14 +278,7 @@ def load_metadata_csv(path, schema):
             records.append({c.name: rec[c.name] for c in schema.columns})
             labels.append(schema.classes.index(label))
             ids.append(rec["id"])
-            tags.append(rec.get("split"))
-    has_tags = any(t not in (None, "") for t in tags)
-    return (
-        records,
-        np.array(labels, dtype=np.intp),
-        ids,
-        tags if has_tags else None,
-    )
+    return records, np.array(labels, dtype=np.intp), ids
 
 
 def load_dataset(root, size=None):
@@ -312,9 +286,7 @@ def load_dataset(root, size=None):
     schema_path = os.path.join(root, "schema.json")
     with open(schema_path) as fh:
         schema = MetadataSchema.from_json(fh.read())
-    records, labels, ids, tags = load_metadata_csv(
-        os.path.join(root, "meta.csv"), schema
-    )
+    records, labels, ids = load_metadata_csv(os.path.join(root, "meta.csv"), schema)
     images = np.stack(
         [load_image(os.path.join(root, "images", f"{i}.ppm"), size=size) for i in ids]
     )
@@ -325,7 +297,6 @@ def load_dataset(root, size=None):
         schema=schema,
         ids=ids,
         records=records,
-        tags=tags,
     )
 
 
@@ -368,10 +339,9 @@ def load_image(path, size=None):
     dims = []
     for name in ("width", "height", "maxval"):
         token, start, pos = _next_token(buf, pos)
-        try:
-            value = int(token)
-        except ValueError:
-            raise FormatError(f"bad {name} token {token!r}", offset=start) from None
+        if not token.isdigit():  # ASCII decimal digits only, as NetPBM specifies
+            raise FormatError(f"bad {name} token {token!r}", offset=start)
+        value = int(token)
         if value <= 0:
             raise FormatError(f"{name} must be positive, got {value}", offset=start)
         dims.append(value)
@@ -406,12 +376,10 @@ def load_image(path, size=None):
 
 
 def write_image(path, img):
-    """Write a (C, H, W) float array in [0, 1] as binary P6 with maxval 255."""
+    """Write a (3, H, W) float array in [0, 1] as binary P6 with maxval 255."""
     img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 3 or img.shape[0] not in (1, 3):
-        raise DataError(f"expected (1|3, H, W) image, got {img.shape}")
-    if img.shape[0] == 1:
-        img = np.repeat(img, 3, axis=0)
+    if img.ndim != 3 or img.shape[0] != 3:
+        raise DataError(f"expected (3, H, W) image, got {img.shape}")
     raster = (
         np.clip(np.rint(img * 255.0), 0, 255)
         .astype(np.uint8)

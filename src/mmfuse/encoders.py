@@ -97,10 +97,12 @@ class MetadataSchema:
             raise SchemaError("schema 'columns' must be a list")
         if not _strings(classes):
             raise SchemaError("schema 'classes' must be a list of strings")
-        return cls(
-            columns=tuple(_column_from_json(i, c) for i, c in enumerate(columns)),
-            classes=tuple(classes),
-        )
+        columns = tuple(_column_from_json(i, c) for i, c in enumerate(columns))
+        for what, names in (("class", classes), ("column", [c.name for c in columns])):
+            repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+            if repeated is not None:
+                raise SchemaError(f"schema repeats {what} name {repeated!r}")
+        return cls(columns=columns, classes=tuple(classes))
 
 
 def _strings(value):

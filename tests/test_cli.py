@@ -257,6 +257,8 @@ class TestRun:
         ("model.metadata_hidden=[-3]", "metadata_hidden"),
         ("model.channels=[0,2,2]", "channels"),
         ("dataset.synthetic.image_shape=[3,8]", "image_shape"),
+        ("dataset.synthetic.image_shape=[1,8,8]", "image_shape"),
+        ("dataset.synthetic.super_classes=3", "super_classes"),
         ("seeds=[-1]", "seeds"),
         ("seeds=[1,1]", "seeds must be distinct"),
         ("dataset.synthetic.seed=-1", "seed"),
@@ -289,6 +291,8 @@ class TestRun:
         ('{"columns": 5}', "'columns'"),
         ('{"columns": [{"name": "age", "kind": "numeric", "min": "x"}]}', "'age': 'min'"),
         ('{"columns": [{"name": "age", "kind": "ordinal"}]}', "'age': unknown kind"),
+        ('{"classes": ["C0", "C1", "C0"]}', "class name 'C0'"),
+        ('{"columns": [{"name": "age"}, {"name": "age"}]}', "column name 'age'"),
     ])
     def test_malformed_schema_exits_2(self, tmp_path, capsys, schema, where):
         data = tmp_path / "ds"

@@ -90,11 +90,6 @@ class TestSyntheticGeneration:
                                   mode="complementary")
                 )
 
-    def test_super_class_override(self):
-        assert complementary_grouping(12, super_classes=4) == (4, 3)
-        with pytest.raises(ConfigError):
-            complementary_grouping(12, super_classes=5)
-
     def test_alpha_bounds(self):
         with pytest.raises(ConfigError):
             generate_synthetic(SyntheticSpec(alpha_img=1.5))
@@ -157,11 +152,17 @@ class TestNetPBM:
             load_image(path)
         assert err.value.offset == 10
 
-    def test_bad_header_token(self, tmp_path):
+    @pytest.mark.parametrize(
+        "header",
+        [b"P6\nxx 2\n255\n", b"P5 1_0 1 255\n", b"P5 +2 1 255\n"],
+        ids=["letters", "underscore", "sign"],  # int() accepts the last two
+    )
+    def test_bad_header_token(self, tmp_path, header):
         path = tmp_path / "tok.ppm"
-        path.write_bytes(b"P6\nxx 2\n255\n")
-        with pytest.raises(FormatError, match="width"):
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(FormatError, match="bad width") as err:
             load_image(path)
+        assert err.value.offset == 3
 
     def test_round_trip_quantization(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -190,41 +191,35 @@ class TestNetPBM:
 
 
 class TestMetadataCsv:
-    def _schema(self, tmp_path):
-        schema = default_schema(2)
-        p = tmp_path / "schema.json"
-        p.write_text(schema.to_json())
-        return schema, p
+    schema = default_schema(2)
 
     def test_well_formed(self, tmp_path):
-        _, schema_path = self._schema(tmp_path)
         csv_path = tmp_path / "meta.csv"
         csv_path.write_text(
-            "id,diagnostic,marker_a,marker_b,marker_c,region,age,size_mm\n"
-            "a,C0,v0,v0,v0,head,10,2.0\n"
-            "b,C1,v1,v1,v1,arm,20,3.0\n"
-            "c,C0,v0,v1,v0,leg,30,4.0\n"
+            "id,diagnostic,marker_a,marker_b,marker_c,region,age,size_mm,split\n"
+            "a,C0,v0,v0,v0,head,10,2.0,train\n"
+            "b,C1,v1,v1,v1,arm,20,3.0,test\n"
+            "c,C0,v0,v1,v0,leg,30,4.0,train\n"
         )
-        records, labels, ids, tags = load_metadata_csv(csv_path, schema_path)
-        assert len(records) == 3
+        records, labels, ids = load_metadata_csv(csv_path, self.schema)
+        assert len(records) == 3 and all("split" not in r for r in records)
         np.testing.assert_array_equal(labels, [0, 1, 0])
-        assert ids == ["a", "b", "c"] and tags is None
+        assert ids == ["a", "b", "c"]
 
     def test_empty_cell_goes_to_unknown_slot(self, tmp_path):
-        schema, schema_path = self._schema(tmp_path)
+        schema = self.schema
         csv_path = tmp_path / "meta.csv"
         csv_path.write_text(
             "id,diagnostic,marker_a,marker_b,marker_c,region,age,size_mm\n"
             "a,C0,,v0,v0,head,10,2.0\n"
         )
-        records, _, _, _ = load_metadata_csv(csv_path, schema_path)
+        records, _, _ = load_metadata_csv(csv_path, schema)
         from mmfuse.encoders import one_hot_encode
 
         vec = one_hot_encode(records[0], schema)
         assert vec[len(schema.columns[0].vocab)] == 1.0  # unknown slot of marker_a
 
     def test_column_order_independent(self, tmp_path):
-        _, schema_path = self._schema(tmp_path)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         a.write_text(
@@ -235,26 +230,24 @@ class TestMetadataCsv:
             "size_mm,age,region,marker_c,marker_b,marker_a,diagnostic,id\n"
             "2.0,10,head,v0,v1,v0,C0,x\n"
         )
-        ra = load_metadata_csv(a, schema_path)
-        rb = load_metadata_csv(b, schema_path)
+        ra = load_metadata_csv(a, self.schema)
+        rb = load_metadata_csv(b, self.schema)
         assert ra[0] == rb[0] and np.array_equal(ra[1], rb[1])
 
     def test_unknown_label_lists_row(self, tmp_path):
-        _, schema_path = self._schema(tmp_path)
         csv_path = tmp_path / "meta.csv"
         csv_path.write_text(
             "id,diagnostic,marker_a,marker_b,marker_c,region,age,size_mm\n"
             "weird,NOPE,v0,v0,v0,head,10,2.0\n"
         )
         with pytest.raises(DataError, match="weird"):
-            load_metadata_csv(csv_path, schema_path)
+            load_metadata_csv(csv_path, self.schema)
 
     def test_missing_schema_column(self, tmp_path):
-        _, schema_path = self._schema(tmp_path)
         csv_path = tmp_path / "meta.csv"
         csv_path.write_text("id,diagnostic,marker_a\na,C0,v0\n")
         with pytest.raises(SchemaError, match="marker_b"):
-            load_metadata_csv(csv_path, schema_path)
+            load_metadata_csv(csv_path, self.schema)
 
 
 class TestDatasetDirectory:
