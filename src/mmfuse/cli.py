@@ -58,7 +58,11 @@ def _parser():
     p_run.add_argument("--config", required=True, help="experiment JSON config")
     p_run.add_argument("--out", help="output directory (overrides config)")
     p_run.add_argument("--seed", type=int, help="override the split seed")
-    p_run.add_argument("--jobs", type=int, help="parallel workers for the grid")
+    p_run.add_argument(
+        "--jobs", type=int,
+        help="processes that run the grid, this one included "
+        "(default: the CPUs this process may use, at most one per run)",
+    )
     p_run.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override a config field, e.g. --set train.epochs=20",

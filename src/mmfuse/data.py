@@ -256,9 +256,11 @@ def load_metadata_csv(path, schema):
 
     The file must have ``id`` and ``diagnostic`` columns plus every schema
     column; column order does not matter and other columns are ignored.
-    Returns (records, labels, ids).
+    Ids must be distinct, since each names one image file. Returns
+    (records, labels, ids).
     """
     records, labels, ids = [], [], []
+    first_line = {}  # id -> line it first appeared on
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
@@ -275,6 +277,9 @@ def load_metadata_csv(path, schema):
                     f"{path} line {lineno}: unknown label {label!r} "
                     f"(id {rec['id']!r})"
                 )
+            first = first_line.setdefault(rec["id"], lineno)
+            if first != lineno:
+                raise DataError(f"{path} line {lineno}: id {rec['id']!r} repeats line {first}")
             records.append({c.name: rec[c.name] for c in schema.columns})
             labels.append(schema.classes.index(label))
             ids.append(rec["id"])

@@ -6,9 +6,20 @@ stratified k-fold split, evaluates the held-out fold, and emits rows
 report mode yields both its fusion-branch and decision-fused variants from
 the same trained model). Every random draw derives from the config, so a
 rerun writes byte-identical results.
+
+A grid runs on ``jobs`` processes, the caller included, which default to
+the CPUs this process may use. Each process claims the next (fold, seed)
+run from one shared counter until none is left; outcomes are put back in
+task order, so the files a grid writes do not depend on ``jobs`` or on
+which process ran what. A grid with one job or one run starts no process.
+Every grid process runs BLAS on one thread: with OpenBLAS at its default
+thread count, two processes on two CPUs oversubscribe them and run the
+criterion-10 grid several times slower than one.
 """
 
 import concurrent.futures
+import contextlib
+import ctypes
 import hashlib
 import json
 import os
@@ -84,6 +95,13 @@ class DatasetConfig(Config):
             raise ConfigError(f"dataset resize must be 2 sizes >= 1 with 'dir', got {size}")
 
 
+def _usable_cpus():
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ExperimentConfig(Config):
     dataset: dict = field(default_factory=dict)
@@ -94,7 +112,7 @@ class ExperimentConfig(Config):
     split_seed: int = 0
     out: str | None = None
     save_checkpoints: bool = True
-    jobs: int = 1
+    jobs: int = field(default_factory=_usable_cpus)
 
     def validate(self):
         # ``dataset`` stays the raw dict, so digests and manifests keep its bytes
@@ -238,16 +256,106 @@ def _run_single(cfg, dataset, folds, seed, fold_idx):
     return RunOutcome(run=run_id, rows=rows)
 
 
-_WORKER_GRID = None  # (cfg, dataset, folds) of the grid a pool worker serves
+# thread-count getter and setter names, "{}" being "get" or "set", of the
+# OpenBLAS builds numpy and scipy wheels or a system library provide
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
 
 
-def _init_worker(cfg, dataset, folds):
-    global _WORKER_GRID
-    _WORKER_GRID = (cfg, dataset, folds)
+def _openblas_libs():
+    """(get, set) thread-count functions of each OpenBLAS loaded in this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:  # no /proc: the libraries cannot be found, so none is pinned
+        return []
+    libs = []
+    for path in paths:
+        handle = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_SYMBOLS:
+            get = getattr(handle, symbol.format("get"), None)
+            set_ = getattr(handle, symbol.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                libs.append((get, set_))
+                break
+    return libs
 
 
-def _run_task(seed, fold_idx):
-    return _run_single(*_WORKER_GRID, seed, fold_idx)
+def _one_blas_thread():
+    """Set every loaded OpenBLAS to one thread; return (setter, earlier count) pairs."""
+    earlier = [(set_, get()) for get, set_ in _openblas_libs()]
+    for set_, _ in earlier:
+        set_(1)
+    return earlier
+
+
+class _OwnCounter:
+    """Run counter of a grid one process runs alone: no shared memory, no lock."""
+
+    value = 0
+
+    def get_lock(self):
+        return contextlib.nullcontext()
+
+
+def _claim_runs(grid, counter):
+    """(task index, outcome) of each run this process claims from ``counter``.
+
+    ``grid`` is (cfg, dataset, folds, tasks). A run that raises anything but
+    the ``NumericError`` that ``_run_single`` turns into a failed run moves
+    the counter past the last task, so no process claims another.
+    """
+    cfg, dataset, folds, tasks = grid
+    claimed = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(tasks):
+            return claimed
+        try:
+            claimed.append((i, _run_single(cfg, dataset, folds, *tasks[i])))
+        except BaseException:
+            with counter.get_lock():
+                counter.value = len(tasks)
+            raise
+
+
+_WORKER = None  # (grid, counter) of the grid a pool worker serves
+
+
+def _init_worker(grid, counter):
+    global _WORKER
+    _WORKER = (grid, counter)
+    _one_blas_thread()
+
+
+def _worker_claims():
+    return _claim_runs(*_WORKER)
+
+
+def _run_grid(grid, jobs):
+    """Outcomes of the grid's runs in task order, from ``jobs`` processes, the caller one of them."""
+    if jobs == 1:
+        claimed = _claim_runs(grid, _OwnCounter())
+    else:
+        import multiprocessing  # here, so that a serial grid and the import stay without it
+
+        counter = multiprocessing.Value("q", 0)
+        with concurrent.futures.ProcessPoolExecutor(
+            jobs - 1, initializer=_init_worker, initargs=(grid, counter)
+        ) as pool:
+            workers = [pool.submit(_worker_claims) for _ in range(jobs - 1)]
+            claimed = _claim_runs(grid, counter)
+            for worker in workers:
+                claimed += worker.result()
+    return [outcome for _, outcome in sorted(claimed, key=lambda c: c[0])]
 
 
 def _write_confusion(path, cm, classes):
@@ -258,21 +366,25 @@ def _write_confusion(path, cm, classes):
 
 
 def run_experiment(cfg):
-    """Train and evaluate the full fold x seed grid; write artifacts under out."""
-    dataset = resolve_dataset(cfg.dataset)
-    folds = stratified_kfold(dataset.labels, cfg.folds, cfg.split_seed)
-    tasks = [(seed, fold) for seed in cfg.seeds for fold in range(cfg.folds)]
-    if cfg.out is not None:
-        os.makedirs(cfg.out, exist_ok=True)
+    """Train and evaluate the full fold x seed grid; write artifacts under out.
 
-    if cfg.jobs > 1:
-        # each worker gets (cfg, dataset, folds) once; a task is (seed, fold)
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=cfg.jobs, initializer=_init_worker, initargs=(cfg, dataset, folds)
-        ) as pool:
-            outcomes = list(pool.map(_run_task, *zip(*tasks)))
-    else:
-        outcomes = [_run_single(cfg, dataset, folds, s, f) for s, f in tasks]
+    The grid runs on ``min(cfg.jobs, runs)`` processes, the caller included,
+    each with BLAS on one thread; the caller's BLAS thread count is restored
+    on return. An error other than a run's ``NumericError`` stops every
+    process from claiming another run and is raised once the runs in flight
+    have finished.
+    """
+    blas = _one_blas_thread()
+    try:
+        dataset = resolve_dataset(cfg.dataset)
+        folds = stratified_kfold(dataset.labels, cfg.folds, cfg.split_seed)
+        tasks = [(seed, fold) for seed in cfg.seeds for fold in range(cfg.folds)]
+        if cfg.out is not None:
+            os.makedirs(cfg.out, exist_ok=True)
+        outcomes = _run_grid((cfg, dataset, folds, tasks), min(cfg.jobs, len(tasks)))
+    finally:
+        for set_, threads in blas:
+            set_(threads)
 
     rows, failures = [], []
     for outcome in outcomes:

@@ -474,8 +474,9 @@ def test_c11_schedule_and_determinism(tmp_path):
         "seeds": [0],
     }
     outputs = []
-    for sub in ("first", "second"):
-        cfg = ExperimentConfig.from_dict({**cfg_dict, "out": str(tmp_path / sub)})
+    # the first run is serial, the second runs on the default jobs
+    for sub, jobs in (("first", {"jobs": 1}), ("second", {})):
+        cfg = ExperimentConfig.from_dict({**cfg_dict, "out": str(tmp_path / sub), **jobs})
         res = run_experiment(cfg)
         assert not res.failures
         outputs.append((tmp_path / sub / "results.csv").read_bytes())
@@ -493,5 +494,5 @@ def test_c11_schedule_and_determinism(tmp_path):
     _report(
         identical and trace_ok,
         "criterion 11: lr trace equals the closed-form cosine schedule "
-        "(t=0 -> 0.005); reruns byte-identical",
+        "(t=0 -> 0.005); reruns byte-identical (jobs 1 and the default)",
     )

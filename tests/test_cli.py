@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -323,6 +325,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'age': value '{age}'" in err
 
+    def test_repeated_id_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "ds"
+        assert main([
+            "generate", "--out", str(data), "--set", "per_class=2",
+            "--set", "n_classes=2", "--set", "image_shape=[3,8,8]",
+        ]) == 0
+        meta = data / "meta.csv"
+        header, first, second, *rest = meta.read_text().splitlines()
+        repeated = first.split(",")[0] + "," + second.split(",", 1)[1]
+        meta.write_text("\n".join([header, first, repeated, *rest]) + "\n")
+        cfg = run_config(tmp_path, dataset={"dir": str(data)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3" in err and "repeats line 2" in err
+
     def test_heads_not_dividing_attention_width_exits_2_before_data(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -349,41 +366,113 @@ class TestRun:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
-    def test_jobs_flag_reproduces_sequential_results(self, tmp_path):
-        cfg = run_config(tmp_path)
-        outs = {}
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            assert main([
-                "run", "--config", str(cfg), "--out", str(out), "--jobs", jobs,
-            ]) == 0
-            outs[jobs] = (out / "results.csv").read_bytes()
-        assert outs["1"] == outs["2"]
+    def test_jobs_flag_reproduces_sequential_results(self, tmp_path, monkeypatch):
+        import multiprocessing.heap
+        import multiprocessing.synchronize
+
+        # patience < epochs: runs stop at different epochs, so they finish out of order
+        cfg = run_config(
+            tmp_path, seeds=[0, 1],
+            train={"epochs": 8, "patience": 1, "batch_size": 8, "augment": False},
+        )
+
+        def run(name, *flags):
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), "--out", str(out), *flags]) == 0
+            return _files(out)
+
+        trees = {f"jobs {n}": run(f"jobs{n}", "--jobs", str(n)) for n in (1, 2, 3)}
+        trees["default"] = run("default")
+        # Python 3.14 makes forkserver the Linux default; spawn, like it,
+        # gives workers nothing of the caller's memory
+        proc = _python(
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from mmfuse.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n",
+            "run", "--config", str(cfg), "--out", str(tmp_path / "spawn"), "--jobs", "2",
+        )
+        assert proc.returncode == 0, proc.stderr
+        trees["spawn, jobs 2"] = _files(tmp_path / "spawn")
+        # one usable CPU: the default is one job, which starts no process and
+        # builds no shared counter or lock
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert ExperimentConfig.from_dict(json.loads(cfg.read_text())).jobs == 1
+        for owner, attr in (
+            (multiprocessing.process.BaseProcess, "start"),
+            (multiprocessing.synchronize.SemLock, "__init__"),
+            (multiprocessing.heap.BufferWrapper, "__init__"),
+        ):
+            monkeypatch.setattr(owner, attr, _no_process_or_shared_memory)
+        trees["one CPU"] = run("one_cpu")
+
+        reference = trees.pop("jobs 1")
+        assert sum(name.endswith("checkpoint.bin") for name in reference) == 6
+        stops = {
+            len(blob.splitlines()) for name, blob in reference.items()
+            if name.endswith("trainlog.csv")
+        }
+        assert len(stops) > 1, "every run stopped at the same epoch"
+        for name, tree in trees.items():
+            assert tree == reference, name
 
     def test_numeric_failure_marks_run_and_exits_1(self, tmp_path, monkeypatch, capsys):
         import mmfuse.experiment as exp
         from mmfuse.errors import NumericError
 
+        cfg = run_config(tmp_path)
+        seed = ExperimentConfig.from_dict(json.loads(cfg.read_text())).train.seed
+        failing = exp._derived_seed(seed, 0, 1)  # the train seed of run f1-s0
         orig = exp.train
 
-        def flaky_train(assembly, train_set, val_set, cfg, report="all"):
-            if flaky_train.calls == 0:
-                flaky_train.calls += 1
+        def flaky_train(assembly, train_set, val_set, train_cfg, report="all"):
+            if train_cfg.seed == failing:
                 raise NumericError("injected blow-up")
-            flaky_train.calls += 1
-            return orig(assembly, train_set, val_set, cfg, report)
+            return orig(assembly, train_set, val_set, train_cfg, report)
 
-        flaky_train.calls = 0
         monkeypatch.setattr(exp, "train", flaky_train)
-        cfg = run_config(tmp_path)
         out = tmp_path / "flaky"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "injected blow-up" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
-        assert len(manifest["failures"]) == 1
+        assert [f["run"] for f in manifest["failures"]] == ["f1-s0"]
         # surviving folds still produced rows
         rows = (out / "results.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * 2  # two variants x two surviving folds
+
+    @pytest.mark.parametrize("where", ["run f0-s0", "worker"])
+    def test_error_stops_every_process_and_propagates(self, tmp_path, monkeypatch, where):
+        import mmfuse.experiment as exp
+
+        cfg = run_config(tmp_path, seeds=[0, 1, 2])
+        seed = ExperimentConfig.from_dict(json.loads(cfg.read_text())).train.seed
+        failing = exp._derived_seed(seed, 0, 0)  # the train seed of run f0-s0
+        caller, worker_failed = os.getpid(), tmp_path / "worker_failed"
+        orig = exp.train
+
+        def crashing_train(assembly, train_set, val_set, train_cfg, report="all"):
+            if where == "worker" and os.getpid() != caller:
+                worker_failed.touch()
+                raise RuntimeError("injected crash")
+            if where == "worker":
+                # keep the caller's run in flight until the worker has failed
+                deadline = time.monotonic() + 60
+                while not worker_failed.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            elif train_cfg.seed == failing:
+                raise RuntimeError("injected crash")
+            return orig(assembly, train_set, val_set, train_cfg, report)
+
+        monkeypatch.setattr(exp, "train", crashing_train)
+        out = tmp_path / "crash"
+        with pytest.raises(RuntimeError, match="injected crash"):
+            main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "2"])
+        logged = len(list(out.glob("*/*/trainlog.csv")))
+        if where == "worker":
+            assert worker_failed.exists()
+            assert logged == 1  # the caller's run in flight, and no run after it
+        else:
+            assert logged < 9
 
     def test_out_flag_is_taken_literally(self, tmp_path, monkeypatch):
         # a JSON-looking --out is a directory name, not a number
@@ -496,10 +585,23 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
 
 
-def _python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports mmfuse from this checkout."""
+def _files(root):
+    """Relative path -> bytes of every file under ``root``."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def _no_process_or_shared_memory(*args, **kwargs):
+    raise AssertionError("the grid started a process or built shared memory or a lock")
+
+
+def _python(code, *args, unset=()):
+    """Run ``code`` in a fresh interpreter that imports mmfuse from this checkout,
+    without the environment variables named in ``unset``."""
     src = os.path.dirname(os.path.dirname(mmfuse.__file__))
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k not in unset}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -555,3 +657,69 @@ class TestNumpyOnlyRuntime:
         proc = _python(_NO_SCIPY + "import scipy.stats\n")
         assert proc.returncode != 0
         assert "scipy is blocked" in proc.stderr
+
+
+# Run as a script, so that spawned workers, which import it as __mp_main__,
+# probe their runs too. Writes each run's OpenBLAS thread counts to a file.
+_BLAS_PROBE = """
+import glob, json, os, sys, time
+import mmfuse.experiment as exp
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+_run_single = exp._run_single
+
+
+def threads():
+    return [get() for get, _ in exp._openblas_libs()]
+
+
+def probed_run(cfg, dataset, folds, seed, fold):
+    with open(os.path.join(HERE, f"run-{os.getpid()}-{seed}-{fold}.json"), "w") as fh:
+        json.dump(threads(), fh)
+    # the caller's first run waits for a worker's, so that a worker runs one
+    deadline = time.monotonic() + 60
+    while len({os.path.basename(p).split("-")[1] for p in glob.glob(os.path.join(HERE, "run-*"))}) < 2:
+        if time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    return _run_single(cfg, dataset, folds, seed, fold)
+
+
+exp._run_single = probed_run
+
+if __name__ == "__main__":
+    import multiprocessing
+
+    multiprocessing.set_start_method(sys.argv[1])
+    before = threads()
+    cfg = exp.ExperimentConfig.from_dict(json.loads(open(sys.argv[2]).read()))
+    exp.run_experiment(cfg)
+    print(json.dumps({"caller": os.getpid(), "before": before, "after": threads()}))
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_grid_processes_run_blas_on_one_thread(tmp_path, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    if "openblas" not in str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]):
+        pytest.skip("numpy does not use OpenBLAS here")
+    probe = tmp_path / "probe" / "probe.py"
+    probe.parent.mkdir()
+    probe.write_text(_BLAS_PROBE)
+    cfg = run_config(tmp_path, jobs=2)
+    # without these variables OpenBLAS starts with one thread per CPU
+    proc = _python(
+        "import runpy, sys\nsys.argv = sys.argv[1:]\nrunpy.run_path(sys.argv[0], run_name='__main__')\n",
+        str(probe), method, str(cfg),
+        unset=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["before"] and report["after"] == report["before"]
+    counts = {}
+    for path in (tmp_path / "probe").glob("run-*.json"):
+        pid = int(path.name.split("-")[1])
+        role = "caller" if pid == report["caller"] else "worker"
+        counts.setdefault(role, set()).update(json.loads(path.read_text()))
+    assert counts == {"caller": {1}, "worker": {1}}

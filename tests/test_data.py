@@ -249,6 +249,17 @@ class TestMetadataCsv:
         with pytest.raises(SchemaError, match="marker_b"):
             load_metadata_csv(csv_path, self.schema)
 
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        csv_path = tmp_path / "meta.csv"
+        csv_path.write_text(
+            "id,diagnostic,marker_a,marker_b,marker_c,region,age,size_mm\n"
+            "a,C0,v0,v0,v0,head,10,2.0\n"
+            "b,C1,v1,v1,v1,arm,20,3.0\n"
+            "a,C1,v0,v1,v0,leg,30,4.0\n"
+        )
+        with pytest.raises(DataError, match=r"line 4: id 'a' repeats line 2"):
+            load_metadata_csv(csv_path, self.schema)
+
 
 class TestDatasetDirectory:
     def test_write_load_round_trip(self, tmp_path):
