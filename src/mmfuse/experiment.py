@@ -266,16 +266,37 @@ _OPENBLAS_SYMBOLS = (
 )
 
 
+def _openblas_paths(maps_lines):
+    """Paths of the OpenBLAS libraries that lines of ``/proc/<pid>/maps`` map.
+
+    The path is everything after the fifth field, so it may hold spaces. The
+    kernel marks a file removed since it was mapped with " (deleted)"; the
+    path without that mark still names the loaded library to the loader.
+    """
+    paths = set()
+    for line in maps_lines:
+        fields = line.split(maxsplit=5)
+        if len(fields) < 6:  # an anonymous mapping
+            continue
+        path = fields[5].rstrip("\n").removesuffix(" (deleted)")
+        if "openblas" in os.path.basename(path).lower():
+            paths.add(path)
+    return sorted(paths)
+
+
 def _openblas_libs():
     """(get, set) thread-count functions of each OpenBLAS loaded in this process."""
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+            paths = _openblas_paths(fh)
     except OSError:  # no /proc: the libraries cannot be found, so none is pinned
         return []
     libs = []
     for path in paths:
-        handle = ctypes.CDLL(path)
+        try:  # RTLD_NOLOAD: a handle to the library loaded, never a second copy
+            handle = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # e.g. a removed file the loader no longer knows by this path
+            continue
         for symbol in _OPENBLAS_SYMBOLS:
             get = getattr(handle, symbol.format("get"), None)
             set_ = getattr(handle, symbol.format("set"), None)

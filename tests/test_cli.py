@@ -13,6 +13,9 @@ from mmfuse import autodiff as ad
 from mmfuse.cli import main
 from mmfuse.experiment import ExperimentConfig, config_digest, gradcheck_suite
 
+# pool workers start by fork, so they inherit a test's monkeypatches
+_FORKS = multiprocessing.get_start_method() == "fork"
+
 
 def run_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
@@ -432,7 +435,9 @@ class TestRun:
 
         monkeypatch.setattr(exp, "train", flaky_train)
         out = tmp_path / "flaky"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        # the patch reaches workers only through fork; elsewhere the caller runs all
+        jobs = [] if _FORKS else ["--jobs", "1"]
+        assert main(["run", "--config", str(cfg), "--out", str(out), *jobs]) == 1
         assert "injected blow-up" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert [f["run"] for f in manifest["failures"]] == ["f1-s0"]
@@ -440,7 +445,12 @@ class TestRun:
         rows = (out / "results.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * 2  # two variants x two surviving folds
 
-    @pytest.mark.parametrize("where", ["run f0-s0", "worker"])
+    @pytest.mark.parametrize("where", [
+        "run f0-s0",
+        pytest.param("worker", marks=pytest.mark.skipif(
+            not _FORKS, reason="the patch reaches workers only through fork"
+        )),
+    ])
     def test_error_stops_every_process_and_propagates(self, tmp_path, monkeypatch, where):
         import mmfuse.experiment as exp
 
@@ -723,3 +733,33 @@ def test_grid_processes_run_blas_on_one_thread(tmp_path, method):
         role = "caller" if pid == report["caller"] else "worker"
         counts.setdefault(role, set()).update(json.loads(path.read_text()))
     assert counts == {"caller": {1}, "worker": {1}}
+
+
+def test_openblas_paths_read_maps_lines():
+    import mmfuse.experiment as exp
+
+    maps = [
+        "7f10-7f20 r-xp 00000000 08:01 42   /home/u/My Projects/venv/libscipy_openblas64_.so\n",
+        "7f20-7f30 r-xp 00000000 08:01 43   /opt/lib/libopenblas.so.0 (deleted)\n",
+        "7f30-7f40 r-xp 00000000 08:01 44   /srv/openblas-build/lib/libm.so.6\n",
+        "7f40-7f50 rw-p 00000000 00:00 0 \n",
+    ]
+    assert exp._openblas_paths(maps) == [
+        "/home/u/My Projects/venv/libscipy_openblas64_.so",
+        "/opt/lib/libopenblas.so.0",
+    ]
+
+
+def test_openblas_libs_skip_what_cannot_be_opened(tmp_path, monkeypatch):
+    import mmfuse.experiment as exp
+
+    loaded = len(exp._openblas_libs())
+    bogus = tmp_path / "My Libs" / "libopenblas.so"
+    bogus.parent.mkdir()
+    bogus.write_text("not a library")
+    paths = exp._openblas_paths
+    monkeypatch.setattr(
+        exp, "_openblas_paths",
+        lambda lines: paths(lines) + [str(bogus), str(tmp_path / "libopenblas_gone.so")],
+    )
+    assert len(exp._openblas_libs()) == loaded
