@@ -7,6 +7,14 @@ orders the recorded operations (leaves have no backward and are not
 visited) and replays them once each, accumulating gradients additively so
 a value consumed k times receives the sum of its k upstream gradients.
 
+Backward frees the graph as it goes, as PyTorch does without
+``retain_graph``: each node drops its parents and closure before the
+closure runs, so the arrays the closure saved are released once it has
+run, and the node keeps a sentinel backward. A graph is therefore walked
+once. A second ``backward()`` on the same root, or one on a new graph
+built on an op output of a walked graph, raises ``ContractError`` before
+any gradient changes.
+
 All computation is double precision; the finite-difference checker
 (``grad_check``) relies on that.
 
@@ -63,9 +71,14 @@ alone decides what the output records: the parents and ``bw`` when some
 parent needs a gradient and no ``no_graph`` block is open, else ``()`` and
 ``None``. A backward hands each parent gradient, in the parent's shape, to
 ``_accumulate``, the only writer of ``.grad``; it drops gradients of
-tensors that need none. A parameter's ``.grad`` may be a view into a flat
-gradient vector (``layers.Params``): ``_accumulate`` adds into it and
-``Tensor.zero_grad`` zeros it in place, so the view stays one.
+tensors that need none. A first gradient is stored as a copy, unless the
+backward marks it ``owned``: an array it allocated for that parent alone
+and does not read again, which becomes ``.grad`` as it is. A gradient
+given to two parents (``add``), a slice of the output gradient
+(``concat``) or a broadcast of it (``Tensor.sum``) is copied. A
+parameter's ``.grad`` may be a view into a flat gradient vector
+(``layers.Params``): ``_accumulate`` adds into it and ``Tensor.zero_grad``
+zeros it in place, so the view stays one.
 """
 
 from dataclasses import dataclass
@@ -98,7 +111,15 @@ class Tensor:
             self.grad.fill(0.0)
 
     def backward(self):
-        """Populate ``grad`` of every requires-grad ancestor of this scalar."""
+        """Populate ``grad`` of every requires-grad ancestor of this scalar,
+        freeing the graph on the way.
+
+        Each op node drops its parents and backward closure just before the
+        closure runs, so what the closure saved is released as soon as it
+        has run. A graph can be walked once: a second ``backward()`` on this
+        root, or one on a graph built on any of its op outputs, raises
+        ``ContractError`` before any gradient changes.
+        """
         if self.data.size != 1:
             raise ContractError(
                 f"backward() needs a scalar, got shape {self.data.shape}"
@@ -106,10 +127,14 @@ class Tensor:
         if not self.requires_grad:
             return
         topo = _toposort(self)
+        if any(node._backward is _freed for node in topo):
+            _freed(None)
         _accumulate(self, np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            bw, node._backward, node._parents = node._backward, _freed, ()
+            if node.grad is not None:
+                bw(node.grad)
 
     def sum(self):
         def bw(g):
@@ -150,22 +175,35 @@ def _result(data, parents, backward):
     return t
 
 
-def _accumulate(t, g):
-    """Add ``g`` to ``t.grad``, a fresh array on the first call, unless
-    ``t`` needs no gradient."""
+def _accumulate(t, g, owned=False):
+    """Add ``g`` to ``t.grad`` unless ``t`` needs no gradient.
+
+    The first gradient is stored as a copy, unless ``owned`` says the
+    backward allocated ``g`` for ``t`` alone and reads it no more; then
+    ``t.grad`` is ``g`` itself. A gradient handed to two parents, or a view
+    of the output gradient, is never owned.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
 
+def _freed(g):
+    """Backward of an op node whose graph an earlier ``backward()`` walked."""
+    raise ContractError(
+        "backward() reached a graph that an earlier backward() freed; "
+        "run the forward again"
+    )
+
+
 def _toposort(root):
     """Op nodes reachable from ``root`` in depth-first post-order; leaves,
-    which have no backward, are not visited."""
+    which have no backward, are not visited, and freed nodes are."""
     order, seen = [], set()
-    stack = [(root, False)]
+    stack = [(root, False)] if root._backward is not None else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -176,7 +214,7 @@ def _toposort(root):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p._parents and id(p) not in seen:
+            if p._backward is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -198,15 +236,15 @@ def mul(a, b):
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
     def bw(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        _accumulate(a, g * b.data, owned=True)
+        _accumulate(b, g * a.data, owned=True)
     return _result(a.data * b.data, (a, b), bw)
 
 
 def relu(a):
     mask = a.data > 0.0
     def bw(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * mask, owned=True)
     return _result(a.data * mask, (a,), bw)
 
 
@@ -226,9 +264,9 @@ def linear(x, w, b):
         )
     def bw(g):
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
-        _accumulate(b, g.sum(axis=0))
+            _accumulate(x, g @ w.data.T, owned=True)
+        _accumulate(w, x.data.T @ g, owned=True)
+        _accumulate(b, g.sum(axis=0), owned=True)
     return _result(x.data @ w.data + b.data, (x, w, b), bw)
 
 
@@ -263,7 +301,7 @@ def softmax(x):
     y = e / e.sum(axis=-1, keepdims=True)
     def bw(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(x, y * (g - dot))
+        _accumulate(x, y * (g - dot), owned=True)
     return _result(y, (x,), bw)
 
 
@@ -322,8 +360,9 @@ def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
             dz = dz * c
         dz = dz.reshape(b, width)
         grads = np.stack((dz * k, dz * q, (g * w).reshape(b, width)), axis=1)  # dQ, dK, dV
-        _accumulate(qkv_meta, grads[:, :, :dm].reshape(b, 3 * dm))
-        _accumulate(qkv_img, grads[:, :, dm:].reshape(b, 3 * di))
+        # disjoint parts of a fresh array
+        _accumulate(qkv_meta, grads[:, :, :dm].reshape(b, 3 * dm), owned=True)
+        _accumulate(qkv_img, grads[:, :, dm:].reshape(b, 3 * di), owned=True)
     out = _result((w * vh).reshape(b, width), (qkv_meta, qkv_img), bw)
     return out, w.reshape(b, heads, s)
 
@@ -442,7 +481,7 @@ def batch_norm(x, gamma, beta, stats, mode):
         dx = _bn_backward(_features_first(g), xhat, gam_inv, gamma, beta,
                           mode, x.requires_grad)
         if dx is not None:
-            _accumulate(x, _batch_major(dx, xd.shape))
+            _accumulate(x, _batch_major(dx, xd.shape), owned=True)
     return _result(_batch_major(y, xd.shape), (x, gamma, beta), bw)
 
 
@@ -471,8 +510,8 @@ def dense_block(x, w, gamma, beta, stats, mode, relu):
                           x.requires_grad or w.requires_grad)
         if dz is not None:
             if x.requires_grad:
-                _accumulate(x, dz.T @ wd.T)
-            _accumulate(w, xd.T @ dz.T)
+                _accumulate(x, dz.T @ wd.T, owned=True)
+            _accumulate(w, xd.T @ dz.T, owned=True)
     return _result(out, (x, w, gamma, beta), bw)
 
 
@@ -524,7 +563,7 @@ def _conv_backward(g_mat, x, w, cols):
     wd = w.data
     w_mat = wd.reshape(wd.shape[0], -1)
     if w.requires_grad:
-        _accumulate(w, (g_mat @ cols.T).reshape(wd.shape))
+        _accumulate(w, (g_mat @ cols.T).reshape(wd.shape), owned=True)
     if x.requires_grad:
         _accumulate(x, _col2im(w_mat.T @ g_mat, x.data.shape, wd.shape[2]))
 
@@ -543,7 +582,7 @@ def conv2d(x, w, b):
     def bw(g):
         g_mat = _features_first(g)
         if b.requires_grad:
-            _accumulate(b, g_mat.sum(axis=1))
+            _accumulate(b, g_mat.sum(axis=1), owned=True)
         _conv_backward(g_mat, x, w, cols)
     return _result(_bchw(y.reshape(Cout, H, W, B)), (x, w, b), bw)
 
@@ -589,7 +628,7 @@ def max_pool2(x):
         dx = np.empty_like(xd)
         _route_first_max(win, y, _chwb(g), _windows(_chwb(dx)),
                          np.zeros(y.shape, dtype=bool))
-        _accumulate(x, dx)
+        _accumulate(x, dx, owned=True)
     return _result(_bchw(y), (x,), bw)
 
 
@@ -634,7 +673,7 @@ def global_avg_pool(x):
         # same memory layout as x
         dx = np.empty_like(xd)
         dx[...] = g[:, :, None, None] / area
-        _accumulate(x, dx)
+        _accumulate(x, dx, owned=True)
     return _result(xd.mean(axis=(2, 3)), (x,), bw)
 
 
@@ -681,7 +720,7 @@ def cross_entropy_logits(heads, labels, class_weights, coefs):
         for h, c, lse in zip(heads, coefs, lses):
             p = np.exp(h.data - lse)
             p[rows, labels] -= 1.0
-            _accumulate(h, p * (w * (float(g) * c / B))[:, None])
+            _accumulate(h, p * (w * (float(g) * c / B))[:, None], owned=True)
     return _result(np.array(total), heads, bw), losses
 
 

@@ -12,6 +12,9 @@ the CPUs this process may use. Each process claims the next (fold, seed)
 run from one shared counter until none is left; outcomes are put back in
 task order, so the files a grid writes do not depend on ``jobs`` or on
 which process ran what. A grid with one job or one run starts no process.
+Workers receive only the config and the task list: a forked worker shares
+the caller's dataset and folds, and a spawned one builds them again from
+the config, which gives the same arrays.
 Every grid process runs BLAS on one thread: with OpenBLAS at its default
 thread count, two processes on two CPUs oversubscribe them and run the
 criterion-10 grid several times slower than one.
@@ -192,6 +195,12 @@ def _derived_seed(*parts):
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def _grid_data(cfg):
+    """The dataset and the stratified folds of the grid ``cfg`` describes."""
+    dataset = resolve_dataset(cfg.dataset)
+    return dataset, stratified_kfold(dataset.labels, cfg.folds, cfg.split_seed)
+
+
 def _run_single(cfg, dataset, folds, seed, fold_idx):
     run_id = f"f{fold_idx}-s{seed}"
     k = len(folds)
@@ -348,12 +357,20 @@ def _claim_runs(grid, counter):
             raise
 
 
+# (dataset, folds) of the grid being run, set by the caller while its pool
+# is open: forked workers inherit it, spawned ones build their own
+_GRID_DATA = None
 _WORKER = None  # (grid, counter) of the grid a pool worker serves
 
 
-def _init_worker(grid, counter):
+def _init_worker(cfg, tasks, counter):
+    """Only the config, the tasks and the counter cross the pipe, so a worker
+    that dies while it starts cannot block the caller mid-write."""
     global _WORKER
-    _WORKER = (grid, counter)
+    data = _GRID_DATA
+    if data is None:  # spawn or forkserver: nothing inherited
+        data = _grid_data(cfg)
+    _WORKER = ((cfg, *data, tasks), counter)
     _one_blas_thread()
 
 
@@ -363,19 +380,25 @@ def _worker_claims():
 
 def _run_grid(grid, jobs):
     """Outcomes of the grid's runs in task order, from ``jobs`` processes, the caller one of them."""
+    global _GRID_DATA
     if jobs == 1:
         claimed = _claim_runs(grid, _OwnCounter())
     else:
         import multiprocessing  # here, so that a serial grid and the import stay without it
 
+        cfg, dataset, folds, tasks = grid
         counter = multiprocessing.Value("q", 0)
-        with concurrent.futures.ProcessPoolExecutor(
-            jobs - 1, initializer=_init_worker, initargs=(grid, counter)
-        ) as pool:
-            workers = [pool.submit(_worker_claims) for _ in range(jobs - 1)]
-            claimed = _claim_runs(grid, counter)
-            for worker in workers:
-                claimed += worker.result()
+        _GRID_DATA = dataset, folds
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                jobs - 1, initializer=_init_worker, initargs=(cfg, tasks, counter)
+            ) as pool:
+                workers = [pool.submit(_worker_claims) for _ in range(jobs - 1)]
+                claimed = _claim_runs(grid, counter)
+                for worker in workers:
+                    claimed += worker.result()
+        finally:
+            _GRID_DATA = None
     return [outcome for _, outcome in sorted(claimed, key=lambda c: c[0])]
 
 
@@ -397,8 +420,7 @@ def run_experiment(cfg):
     """
     blas = _one_blas_thread()
     try:
-        dataset = resolve_dataset(cfg.dataset)
-        folds = stratified_kfold(dataset.labels, cfg.folds, cfg.split_seed)
+        dataset, folds = _grid_data(cfg)
         tasks = [(seed, fold) for seed in cfg.seeds for fold in range(cfg.folds)]
         if cfg.out is not None:
             os.makedirs(cfg.out, exist_ok=True)

@@ -1,4 +1,5 @@
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -701,6 +702,84 @@ class TestAccumulate:
         ad.add(y.sum(), y.sum()).backward()
         assert not np.shares_memory(x.grad, y.grad)
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+    @pytest.mark.parametrize("op", [ad.add, ad.concat])
+    def test_shared_gradients_are_not_aliased(self, op):
+        # add hands one array to both parents, concat two slices of its
+        # output gradient
+        a, b = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(2))
+        out = op(a, b)
+        ad.mul(out, Tensor(np.full(out.shape, 2.0))).sum().backward()
+        b_grad, out_grad = b.grad.copy(), out.grad.copy()
+        a.grad += 5.0
+        np.testing.assert_array_equal(b.grad, b_grad)
+        np.testing.assert_array_equal(out.grad, out_grad)
+
+    def test_broadcast_gradient_is_copied(self):
+        # Tensor.sum hands on a read-only broadcast of its scalar gradient
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        x.sum().backward()
+        x.grad += 1.0
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def _conv_graph():
+    """(loss, weights, mid, a weak reference to mid's data) of a two-block
+    image graph, mid being the first conv_block's output."""
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+    weights = [
+        Tensor(rng.normal(size=shape), requires_grad=True)
+        for shape in ((4, 3, 3, 3), (4,), (4,), (2, 4, 3, 3), (2,), (2,))
+    ]
+    w0, g0, b0, w1, g1, b1 = weights
+    mid = ad.conv_block(x, w0, g0, b0, _stats(4), "train")
+    out = ad.conv_block(mid, w1, g1, b1, _stats(2), "train")
+    loss = ad.mul(ad.global_avg_pool(out), Tensor(rng.normal(size=(2, 2)))).sum()
+    # the output holds its data for as long as it lives
+    return loss, weights, mid, weakref.ref(mid.data)
+
+
+class TestFreedGraph:
+    def test_backward_frees_op_outputs_the_caller_does_not_hold(self):
+        loss, _, mid, mid_data = _conv_graph()
+        del mid
+        assert mid_data() is not None
+        loss.backward()
+        assert mid_data() is None
+        assert loss._parents == ()
+
+    def test_second_backward_on_one_root_raises_and_changes_nothing(self):
+        loss, weights, _, _ = _conv_graph()
+        loss.backward()
+        grads = [w.grad.copy() for w in weights]
+        with pytest.raises(ContractError, match="freed"):
+            loss.backward()
+        for w, g in zip(weights, grads):
+            np.testing.assert_array_equal(w.grad, g)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+
+    def test_backward_on_a_leaf_leaves_it_a_leaf(self):
+        x = Tensor([3.0], requires_grad=True)
+        x.backward()
+        assert x._backward is None
+        ad.mul(x, x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [7.0])
+
+    def test_graph_built_on_a_freed_node_raises_and_changes_nothing(self):
+        loss, weights, mid, _ = _conv_graph()
+        loss.backward()
+        grads = [w.grad.copy() for w in weights]
+        mid_grad = mid.grad.copy()
+        # walked from its root, the new graph reaches this leaf before mid
+        scale = Tensor(np.ones((2, 4)), requires_grad=True)
+        again = ad.mul(ad.global_avg_pool(mid), scale).sum()
+        with pytest.raises(ContractError, match="freed"):
+            again.backward()
+        for w, g in zip(weights, grads):
+            np.testing.assert_array_equal(w.grad, g)
+        np.testing.assert_array_equal(mid.grad, mid_grad)
+        assert scale.grad is None and again.grad is None
 
 
 class TestNoGraph:

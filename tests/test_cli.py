@@ -607,7 +607,7 @@ def _no_process_or_shared_memory(*args, **kwargs):
     raise AssertionError("the grid started a process or built shared memory or a lock")
 
 
-def _python(code, *args, unset=()):
+def _python(code, *args, unset=(), timeout=300):
     """Run ``code`` in a fresh interpreter that imports mmfuse from this checkout,
     without the environment variables named in ``unset``."""
     src = os.path.dirname(os.path.dirname(mmfuse.__file__))
@@ -615,7 +615,7 @@ def _python(code, *args, unset=()):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-c", code, *args],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -669,6 +669,13 @@ class TestNumpyOnlyRuntime:
         assert "scipy is blocked" in proc.stderr
 
 
+# Runs the script named by the first argument as __main__, with the rest as
+# its arguments; spawned workers then import that script as __mp_main__.
+_RUN_AS_MAIN = (
+    "import runpy, sys\nsys.argv = sys.argv[1:]\nrunpy.run_path(sys.argv[0], run_name='__main__')\n"
+)
+
+
 # Run as a script, so that spawned workers, which import it as __mp_main__,
 # probe their runs too. Writes each run's OpenBLAS thread counts to a file.
 _BLAS_PROBE = """
@@ -720,8 +727,7 @@ def test_grid_processes_run_blas_on_one_thread(tmp_path, method):
     cfg = run_config(tmp_path, jobs=2)
     # without these variables OpenBLAS starts with one thread per CPU
     proc = _python(
-        "import runpy, sys\nsys.argv = sys.argv[1:]\nrunpy.run_path(sys.argv[0], run_name='__main__')\n",
-        str(probe), method, str(cfg),
+        _RUN_AS_MAIN, str(probe), method, str(cfg),
         unset=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"),
     )
     assert proc.returncode == 0, proc.stderr
@@ -733,6 +739,32 @@ def test_grid_processes_run_blas_on_one_thread(tmp_path, method):
         role = "caller" if pid == report["caller"] else "worker"
         counts.setdefault(role, set()).update(json.loads(path.read_text()))
     assert counts == {"caller": {1}, "worker": {1}}
+
+
+# A grid started outside a __main__ guard: a spawned worker imports the
+# script, starts the grid again and dies while it bootstraps.
+_UNGUARDED_GRID = """
+import json, multiprocessing, sys
+from mmfuse.experiment import ExperimentConfig, run_experiment
+
+multiprocessing.set_start_method("spawn", force=True)
+run_experiment(ExperimentConfig.from_dict(json.loads(open(sys.argv[1]).read())))
+"""
+
+
+def test_worker_dying_at_start_fails_the_grid(tmp_path):
+    if "spawn" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no spawn start method here")
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED_GRID)
+    # a dataset of about 300 kB, several times what a pipe buffers
+    dataset = json.loads(run_config(tmp_path).read_text())["dataset"]
+    dataset["synthetic"].update(per_class=24, image_shape=[3, 16, 16])
+    cfg = run_config(tmp_path, dataset=dataset, jobs=2,
+                     train={"epochs": 1, "patience": 1, "batch_size": 8, "augment": False})
+    proc = _python(_RUN_AS_MAIN, str(script), str(cfg), timeout=120)
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr, proc.stderr
 
 
 def test_openblas_paths_read_maps_lines():

@@ -519,6 +519,31 @@ class TestInferenceRecordsNoGraph:
             assert not np.array_equal(p.data, before[name]), name
 
 
+class TestEvalIsPerSample:
+    """Eval mode normalizes by the running statistics, so a sample's
+    probabilities do not depend on the batch it is scored in."""
+
+    @pytest.mark.parametrize("structure", ["image", "jf", "jif"])
+    def test_batch_size_and_sample_order_change_nothing(self, structure):
+        ds = small_dataset(n_classes=3, per_class=10)
+        asm = build_assembly(replace(SMALL_MODEL, structure=structure), ds,
+                             np.random.default_rng(6))
+        # train-mode forwards move the running statistics off their defaults
+        for start in (0, 10):
+            asm.forward(Tensor(ds.images[start:start + 12]),
+                        Tensor(ds.meta[start:start + 12]), "train")
+        whole = predict_probs(asm, ds, batch_size=256)
+        for batch_size in (1, 7):
+            probs = predict_probs(asm, ds, batch_size=batch_size)
+            assert sorted(probs) == sorted(whole)
+            for key in whole:
+                np.testing.assert_allclose(probs[key], whole[key], rtol=0, atol=1e-12)
+        perm = np.random.default_rng(7).permutation(len(ds))
+        shuffled = predict_probs(asm, ds.subset(perm), batch_size=7)
+        for key in whole:
+            np.testing.assert_allclose(shuffled[key], whole[key][perm], rtol=0, atol=1e-12)
+
+
 class TestFlatParams:
     """Every parameter and gradient of a built model is a view into the two
     flat vectors of its ``layers.Params``, in ``params()`` order."""
