@@ -25,8 +25,9 @@ and k*k strided slice copies fill ``cols`` of shape ``(C*k*k, H*W*B)``,
 rows ordered (channel, kernel row, kernel column) like
 ``w.reshape(Cout, -1)``. The forward pass is ``w_mat @ cols``, dW is
 ``g_mat @ cols.T``, and dX is ``w_mat.T @ g_mat`` scattered back by k*k
-strided adds (col2im). With the batch innermost, each copy and add moves
-runs of W*B contiguous elements rather than W.
+strided adds (col2im), each clipped at the border of an unpadded buffer
+that becomes the input's gradient without a copy. With the batch
+innermost, each copy and add moves runs of W*B contiguous elements.
 
 ``max_pool2`` takes the elementwise maximum of the four strided views of
 each 2x2 block. On a tie the whole gradient goes to the first maximal
@@ -60,6 +61,12 @@ dK = dz*Q. ``cross_entropy_logits`` is the whole loss as one node: every
 head's weighted cross-entropy and their weighted sum. Each of these
 computes the expressions of the chain it replaces in the same order, so
 its values and gradients are bitwise those of the chain.
+
+Inside ``no_graph``, eval-mode ``conv_block`` and ``dense_block`` fold
+batch norm into the weight: with s = gamma / sqrt(var + eps), they run one
+matrix product with w * s plus the bias beta - mean * s, make no centred
+copy or x-hat, and give ``_result`` no backward. The recording eval path,
+which differs in the last bits, is their oracle.
 
 Layout rule: an op's input gradient has its input's memory order, so the
 batch-innermost layout carries through batch norm, ReLU and max-pool both
@@ -444,6 +451,13 @@ def _bn_forward(xd, gamma, beta, stats, mode):
     return y, xhat, gam * inv
 
 
+def _bn_fold(gamma, beta, stats):
+    """Eval batch norm as a per-feature scale s = gamma / sqrt(var + eps)
+    and shift beta - mean * s, to fold into the preceding matrix product."""
+    s = gamma.data / np.sqrt(stats.var + stats.eps)
+    return s, beta.data - stats.mean * s
+
+
 def _bn_backward(gf, xhat, gam_inv, gamma, beta, mode, need_dx):
     """Accumulate the gamma/beta gradients of features-first gradient gf and
     return the features-first input gradient (None unless ``need_dx``)."""
@@ -490,7 +504,8 @@ def dense_block(x, w, gamma, beta, stats, mode, relu):
 
     ``x`` is (B, n) and ``w`` (n, m). There is no bias: the batch norm would
     cancel it. Values and gradients are those of the chain of ``linear``
-    with a zero bias, ``batch_norm`` and ``relu``.
+    with a zero bias, ``batch_norm`` and ``relu``; eval under ``no_graph``
+    folds the batch norm into ``w``.
     """
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
@@ -498,6 +513,12 @@ def dense_block(x, w, gamma, beta, stats, mode, relu):
             f"dense_block: input {xd.shape} incompatible with weight {wd.shape}"
         )
     _check_bn(wd.shape[1], gamma, beta, mode)
+    if mode == "eval" and no_graph.depth:
+        s, shift = _bn_fold(gamma, beta, stats)
+        out = xd @ (wd * s) + shift
+        if relu:
+            out *= out > 0.0
+        return _result(out, (x, w, gamma, beta), None)
     y, xhat, gam_inv = _bn_forward(xd @ wd, gamma, beta, stats, mode)
     out = y.T
     if relu:
@@ -551,11 +572,16 @@ def _col2im(dcols, shape, k):
     B, C, H, W = shape
     p = k // 2
     dcols = dcols.reshape(C, k, k, H, W, B)
-    dxp = np.zeros((C, H + 2 * p, W + 2 * p, B))
+    dx = np.zeros((C, H, W, B))
     for i in range(k):
+        # rows of x that kernel row i reads, and the matching rows of dcols
+        r0, r1 = max(i - p, 0), min(i - p + H, H)
         for j in range(k):
-            dxp[:, i : i + H, j : j + W] += dcols[:, i, j]
-    return _bchw(dxp[:, p : p + H, p : p + W])
+            c0, c1 = max(j - p, 0), min(j - p + W, W)
+            if r0 < r1 and c0 < c1:
+                dx[:, r0:r1, c0:c1] += dcols[:, i, j, r0 - i + p : r1 - i + p,
+                                             c0 - j + p : c1 - j + p]
+    return _bchw(dx)
 
 
 def _conv_backward(g_mat, x, w, cols):
@@ -565,7 +591,7 @@ def _conv_backward(g_mat, x, w, cols):
     if w.requires_grad:
         _accumulate(w, (g_mat @ cols.T).reshape(wd.shape), owned=True)
     if x.requires_grad:
-        _accumulate(x, _col2im(w_mat.T @ g_mat, x.data.shape, wd.shape[2]))
+        _accumulate(x, _col2im(w_mat.T @ g_mat, x.data.shape, wd.shape[2]), owned=True)
 
 
 def conv2d(x, w, b):
@@ -638,6 +664,7 @@ def conv_block(x, w, gamma, beta, stats, mode):
     It pools before the ReLU, which gives the same values and the same
     first-max gradient routing (see the module docstring), on a quarter of
     the elements. There is no conv bias: the batch norm would cancel it.
+    Eval under ``no_graph`` folds the batch norm into ``w``.
     """
     xd, wd = x.data, w.data
     k = _check_conv(xd, wd)
@@ -645,6 +672,12 @@ def conv_block(x, w, gamma, beta, stats, mode):
     Cout = wd.shape[0]
     _check_bn(Cout, gamma, beta, mode)
     _check_pool(xd.shape, "conv_block")
+    if mode == "eval" and no_graph.depth:
+        s, shift = _bn_fold(gamma, beta, stats)
+        z = (wd.reshape(Cout, -1) * s[:, None]) @ _im2col(xd, k)
+        z += shift[:, None]
+        pooled = _max4(_windows(z.reshape(Cout, H, W, B)))
+        return _result(_bchw(pooled * (pooled > 0.0)), (x, w, gamma, beta), None)
     cols = _im2col(xd, k)
     conv = _bchw((wd.reshape(Cout, -1) @ cols).reshape(Cout, H, W, B))
     # free cols now unless backward will read it for dW

@@ -188,7 +188,8 @@ def generate_synthetic(spec):
         alpha_img = 0.0
 
     templates = {}
-    images, records, labels = [], [], []
+    images = np.empty((sum(counts),) + tuple(spec.image_shape))
+    records, labels = [], []
     for cls in range(n_cls):
         if spec.mode == "complementary":
             img_target = cls // members
@@ -204,7 +205,7 @@ def generate_synthetic(spec):
             img = alpha_img * tmpl + (1.0 - alpha_img) * noise_img
             if spec.noise > 0:
                 img = img + spec.noise * rng.normal(size=spec.image_shape)
-            images.append(np.clip(img, 0.0, 1.0))
+            np.clip(img, 0.0, 1.0, out=images[len(labels)])  # this sample's row
             rec = {}
             for col in ("marker_a", "marker_b", "marker_c"):
                 if rng.random() < alpha_meta:
@@ -218,7 +219,7 @@ def generate_synthetic(spec):
             labels.append(cls)
     labels = np.array(labels, dtype=np.intp)
     return Dataset(
-        images=np.stack(images),
+        images=images,
         meta=encode_rows(records, schema),
         labels=labels,
         schema=schema,

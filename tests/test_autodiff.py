@@ -514,6 +514,40 @@ class TestDenseBlock:
                            "train", False)
 
 
+class TestEvalFold:
+    """Under ``no_graph`` the eval blocks fold batch norm into the weight and
+    a bias; the eval path that records a graph is their oracle."""
+
+    def _bn(self, rng, width):
+        gamma = rng.normal(size=width)
+        assert (gamma < 0).any()
+        stats = RunningStats(mean=rng.normal(size=width), var=rng.uniform(0.3, 2.0, width))
+        return (Tensor(gamma, requires_grad=True),
+                Tensor(rng.normal(size=width), requires_grad=True), stats)
+
+    def _check(self, block, *args):
+        recorded = block(*args)
+        with ad.no_graph():
+            folded = block(*args)
+        assert recorded.requires_grad
+        assert not folded.requires_grad and folded._parents == () and folded._backward is None
+        np.testing.assert_allclose(folded.data, recorded.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_conv_block(self, k):
+        rng = np.random.default_rng(20 + k)
+        x = Tensor(rng.normal(size=(5, 3, 6, 6)))
+        w = Tensor(rng.normal(size=(4, 3, k, k)), requires_grad=True)
+        self._check(ad.conv_block, x, w, *self._bn(rng, 4), "eval")
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_dense_block(self, relu):
+        rng = np.random.default_rng(30 + relu)
+        x = Tensor(rng.normal(size=(7, 4)))
+        w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        self._check(ad.dense_block, x, w, *self._bn(rng, 6), "eval", relu)
+
+
 class TestGatingAttention:
     """gating_attention against per-head loops with the softmax Jacobian."""
 
