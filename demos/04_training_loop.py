@@ -19,10 +19,10 @@ ds = generate_synthetic(
     )
 )
 folds = stratified_kfold(ds.labels, 5, seed=0)
-test_set = ds.subset(folds[0])
-val_set = ds.subset(folds[1])
-train_set = ds.subset(np.sort(np.concatenate([folds[i] for i in range(2, 5)])))
-print(f"train/val/test sizes: {len(train_set)}/{len(val_set)}/{len(test_set)}")
+# each split is a set of dataset rows; training gathers its batches from them
+test_rows, val_rows = folds[0], folds[1]
+train_rows = np.sort(np.concatenate([folds[i] for i in range(2, 5)]))
+print(f"train/val/test sizes: {len(train_rows)}/{len(val_rows)}/{len(test_rows)}")
 
 model_cfg = ModelConfig(
     structure="jif", fusion="mmfa", report="all",
@@ -31,7 +31,7 @@ model_cfg = ModelConfig(
 )
 assembly = build_assembly(model_cfg, ds, np.random.default_rng(0))
 cfg = TrainConfig(epochs=25, patience=8, batch_size=16, seed=0, beta=0.5)
-assembly, log = train(assembly, train_set, val_set, cfg, report="all")
+assembly, log = train(assembly, ds, train_rows, val_rows, cfg, report="all")
 
 print(f"{'epoch':>5} {'lr':>9} {'L_I':>7} {'L_M':>7} {'L_IM':>7} {'val_bac':>8}")
 for row in log.rows:
@@ -39,5 +39,5 @@ for row in log.rows:
           f"{row['L_M']:>7.3f} {row['L_IM']:>7.3f} {row['val_bac']:>8.3f}")
 print(f"\nbest epoch {log.best_epoch} (val BAC {log.best_bac:.3f}); "
       f"stopped because: {log.stop_reason}")
-print(f"held-out test BAC (decision-fused): {eval_bac(assembly, test_set, 'all'):.3f}")
-print(f"held-out test BAC (fusion branch):  {eval_bac(assembly, test_set, 'ofb'):.3f}")
+print(f"held-out test BAC (decision-fused): {eval_bac(assembly, ds, test_rows, 'all'):.3f}")
+print(f"held-out test BAC (fusion branch):  {eval_bac(assembly, ds, test_rows, 'ofb'):.3f}")

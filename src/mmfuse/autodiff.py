@@ -32,6 +32,9 @@ innermost, each copy and add moves runs of W*B contiguous elements.
 ``max_pool2`` takes the elementwise maximum of the four strided views of
 each 2x2 block. On a tie the whole gradient goes to the first maximal
 element in row-major order within the block: (0,0), (0,1), (1,0), (1,1).
+One kernel, ``_first_max_mask``, marks that element in a boolean mask in
+window layout; backward multiplies the mask by the output gradient
+broadcast over each block.
 
 ``batch_norm`` normalizes, applies gamma/beta and differentiates on the
 features-first ``(F, N)`` view, free for ``(B, F)`` input and for conv's
@@ -47,7 +50,8 @@ and after it (a block whose max is not positive gets no gradient either
 way), so values and gradients are those of the chain, with the ReLU on a
 quarter of the elements. It shares every kernel with the separate ops:
 im2col/col2im, the batch-norm normalisation and closed-form backward, and
-the 2x2 max with its first-max routing.
+the 2x2 max with its first-max mask, which its forward builds and saves in
+place of the float64 pre-pool activation: 1 byte per element, not 8.
 
 ``dense_block`` is one fully connected block, ``batch_norm(x @ w)`` with
 an optional ReLU, as one node on the same batch-norm kernels.
@@ -632,15 +636,16 @@ def _max4(win):
     )
 
 
-def _route_first_max(win, y, g, dwin, taken):
-    """Write g to the first view of win, in row-major order within the
-    block, that equals the block maximum y, and zero elsewhere in dwin.
-    Blocks already True in the boolean ``taken`` (updated in place) get
-    zeros throughout."""
+def _first_max_mask(win, y, taken):
+    """Boolean mask in win's window layout that marks the element of each
+    2x2 block that gets its gradient: the first, in row-major order within
+    the block, that equals the block maximum y. Blocks already True in the
+    boolean ``taken`` (updated in place) get none."""
+    mask = np.empty(win.shape, dtype=bool)
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        first = (win[:, :, i, :, j] == y) & ~taken
-        np.multiply(g, first, out=dwin[:, :, i, :, j])
-        taken |= first
+        mask[:, :, i, :, j] = (win[:, :, i, :, j] == y) & ~taken
+        taken |= mask[:, :, i, :, j]
+    return mask
 
 
 def max_pool2(x):
@@ -652,8 +657,8 @@ def max_pool2(x):
     def bw(g):
         # same memory layout as x
         dx = np.empty_like(xd)
-        _route_first_max(win, y, _chwb(g), _windows(_chwb(dx)),
-                         np.zeros(y.shape, dtype=bool))
+        mask = _first_max_mask(win, y, np.zeros(y.shape, dtype=bool))
+        np.multiply(_chwb(g)[:, :, None, :, None, :], mask, out=_windows(_chwb(dx)))
         _accumulate(x, dx, owned=True)
     return _result(_bchw(y), (x,), bw)
 
@@ -685,13 +690,13 @@ def conv_block(x, w, gamma, beta, stats, mode):
     z, xhat, gam_inv = _bn_forward(conv, gamma, beta, stats, mode)
     win = _windows(z.reshape(Cout, H, W, B))
     pooled = _max4(win)
+    # backward keeps this 1-byte routing mask, not z; the ReLU passes
+    # nothing where the block max is not positive
+    mask = _first_max_mask(win, pooled, pooled <= 0.0)
     def bw(g):
-        dz = np.empty(z.shape)
-        # the ReLU passes nothing where the block max is not positive
-        _route_first_max(win, pooled, _chwb(g), _windows(dz.reshape(Cout, H, W, B)),
-                         pooled <= 0.0)
-        dconv = _bn_backward(dz, xhat, gam_inv, gamma, beta, mode,
-                             x.requires_grad or w.requires_grad)
+        dz = _chwb(g)[:, :, None, :, None, :] * mask  # g, or a zero of its sign
+        dconv = _bn_backward(dz.reshape(Cout, -1), xhat, gam_inv, gamma, beta,
+                             mode, x.requires_grad or w.requires_grad)
         if dconv is not None:
             _conv_backward(dconv, x, w, cols)
     return _result(_bchw(pooled * (pooled > 0.0)), (x, w, gamma, beta), bw)

@@ -89,11 +89,13 @@ def _load_config(path, settings):
     ``--set KEY=VALUE`` applied; ``ConfigError`` naming the file otherwise."""
     raw = {}
     if path:
-        with open(path) as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: invalid JSON: {e}") from None
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: invalid JSON: {e}") from None
+        except (IsADirectoryError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{path}: not a UTF-8 text file: {e}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a JSON object")
     for setting in settings:

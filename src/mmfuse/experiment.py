@@ -216,23 +216,19 @@ def _run_single(cfg, dataset, folds, seed, fold_idx):
     train_cfg = replace(cfg.train, seed=_derived_seed(cfg.train.seed, seed, fold_idx))
     try:
         assembly, log = train(
-            assembly,
-            dataset.subset(train_idx),
-            dataset.subset(val_idx),
-            train_cfg,
-            report=cfg.model.report,
+            assembly, dataset, train_idx, val_idx, train_cfg, report=cfg.model.report
         )
     except NumericError as e:
         return RunOutcome(run=run_id, rows=[], failed=True, error=str(e))
 
-    test_set = dataset.subset(test_idx)
-    probs = predict_probs(assembly, test_set)
+    probs = predict_probs(assembly, dataset, test_idx)
+    labels = dataset.labels[test_idx]
     rows = []
     reports = {}
     for method, key in method_variants(cfg.model):
         scores = probs[key]
-        cm = confusion(test_set.labels, scores.argmax(axis=1), dataset.n_classes)
-        rep = metric_report(cm, scores, test_set.labels)
+        cm = confusion(labels, scores.argmax(axis=1), dataset.n_classes)
+        rep = metric_report(cm, scores, labels)
         rows.append(
             {
                 "method": method,

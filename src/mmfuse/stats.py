@@ -73,18 +73,21 @@ class FoldResultTable:
         """Read one or more CSVs with header columns method, run, <metric>."""
         rows = []
         for path in paths:
-            with open(path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                fields = reader.fieldnames or []
-                for col in ("method", "run", metric):
-                    if col not in fields:
-                        raise DataError(f"{path}: missing column {col!r}")
-                for rec in reader:
-                    try:
-                        value = float(rec[metric])
-                    except (TypeError, ValueError) as e:
-                        raise DataError(f"{path}: bad {metric} value {rec[metric]!r}") from e
-                    rows.append((rec["method"], rec["run"], value))
+            try:
+                with open(path, newline="", encoding="utf-8") as fh:
+                    reader = csv.DictReader(fh)
+                    fields = reader.fieldnames or []
+                    for col in ("method", "run", metric):
+                        if col not in fields:
+                            raise DataError(f"{path}: missing column {col!r}")
+                    for rec in reader:
+                        try:
+                            value = float(rec[metric])
+                        except (TypeError, ValueError) as e:
+                            raise DataError(f"{path}: bad {metric} value {rec[metric]!r}") from e
+                        rows.append((rec["method"], rec["run"], value))
+            except (IsADirectoryError, UnicodeDecodeError) as e:
+                raise DataError(f"{path}: not a UTF-8 text file: {e}") from None
         if not rows:
             raise DataError("no result rows found")
         return cls.from_rows(rows)

@@ -210,22 +210,23 @@ def augment(images, rng, prob=0.5):
 # prediction helpers
 
 
-def predict_probs(assembly, dataset, batch_size=32):
-    """Eval-mode class probabilities per branch over a whole dataset: the
-    softmax of each head's logits, plus their decision-level average
-    ("fused") for a three-head structure.
+def predict_probs(assembly, dataset, rows, batch_size=32):
+    """Eval-mode class probabilities per branch for the dataset rows
+    ``rows``, in that order: the softmax of each head's logits, plus their
+    decision-level average ("fused") for a three-head structure.
 
     The forward passes run under ``no_graph``, where eval blocks fold batch
-    norm into their weights. Eval scores each sample on its own; chunks of
-    32 keep a validation pass's memory peak below a batch-16 training
-    step's (a 72-sample 16x16 fold as one batch made 4 MB of im2col).
+    norm into their weights. Eval scores each sample on its own; each chunk
+    of 32 rows is gathered from the dataset's arrays, which keeps a
+    validation pass's memory peak below a batch-16 training step's (a
+    72-sample 16x16 fold as one batch made 4 MB of im2col).
     """
-    n = len(dataset)
+    rows = np.asarray(rows, dtype=np.intp)
     probs = {}
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        images = Tensor(dataset.images[start:stop])
-        meta = Tensor(dataset.meta[start:stop])
+    for start in range(0, len(rows), batch_size):
+        chunk = rows[start : start + batch_size]
+        images = Tensor(dataset.images[chunk])
+        meta = Tensor(dataset.meta[chunk])
         with no_graph():
             triple = assembly.forward(images, meta, "eval")
             parts = {
@@ -239,10 +240,11 @@ def predict_probs(assembly, dataset, batch_size=32):
     return {k: np.concatenate(v, axis=0) for k, v in probs.items()}
 
 
-def eval_bac(assembly, dataset, report):
-    probs = predict_probs(assembly, dataset)
+def eval_bac(assembly, dataset, rows, report):
+    """Balanced accuracy of the reported scores on the dataset rows ``rows``."""
+    probs = predict_probs(assembly, dataset, rows)
     scores = probs[reported_scores(assembly.structure, report)[-1][1]]
-    cm = confusion(dataset.labels, scores.argmax(axis=1), assembly.n_classes)
+    cm = confusion(dataset.labels[rows], scores.argmax(axis=1), assembly.n_classes)
     return balanced_accuracy(cm)
 
 
@@ -260,13 +262,19 @@ def _batches(order, batch_size):
     return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def train(assembly, train_set, val_set, cfg, report="all"):
-    """Fit the assembly; returns (assembly with best-epoch weights, TrainLog)."""
-    if len(train_set) < 2 or len(val_set) == 0:
+def train(assembly, dataset, train_rows, val_rows, cfg, report="all"):
+    """Fit the assembly on the dataset rows ``train_rows``, validating on
+    ``val_rows``; returns (assembly with best-epoch weights, TrainLog).
+
+    Each batch is gathered from the dataset's arrays, so no split is copied.
+    """
+    train_rows = np.asarray(train_rows, dtype=np.intp)
+    val_rows = np.asarray(val_rows, dtype=np.intp)
+    if len(train_rows) < 2 or len(val_rows) == 0:
         raise ConfigError(
             "the train split needs at least 2 samples and the validation split 1"
         )
-    counts = np.bincount(train_set.labels, minlength=assembly.n_classes)
+    counts = np.bincount(dataset.labels[train_rows], minlength=assembly.n_classes)
     weights = class_weights_from_counts(counts)
     rng = np.random.default_rng(cfg.seed)
     named = assembly.params()
@@ -275,18 +283,17 @@ def train(assembly, train_set, val_set, cfg, report="all"):
 
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.eta_min)
-        order = rng.permutation(len(train_set))
+        order = rng.permutation(len(train_rows))
         sums = {}
         batches = 0
         for idx in _batches(order, cfg.batch_size):
-            images = train_set.images[idx]
+            rows = train_rows[idx]
+            images = dataset.images[rows]
             if cfg.augment:
                 images = augment(images, rng, prob=cfg.augment_prob)
-            triple = assembly.forward(
-                Tensor(images), Tensor(train_set.meta[idx]), "train"
-            )
+            triple = assembly.forward(Tensor(images), Tensor(dataset.meta[rows]), "train")
             loss, comps = total_loss(
-                triple, train_set.labels[idx], weights, cfg.beta, assembly.structure
+                triple, dataset.labels[rows], weights, cfg.beta, assembly.structure
             )
             assembly.zero_grads()
             loss.backward()
@@ -295,7 +302,7 @@ def train(assembly, train_set, val_set, cfg, report="all"):
                 sums[key] = sums.get(key, 0.0) + val
             batches += 1
 
-        val_bac = eval_bac(assembly, val_set, report)
+        val_bac = eval_bac(assembly, dataset, val_rows, report)
         row = {"epoch": epoch, "lr": lr, "val_bac": val_bac}
         for key in ("L_I", "L_M", "L_IM"):
             if key in sums:

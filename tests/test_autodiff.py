@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -427,6 +428,32 @@ class TestConvBlock:
         recorded = ad.conv_block(*inputs, self._stats(), "train")
         assert recorded._parents
         np.testing.assert_array_equal(out.data, recorded.data)
+
+    def test_recorded_block_holds_a_one_byte_routing_mask(self):
+        """After a recorded train-mode forward at the benchmark's block-0
+        shapes (batch 16, 3 -> 8 channels, 16x16), the node holds its im2col
+        columns (read for dW), x-hat, its output and a 1-byte max-pool
+        routing mask per pre-pool element, not the float64 pre-pool
+        activation (256 KiB here), which would exceed the 16 KiB of slack
+        allowed for small arrays and the node's objects."""
+        B, C, H, W, cout = 16, 3, 16, 16, 8
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(B, C, H, W)))
+        w = Tensor(rng.normal(size=(cout, C, 3, 3)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=cout), requires_grad=True)
+        beta = Tensor(rng.normal(size=cout), requires_grad=True)
+        stats = RunningStats(mean=np.zeros(cout), var=np.ones(cout))
+        ad.conv_block(x, w, gamma, beta, stats, "train")  # warm up
+        tracemalloc.start()
+        try:
+            out = ad.conv_block(x, w, gamma, beta, stats, "train")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        pre_pool = cout * H * W * B
+        cols = C * 9 * H * W * B
+        assert out._backward is not None
+        assert held <= 8 * (cols + pre_pool + out.data.size) + pre_pool + 16 * 1024
 
     def test_rejects_odd_spatial_size(self):
         x = Tensor(np.zeros((2, 3, 5, 6)))

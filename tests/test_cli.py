@@ -185,6 +185,41 @@ class TestRun:
         b = (tmp_path / "r2/results.csv").read_bytes()
         assert a == b
 
+    def test_runs_gather_rows_instead_of_copying_folds(self, tmp_path, monkeypatch):
+        """A grid never calls ``Dataset.subset``: its runs train and score on
+        rows of the grid's dataset, and write the same files as runs that
+        train and score on copies of their folds."""
+        import mmfuse.experiment as exp
+        from mmfuse.data import Dataset
+
+        cfg = run_config(tmp_path, train={"epochs": 2, "patience": 2, "batch_size": 8})
+        real_subset, real_train, real_predict = Dataset.subset, exp.train, exp.predict_probs
+
+        def copied_train(assembly, dataset, train_rows, val_rows, train_cfg, report="all"):
+            copy = real_subset(dataset, np.concatenate([train_rows, val_rows]))
+            n = len(train_rows)
+            return real_train(assembly, copy, np.arange(n), np.arange(n, len(copy)),
+                              train_cfg, report)
+
+        def copied_predict(assembly, dataset, rows):
+            return real_predict(assembly, real_subset(dataset, rows), np.arange(len(rows)))
+
+        def no_subset(self, indices):
+            raise AssertionError("a grid run copied a fold")
+
+        def run(name):
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+            return _files(out)
+
+        monkeypatch.setattr(Dataset, "subset", no_subset)
+        rows = run("rows")
+        monkeypatch.setattr(Dataset, "subset", real_subset)
+        monkeypatch.setattr(exp, "train", copied_train)
+        monkeypatch.setattr(exp, "predict_probs", copied_predict)
+        assert sum(name.endswith("checkpoint.bin") for name in rows) == 3
+        assert run("copies") == rows
+
     def test_image_only_on_meta_only_data_is_chance_level(self, tmp_path):
         cfg = run_config(
             tmp_path,
@@ -369,6 +404,18 @@ class TestRun:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes('{"seeds": [0], "note": "naïve"}'.encode("latin-1"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
+        assert not (tmp_path / "o").exists()
+
     def test_jobs_flag_reproduces_sequential_results(self, tmp_path, monkeypatch):
         import multiprocessing.heap
         import multiprocessing.synchronize
@@ -428,10 +475,10 @@ class TestRun:
         failing = exp._derived_seed(seed, 0, 1)  # the train seed of run f1-s0
         orig = exp.train
 
-        def flaky_train(assembly, train_set, val_set, train_cfg, report="all"):
+        def flaky_train(assembly, dataset, train_rows, val_rows, train_cfg, report="all"):
             if train_cfg.seed == failing:
                 raise NumericError("injected blow-up")
-            return orig(assembly, train_set, val_set, train_cfg, report)
+            return orig(assembly, dataset, train_rows, val_rows, train_cfg, report)
 
         monkeypatch.setattr(exp, "train", flaky_train)
         out = tmp_path / "flaky"
@@ -460,7 +507,7 @@ class TestRun:
         caller, worker_failed = os.getpid(), tmp_path / "worker_failed"
         orig = exp.train
 
-        def crashing_train(assembly, train_set, val_set, train_cfg, report="all"):
+        def crashing_train(assembly, dataset, train_rows, val_rows, train_cfg, report="all"):
             if where == "worker" and os.getpid() != caller:
                 worker_failed.touch()
                 raise RuntimeError("injected crash")
@@ -471,7 +518,7 @@ class TestRun:
                     time.sleep(0.01)
             elif train_cfg.seed == failing:
                 raise RuntimeError("injected crash")
-            return orig(assembly, train_set, val_set, train_cfg, report)
+            return orig(assembly, dataset, train_rows, val_rows, train_cfg, report)
 
         monkeypatch.setattr(exp, "train", crashing_train)
         out = tmp_path / "crash"
@@ -534,6 +581,17 @@ class TestCompare:
         path = tmp_path / "bad.csv"
         path.write_text("not,a,results\nfile,0.5,x\n")
         assert main(["compare", str(path)]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "res.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("method,run,bac\nnaïve,r0,0.5\n".encode("latin-1"))
+        assert main(["compare", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     def test_ragged_table_exits_2(self, tmp_path):
         path = tmp_path / "ragged.csv"
