@@ -316,6 +316,11 @@ def softmax(x):
     return _result(y, (x,), bw)
 
 
+def _check_heads(width, heads):
+    if heads < 1 or width % heads:
+        raise DimensionError(f"attention width {width} not divisible by {heads} heads")
+
+
 def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
     """Multi-head per-coordinate gating attention over two q/k/v
     projections, as one graph op.
@@ -345,8 +350,7 @@ def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
         )
     dm, di = qkv_meta.data.shape[1] // 3, qkv_img.data.shape[1] // 3
     width = dm + di
-    if heads < 1 or width % heads:
-        raise DimensionError(f"attention width {width} not divisible by {heads} heads")
+    _check_heads(width, heads)
     s = width // heads
     c = 1.0 / np.sqrt(s)
     qkv = np.concatenate(

@@ -7,7 +7,7 @@ Subcommands:
   gradcheck  finite-difference verification of every differentiable block
 
 Exit codes: 0 success, 1 experiment/verification failure, 2 usage or data
-errors.
+errors, or an OS error on a path the user names.
 """
 
 import argparse
@@ -94,7 +94,7 @@ def _load_config(path, settings):
                 raw = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON: {e}") from None
-        except (IsADirectoryError, UnicodeDecodeError) as e:
+        except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: not a UTF-8 text file: {e}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a JSON object")
@@ -184,10 +184,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ContractError, DataError, DegenerateSampleError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ConfigError, ContractError, DataError, DegenerateSampleError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MMFuseError as e:

@@ -235,10 +235,10 @@ def generate_synthetic(spec):
 def write_dataset(ds, out_dir):
     """Write meta.csv, schema.json, and images/<id>.ppm under out_dir."""
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
-    with open(os.path.join(out_dir, "schema.json"), "w") as fh:
+    with open(os.path.join(out_dir, "schema.json"), "w", encoding="utf-8") as fh:
         fh.write(ds.schema.to_json())
     colnames = [c.name for c in ds.schema.columns]
-    with open(os.path.join(out_dir, "meta.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "meta.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "diagnostic", *colnames])
         for i, rec in enumerate(ds.records):
@@ -257,41 +257,47 @@ def load_metadata_csv(path, schema):
 
     The file must have ``id`` and ``diagnostic`` columns plus every schema
     column; column order does not matter and other columns are ignored.
-    Ids must be distinct, since each names one image file. Returns
-    (records, labels, ids).
+    Ids must be distinct, since each names one image file. The file is read
+    as UTF-8. Returns (records, labels, ids).
     """
     records, labels, ids = [], [], []
     first_line = {}  # id -> line it first appeared on
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for required in ("id", "diagnostic"):
-            if required not in fields:
-                raise SchemaError(f"{path}: missing column {required!r}")
-        for col in schema.columns:
-            if col.name not in fields:
-                raise SchemaError(f"{path}: missing schema column {col.name!r}")
-        for lineno, rec in enumerate(reader, start=2):
-            label = rec["diagnostic"]
-            if label not in schema.classes:
-                raise DataError(
-                    f"{path} line {lineno}: unknown label {label!r} "
-                    f"(id {rec['id']!r})"
-                )
-            first = first_line.setdefault(rec["id"], lineno)
-            if first != lineno:
-                raise DataError(f"{path} line {lineno}: id {rec['id']!r} repeats line {first}")
-            records.append({c.name: rec[c.name] for c in schema.columns})
-            labels.append(schema.classes.index(label))
-            ids.append(rec["id"])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            fields = reader.fieldnames or []
+            for required in ("id", "diagnostic"):
+                if required not in fields:
+                    raise SchemaError(f"{path}: missing column {required!r}")
+            for col in schema.columns:
+                if col.name not in fields:
+                    raise SchemaError(f"{path}: missing schema column {col.name!r}")
+            for lineno, rec in enumerate(reader, start=2):
+                label = rec["diagnostic"]
+                if label not in schema.classes:
+                    raise DataError(
+                        f"{path} line {lineno}: unknown label {label!r} "
+                        f"(id {rec['id']!r})"
+                    )
+                first = first_line.setdefault(rec["id"], lineno)
+                if first != lineno:
+                    raise DataError(f"{path} line {lineno}: id {rec['id']!r} repeats line {first}")
+                records.append({c.name: rec[c.name] for c in schema.columns})
+                labels.append(schema.classes.index(label))
+                ids.append(rec["id"])
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not a UTF-8 text file: {e}") from None
     return records, np.array(labels, dtype=np.intp), ids
 
 
 def load_dataset(root, size=None):
     """Load a dataset directory written by write_dataset (or shaped like one)."""
     schema_path = os.path.join(root, "schema.json")
-    with open(schema_path) as fh:
-        schema = MetadataSchema.from_json(fh.read())
+    try:
+        with open(schema_path, encoding="utf-8") as fh:
+            schema = MetadataSchema.from_json(fh.read())
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{schema_path}: not a UTF-8 text file: {e}") from None
     records, labels, ids = load_metadata_csv(os.path.join(root, "meta.csv"), schema)
     images = np.stack(
         [load_image(os.path.join(root, "images", f"{i}.ppm"), size=size) for i in ids]

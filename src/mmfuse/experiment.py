@@ -496,116 +496,76 @@ def _sumsq(t):
     return ad.mul(t, t).sum()
 
 
-def gradcheck_suite(step=1e-5, tol=1e-4):
-    """Finite-difference checks over every differentiable block at toy sizes."""
-    reports = []
+def _leaves(rng, *shapes):
+    """One requires-grad input per shape, drawn from ``rng`` in order."""
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
 
+
+def _blocks():
+    """Yield ``(name, targets, loss)`` for every differentiable block at toy sizes.
+
+    Seeds and draw order are fixed, so each block checks the same data on
+    every run. A loss reads names its block shares with later blocks, so
+    check each block before drawing the next.
+    """
     rng = np.random.default_rng(11)
     enc = MetadataEncoder(in_width=7, out_dim=5, hidden=(6,), rng=rng)
-    x = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
-    targets = [("meta_in", x)] + enc.params()
-    reports.append(
-        _check_targets(
-            "metadata_encoder", targets, lambda: _sumsq(enc(x, "train")), step, tol
-        )
-    )
+    (x,) = _leaves(rng, (3, 7))
+    yield "metadata_encoder", [("meta_in", x)] + enc.params(), lambda: _sumsq(enc(x, "train"))
 
     rng = np.random.default_rng(12)
     ienc = ImageEncoder(in_shape=(3, 8, 8), channels=(2, 3, 4), out_dim=5, rng=rng)
-    xi = Tensor(rng.normal(size=(4, 3, 8, 8)), requires_grad=True)
-    targets = [("img_in", xi)] + ienc.params()
-    reports.append(
-        _check_targets(
-            "image_encoder", targets, lambda: _sumsq(ienc(xi, "train")), step, tol
-        )
-    )
+    (x,) = _leaves(rng, (4, 3, 8, 8))
+    yield "image_encoder", [("img_in", x)] + ienc.params(), lambda: _sumsq(ienc(x, "train"))
 
-    rng = np.random.default_rng(13)
-    fi = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    fm = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    fi, fm = _leaves(np.random.default_rng(13), (3, 4), (3, 2))
     cat = ConcatFusion(4, 2)
-    reports.append(
-        _check_targets(
-            "concat_fusion",
-            [("f_img", fi), ("f_meta", fm)],
-            lambda: _sumsq(cat(fi, fm, "train")),
-            step,
-            tol,
-        )
-    )
+    yield "concat_fusion", [("f_img", fi), ("f_meta", fm)], lambda: _sumsq(cat(fi, fm, "train"))
 
-    for label, post in (("mmfa", False), ("mmfa_post_softmax_scale", True)):
+    for name, post in (("mmfa", False), ("mmfa_post_softmax_scale", True)):
         rng = np.random.default_rng(14)
         mmfa = MMFAFusion(6, 3, rng=rng, heads=3, scale_after_softmax=post)
-        fi = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        fm = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        fi, fm = _leaves(rng, (4, 6), (4, 3))
         targets = [("f_img", fi), ("f_meta", fm)] + mmfa.params()
-        reports.append(
-            _check_targets(
-                label,
-                targets,
-                lambda m=mmfa, a=fi, b=fm: _sumsq(m(a, b, "train")),
-                step,
-                tol,
-            )
-        )
+        yield name, targets, lambda: _sumsq(mmfa(fi, fm, "train"))
 
     rng = np.random.default_rng(17)
-    x, w, gamma, beta = (
-        Tensor(rng.normal(size=shape), requires_grad=True)
-        for shape in ((5, 3), (3, 4), 4, 4)
-    )
+    x, w, gamma, beta = _leaves(rng, (5, 3), (3, 4), 4, 4)
     stats = RunningStats(mean=np.zeros(4), var=np.ones(4))
     # per-element weights: a plain sum of squares of a train-mode batch norm
     # output does not depend on x or w
     coef = Tensor(rng.normal(size=(5, 4)))
     targets = [("x", x), ("w", w), ("gamma", gamma), ("beta", beta)]
-    for label, relu in (("dense_block", False), ("dense_block_relu", True)):
-        def loss_fn(relu=relu):
-            return _sumsq(ad.mul(ad.dense_block(x, w, gamma, beta, stats, "train", relu), coef))
+    for name, relu in (("dense_block", False), ("dense_block_relu", True)):
+        yield name, targets, lambda: _sumsq(
+            ad.mul(ad.dense_block(x, w, gamma, beta, stats, "train", relu), coef)
+        )
 
-        reports.append(_check_targets(label, targets, loss_fn, step, tol))
-
-    qkv_meta, qkv_img = (Tensor(rng.normal(size=(3, n)), requires_grad=True) for n in (6, 12))
+    qkv_meta, qkv_img = _leaves(rng, (3, 6), (3, 12))
     targets = [("qkv_meta", qkv_meta), ("qkv_img", qkv_img)]
-    for label, post in (
-        ("gating_attention", False), ("gating_attention_post_softmax_scale", True)
-    ):
-        def loss_fn(post=post):
-            return _sumsq(ad.gating_attention(qkv_meta, qkv_img, 2, post)[0])
-
-        reports.append(_check_targets(label, targets, loss_fn, step, tol))
+    for name in ("gating_attention", "gating_attention_post_softmax_scale"):
+        post = name.endswith("_post_softmax_scale")
+        yield name, targets, lambda: _sumsq(ad.gating_attention(qkv_meta, qkv_img, 2, post)[0])
 
     rng = np.random.default_rng(15)
     labels = rng.integers(0, 3, size=6)
     weights = np.array([1.5, 0.75, 1.0])
-    for label, width in (("head_fused", 9), ("head_image", 6), ("head_meta", 3)):
+    for name, width in (("head_fused", 9), ("head_image", 6), ("head_meta", 3)):
         head = make_head(width, 3, rng)
-        feats = Tensor(rng.normal(size=(6, width)), requires_grad=True)
-        targets = [("feats", feats)] + head.params()
-        reports.append(
-            _check_targets(
-                label,
-                targets,
-                lambda h=head, f=feats: ad.cross_entropy_logits(
-                    (h(f),), labels, weights, (1.0,)
-                )[0],
-                step,
-                tol,
-            )
-        )
+        (feats,) = _leaves(rng, (6, width))
+        yield name, [("feats", feats)] + head.params(), lambda: ad.cross_entropy_logits(
+            (head(feats),), labels, weights, (1.0,)
+        )[0]
 
     rng = np.random.default_rng(16)
     for beta in (0.0, 0.5, 1.0):
-        zs = [Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(3)]
+        zs = _leaves(rng, (4, 3), (4, 3), (4, 3))
         lbl = rng.integers(0, 3, size=4)
-
-        def loss_fn(zs=zs, lbl=lbl, beta=beta):
-            return ad.cross_entropy_logits(zs, lbl, weights, (beta, 1.0 - beta, 1.0))[0]
-
-        targets = [(f"logits{j}", z) for j, z in enumerate(zs)]
-        reports.append(
-            _check_targets(f"total_loss_beta_{beta:g}", targets, loss_fn, step, tol)
+        yield f"total_loss_beta_{beta:g}", [(f"logits{j}", z) for j, z in enumerate(zs)], (
+            lambda: ad.cross_entropy_logits(zs, lbl, weights, (beta, 1.0 - beta, 1.0))[0]
         )
 
-    return reports
+
+def gradcheck_suite(step=1e-5, tol=1e-4):
+    """Finite-difference checks over every differentiable block at toy sizes."""
+    return [_check_targets(name, targets, loss, step, tol) for name, targets, loss in _blocks()]

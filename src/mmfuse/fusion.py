@@ -20,13 +20,7 @@ it is kept selectable for comparison.
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionError
 from .layers import LinearBN, Module
-
-
-def _check_heads(width, heads):
-    if heads < 1 or width % heads:
-        raise DimensionError(f"attention width {width} not divisible by {heads} heads")
 
 
 class MMFAFusion(Module):
@@ -42,7 +36,7 @@ class MMFAFusion(Module):
                  scale_after_softmax=False):
         rng = np.random.default_rng(0) if rng is None else rng
         self.out_width = d_img_in + d_meta_in
-        _check_heads(self.out_width, heads)
+        ad._check_heads(self.out_width, heads)
         self.heads = heads
         self.scale_after_softmax = scale_after_softmax
         self.qkv_img = LinearBN(d_img_in, 3 * d_img_in, rng)

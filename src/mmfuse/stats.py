@@ -86,7 +86,7 @@ class FoldResultTable:
                         except (TypeError, ValueError) as e:
                             raise DataError(f"{path}: bad {metric} value {rec[metric]!r}") from e
                         rows.append((rec["method"], rec["run"], value))
-            except (IsADirectoryError, UnicodeDecodeError) as e:
+            except UnicodeDecodeError as e:
                 raise DataError(f"{path}: not a UTF-8 text file: {e}") from None
         if not rows:
             raise DataError("no result rows found")

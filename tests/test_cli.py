@@ -66,6 +66,21 @@ def config_shapes(tmp_path):
     return paths
 
 
+def small_dataset(tmp_path):
+    """A generated 4-sample dataset directory of 8x8 images."""
+    data = tmp_path / "ds"
+    assert main([
+        "generate", "--out", str(data), "--set", "per_class=2",
+        "--set", "n_classes=2", "--set", "image_shape=[3,8,8]",
+    ]) == 0
+    return data
+
+
+def assert_error_naming(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 class TestGenerate:
     def test_default_spec_writes_layout(self, tmp_path, capsys):
         out = tmp_path / "ds"
@@ -153,6 +168,12 @@ class TestGenerate:
         cfg = run_config(tmp_path, dataset={"dir": "somewhere"})
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "synthetic" in capsys.readouterr().err
+
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["generate", "--out", str(out), "--set", "per_class=2"]) == 2
+        assert_error_naming(capsys, out)
 
 
 class TestRun:
@@ -335,11 +356,7 @@ class TestRun:
         ('{"columns": [{"name": "age"}, {"name": "age"}]}', "column name 'age'"),
     ])
     def test_malformed_schema_exits_2(self, tmp_path, capsys, schema, where):
-        data = tmp_path / "ds"
-        assert main([
-            "generate", "--out", str(data), "--set", "per_class=2",
-            "--set", "n_classes=2", "--set", "image_shape=[3,8,8]",
-        ]) == 0
+        data = small_dataset(tmp_path)
         (data / "schema.json").write_text(schema)
         cfg = run_config(tmp_path, dataset={"dir": str(data)})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -348,11 +365,7 @@ class TestRun:
 
     @pytest.mark.parametrize("age", ["abc", "nan"])
     def test_non_numeric_metadata_cell_exits_2(self, tmp_path, capsys, age):
-        data = tmp_path / "ds"
-        assert main([
-            "generate", "--out", str(data), "--set", "per_class=2",
-            "--set", "n_classes=2", "--set", "image_shape=[3,8,8]",
-        ]) == 0
+        data = small_dataset(tmp_path)
         meta = data / "meta.csv"
         header, first, *rest = meta.read_text().splitlines()
         cells = first.split(",")
@@ -364,11 +377,7 @@ class TestRun:
         assert err.startswith("error: ") and f"'age': value '{age}'" in err
 
     def test_repeated_id_exits_2(self, tmp_path, capsys):
-        data = tmp_path / "ds"
-        assert main([
-            "generate", "--out", str(data), "--set", "per_class=2",
-            "--set", "n_classes=2", "--set", "image_shape=[3,8,8]",
-        ]) == 0
+        data = small_dataset(tmp_path)
         meta = data / "meta.csv"
         header, first, second, *rest = meta.read_text().splitlines()
         repeated = first.split(",")[0] + "," + second.split(",", 1)[1]
@@ -377,6 +386,30 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 3" in err and "repeats line 2" in err
+
+    @pytest.mark.parametrize("name", ["meta.csv", "schema.json"])
+    def test_non_utf8_dataset_file_exits_2(self, tmp_path, capsys, name):
+        data = small_dataset(tmp_path)
+        with open(data / name, "ab") as fh:
+            fh.write(b"\xe9")
+        cfg = run_config(tmp_path, dataset={"dir": str(data)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert_error_naming(capsys, data / name)
+
+    def test_image_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        data = small_dataset(tmp_path)
+        image = sorted((data / "images").iterdir())[0]
+        image.unlink()
+        image.mkdir()
+        cfg = run_config(tmp_path, dataset={"dir": str(data)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert_error_naming(capsys, image)
+
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["run", "--config", str(run_config(tmp_path)), "--out", str(out)]) == 2
+        assert_error_naming(capsys, out)
 
     def test_heads_not_dividing_attention_width_exits_2_before_data(
         self, tmp_path, capsys, monkeypatch
@@ -577,6 +610,14 @@ class TestCompare:
         assert pair["p_value"] == 2.0 / 2.0**10
         assert (outdir / "report.md").exists()
 
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "res.csv"
+        self._write_results(path, [(m, f"r{i}", 0.5) for m in "ab" for i in range(5)])
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["compare", str(path), "--out", str(out)]) == 2
+        assert_error_naming(capsys, out)
+
     def test_malformed_csv_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("not,a,results\nfile,0.5,x\n")
@@ -626,11 +667,24 @@ class TestGradcheckCommand:
         expected = {r.name for r in gradcheck_suite(step=1e-2, tol=1e9)}
         assert set(names) == expected
 
-    def test_corrupted_backward_detected(self, monkeypatch, capsys):
-        orig = ad.dense_block
+    @pytest.mark.parametrize("op, failing", [
+        ("dense_block", {"dense_block", "dense_block_relu"}),
+        ("conv_block", {"image_encoder"}),
+        ("gating_attention", {
+            "mmfa", "mmfa_post_softmax_scale",
+            "gating_attention", "gating_attention_post_softmax_scale",
+        }),
+        ("cross_entropy_logits", {
+            "head_fused", "head_image", "head_meta",
+            "total_loss_beta_0", "total_loss_beta_0.5", "total_loss_beta_1",
+        }),
+    ], ids=["dense_block", "conv_block", "gating_attention", "cross_entropy_logits"])
+    def test_corrupted_backward_detected(self, monkeypatch, capsys, op, failing):
+        orig = getattr(ad, op)
 
-        def broken_dense_block(*args):
-            out = orig(*args)
+        def broken_op(*args):
+            result = orig(*args)
+            out = result[0] if isinstance(result, tuple) else result
             if out.requires_grad:
                 inner = out._backward
 
@@ -638,11 +692,12 @@ class TestGradcheckCommand:
                     inner(g * 1.01)  # deliberately wrong scale
 
                 out._backward = bw
-            return out
+            return result
 
-        monkeypatch.setattr(ad, "dense_block", broken_dense_block)
+        monkeypatch.setattr(ad, op, broken_op)
         assert main(["gradcheck"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert {line.split()[0] for line in lines if line.endswith("FAIL")} == failing
 
 
 class TestUsage:
