@@ -38,7 +38,7 @@ broadcast over each block.
 
 ``batch_norm`` normalizes, applies gamma/beta and differentiates on the
 features-first ``(F, N)`` view, free for ``(B, F)`` input and for conv's
-batch-innermost output. Its train-mode backward is the closed form
+batch-innermost output. Its backward is the closed form
 ``dx = gamma * inv / n * (n * g - sum(g) - xhat * sum(g * xhat))``; the
 two sums are also the beta and gamma gradients.
 
@@ -66,11 +66,11 @@ head's weighted cross-entropy and their weighted sum. Each of these
 computes the expressions of the chain it replaces in the same order, so
 its values and gradients are bitwise those of the chain.
 
-Inside ``no_graph``, eval-mode ``conv_block`` and ``dense_block`` fold
-batch norm into the weight: with s = gamma / sqrt(var + eps), they run one
-matrix product with w * s plus the bias beta - mean * s, make no centred
-copy or x-hat, and give ``_result`` no backward. The recording eval path,
-which differs in the last bits, is their oracle.
+Eval is inference: batch norm is folded and the output records nothing.
+With s = gamma / sqrt(var + eps) of the running statistics, eval-mode
+``batch_norm`` is x * s plus the bias beta - mean * s, and ``conv_block``
+and ``dense_block`` multiply by w * s and add that bias, inside
+``no_graph`` or not. Only train mode has a backward.
 
 Layout rule: an op's input gradient has its input's memory order, so the
 batch-innermost layout carries through batch norm, ReLU and max-pool both
@@ -429,27 +429,22 @@ def _check_bn(nfeat, gamma, beta, mode):
         raise ContractError(f"batch_norm: unknown mode {mode!r}")
 
 
-def _bn_forward(xd, gamma, beta, stats, mode):
-    """Normalize xd per feature (axis 1) and apply gamma/beta; in train mode
-    also update ``stats``. Returns the features-first output y, x-hat and
-    gamma * inv, all (F, N) with N in xd's memory order."""
+def _bn_forward(xd, gamma, beta, stats):
+    """Normalize xd per feature (axis 1) by its batch statistics, apply
+    gamma/beta and update ``stats``. Returns the features-first output y,
+    x-hat and gamma * inv, all (F, N) with N in xd's memory order."""
     nfeat = xd.shape[1]
     axes = (0,) + tuple(range(2, xd.ndim))
-    bshape = (1, nfeat) + (1,) * (xd.ndim - 2)
-    if mode == "train":
-        # the sum divided by the count is how np.mean computes, bit for bit
-        n = xd.size // nfeat
-        mean = np.add.reduce(xd, axis=axes) / n
-        xc = xd - mean.reshape(bshape)
-        # equals np.var(xd, axis=axes) bit for bit: np.var also centres first
-        var = np.add.reduce(xc * xc, axis=axes) / n
-        m = stats.momentum
-        for running, batch in ((stats.mean, mean), (stats.var, var)):
-            running *= 1.0 - m
-            running += m * batch
-    else:
-        xc = xd - stats.mean.reshape(bshape)
-        var = stats.var
+    # the sum divided by the count is how np.mean computes, bit for bit
+    n = xd.size // nfeat
+    mean = np.add.reduce(xd, axis=axes) / n
+    xc = xd - mean.reshape((1, nfeat) + (1,) * (xd.ndim - 2))
+    # equals np.var(xd, axis=axes) bit for bit: np.var also centres first
+    var = np.add.reduce(xc * xc, axis=axes) / n
+    m = stats.momentum
+    for running, batch in ((stats.mean, mean), (stats.var, var)):
+        running *= 1.0 - m
+        running += m * batch
     inv = (1.0 / np.sqrt(var + stats.eps))[:, None]
     gam = gamma.data[:, None]
     xhat = _features_first(xc)  # xc is ours: normalize it in place
@@ -461,12 +456,12 @@ def _bn_forward(xd, gamma, beta, stats, mode):
 
 def _bn_fold(gamma, beta, stats):
     """Eval batch norm as a per-feature scale s = gamma / sqrt(var + eps)
-    and shift beta - mean * s, to fold into the preceding matrix product."""
+    and shift beta - mean * s, folded into the preceding matrix product."""
     s = gamma.data / np.sqrt(stats.var + stats.eps)
     return s, beta.data - stats.mean * s
 
 
-def _bn_backward(gf, xhat, gam_inv, gamma, beta, mode, need_dx):
+def _bn_backward(gf, xhat, gam_inv, gamma, beta, need_dx):
     """Accumulate the gamma/beta gradients of features-first gradient gf and
     return the features-first input gradient (None unless ``need_dx``)."""
     sum_g = gf.sum(axis=1)
@@ -475,8 +470,6 @@ def _bn_backward(gf, xhat, gam_inv, gamma, beta, mode, need_dx):
     _accumulate(beta, sum_g)
     if not need_dx:
         return None
-    if mode == "eval":
-        return gf * gam_inv
     # closed form: gamma*inv/n * (n*g - sum(g) - xhat*sum(g*xhat))
     n = gf.shape[1]
     dx = gf * n
@@ -489,19 +482,23 @@ def _bn_backward(gf, xhat, gam_inv, gamma, beta, mode, need_dx):
 def batch_norm(x, gamma, beta, stats, mode):
     """Normalize features of a (B,F) or (B,C,H,W) batch.
 
-    Train mode normalizes by the batch mean and population variance and
-    updates the running statistics; eval mode normalizes by the running
-    statistics. The affine transform gamma/beta is applied last. Train-mode
-    backward differentiates through the batch statistics.
+    Train mode normalizes by the batch mean and population variance,
+    updates the running statistics, applies gamma/beta and differentiates
+    through the batch statistics. Eval is inference: batch norm is folded
+    (see the module docstring) and the output records nothing.
     """
     xd = x.data
     if xd.ndim not in (2, 4):
         raise DimensionError(f"batch_norm: expected 2-D or 4-D input, got {xd.shape}")
     _check_bn(xd.shape[1], gamma, beta, mode)
-    y, xhat, gam_inv = _bn_forward(xd, gamma, beta, stats, mode)
+    if mode == "eval":
+        s, shift = _bn_fold(gamma, beta, stats)
+        y = _features_first(xd) * s[:, None] + shift[:, None]
+        return _result(_batch_major(y, xd.shape), (), None)
+    y, xhat, gam_inv = _bn_forward(xd, gamma, beta, stats)
     def bw(g):
         dx = _bn_backward(_features_first(g), xhat, gam_inv, gamma, beta,
-                          mode, x.requires_grad)
+                          x.requires_grad)
         if dx is not None:
             _accumulate(x, _batch_major(dx, xd.shape), owned=True)
     return _result(_batch_major(y, xd.shape), (x, gamma, beta), bw)
@@ -511,9 +508,9 @@ def dense_block(x, w, gamma, beta, stats, mode, relu):
     """``batch_norm(x @ w)``, then a ReLU if ``relu``, as one graph op.
 
     ``x`` is (B, n) and ``w`` (n, m). There is no bias: the batch norm would
-    cancel it. Values and gradients are those of the chain of ``linear``
-    with a zero bias, ``batch_norm`` and ``relu``; eval under ``no_graph``
-    folds the batch norm into ``w``.
+    cancel it. Train-mode values and gradients are those of the chain of
+    ``linear`` with a zero bias, ``batch_norm`` and ``relu``. Eval is
+    inference: batch norm is folded and the output records nothing.
     """
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
@@ -521,13 +518,13 @@ def dense_block(x, w, gamma, beta, stats, mode, relu):
             f"dense_block: input {xd.shape} incompatible with weight {wd.shape}"
         )
     _check_bn(wd.shape[1], gamma, beta, mode)
-    if mode == "eval" and no_graph.depth:
+    if mode == "eval":
         s, shift = _bn_fold(gamma, beta, stats)
         out = xd @ (wd * s) + shift
         if relu:
             out *= out > 0.0
-        return _result(out, (x, w, gamma, beta), None)
-    y, xhat, gam_inv = _bn_forward(xd @ wd, gamma, beta, stats, mode)
+        return _result(out, (), None)
+    y, xhat, gam_inv = _bn_forward(xd @ wd, gamma, beta, stats)
     out = y.T
     if relu:
         mask = out > 0.0
@@ -535,7 +532,7 @@ def dense_block(x, w, gamma, beta, stats, mode, relu):
     def bw(g):
         if relu:
             g = g * mask
-        dz = _bn_backward(g.T, xhat, gam_inv, gamma, beta, mode,
+        dz = _bn_backward(g.T, xhat, gam_inv, gamma, beta,
                           x.requires_grad or w.requires_grad)
         if dz is not None:
             if x.requires_grad:
@@ -673,7 +670,7 @@ def conv_block(x, w, gamma, beta, stats, mode):
     It pools before the ReLU, which gives the same values and the same
     first-max gradient routing (see the module docstring), on a quarter of
     the elements. There is no conv bias: the batch norm would cancel it.
-    Eval under ``no_graph`` folds the batch norm into ``w``.
+    Eval is inference: batch norm is folded and the output records nothing.
     """
     xd, wd = x.data, w.data
     k = _check_conv(xd, wd)
@@ -681,17 +678,17 @@ def conv_block(x, w, gamma, beta, stats, mode):
     Cout = wd.shape[0]
     _check_bn(Cout, gamma, beta, mode)
     _check_pool(xd.shape, "conv_block")
-    if mode == "eval" and no_graph.depth:
+    if mode == "eval":
         s, shift = _bn_fold(gamma, beta, stats)
         z = (wd.reshape(Cout, -1) * s[:, None]) @ _im2col(xd, k)
         z += shift[:, None]
         pooled = _max4(_windows(z.reshape(Cout, H, W, B)))
-        return _result(_bchw(pooled * (pooled > 0.0)), (x, w, gamma, beta), None)
+        return _result(_bchw(pooled * (pooled > 0.0)), (), None)
     cols = _im2col(xd, k)
     conv = _bchw((wd.reshape(Cout, -1) @ cols).reshape(Cout, H, W, B))
     # free cols now unless backward will read it for dW
-    cols = cols if w.requires_grad and not no_graph.depth else None
-    z, xhat, gam_inv = _bn_forward(conv, gamma, beta, stats, mode)
+    cols = cols if w.requires_grad else None
+    z, xhat, gam_inv = _bn_forward(conv, gamma, beta, stats)
     win = _windows(z.reshape(Cout, H, W, B))
     pooled = _max4(win)
     # backward keeps this 1-byte routing mask, not z; the ReLU passes
@@ -700,7 +697,7 @@ def conv_block(x, w, gamma, beta, stats, mode):
     def bw(g):
         dz = _chwb(g)[:, :, None, :, None, :] * mask  # g, or a zero of its sign
         dconv = _bn_backward(dz.reshape(Cout, -1), xhat, gam_inv, gamma, beta,
-                             mode, x.requires_grad or w.requires_grad)
+                             x.requires_grad or w.requires_grad)
         if dconv is not None:
             _conv_backward(dconv, x, w, cols)
     return _result(_bchw(pooled * (pooled > 0.0)), (x, w, gamma, beta), bw)
@@ -782,7 +779,8 @@ def grad_check(f, x, step=1e-5, tol=1e-4):
 
     ``f`` must map the Tensor ``x`` (whose data this routine perturbs in
     place) to a scalar Tensor, deterministically. The relative error uses
-    max(|analytic|, |numeric|, 1e-8) as denominator.
+    max(|analytic|, |numeric|, 1e-8) as denominator; a NaN analytic
+    gradient gives a NaN error, which counts as the worst and fails.
     """
     if step <= 0:
         raise ContractError("grad_check: step must be positive")
@@ -810,6 +808,6 @@ def grad_check(f, x, step=1e-5, tol=1e-4):
             raise NumericError(f"grad_check: f not finite at coordinate {i}")
         numeric = (fp - fm) / (2.0 * step)
         rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
-        if rel > worst:
+        if rel > worst or (np.isnan(rel) and not np.isnan(worst)):
             worst, worst_i = rel, i
     return GradCheckReport(max_rel_error=worst, passed=worst < tol, worst_index=worst_i)

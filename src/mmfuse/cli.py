@@ -151,9 +151,9 @@ def cmd_compare(args):
     print(markdown, end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w") as fh:
+        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-        with open(os.path.join(args.out, "report.md"), "w") as fh:
+        with open(os.path.join(args.out, "report.md"), "w", encoding="utf-8") as fh:
             fh.write(markdown)
     return 0
 

@@ -251,7 +251,7 @@ def _run_single(cfg, dataset, folds, seed, fold_idx):
                 os.path.join(run_dir, "checkpoint.json"),
             )
         for method, (cm, rep) in reports.items():
-            with open(os.path.join(run_dir, f"metrics_{method}.json"), "w") as fh:
+            with open(os.path.join(run_dir, f"metrics_{method}.json"), "w", encoding="utf-8") as fh:
                 json.dump(rep, fh, indent=2)
             _write_confusion(
                 os.path.join(run_dir, f"confusion_{method}.csv"),
@@ -399,7 +399,7 @@ def _run_grid(grid, jobs):
 
 
 def _write_confusion(path, cm, classes):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("true\\pred," + ",".join(classes) + "\n")
         for i, row in enumerate(cm):
             fh.write(classes[i] + "," + ",".join(str(int(v)) for v in row) + "\n")
@@ -438,7 +438,7 @@ def run_experiment(cfg):
 
 
 def _write_results_csv(path, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("method,run,bac,acc,auc\n")
         for r in rows:
             fh.write(
@@ -469,7 +469,7 @@ def _write_manifest(cfg, failures):
         },
         "failures": failures,
     }
-    with open(os.path.join(cfg.out, "manifest.json"), "w") as fh:
+    with open(os.path.join(cfg.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
@@ -485,11 +485,11 @@ class BlockReport:
 
 
 def _check_targets(name, targets, loss_fn, step, tol):
-    worst = 0.0
-    for _, tensor in targets:
-        rep = grad_check(lambda _t: loss_fn(), tensor, step=step, tol=tol)
-        worst = max(worst, rep.max_rel_error)
-    return BlockReport(name=name, max_rel_error=worst, passed=worst < tol)
+    """One block's report: its worst error (NaN if any is) and whether every
+    target passed."""
+    reps = [grad_check(lambda _t: loss_fn(), t, step=step, tol=tol) for _, t in targets]
+    worst = float(np.max([r.max_rel_error for r in reps]))
+    return BlockReport(name=name, max_rel_error=worst, passed=all(r.passed for r in reps))
 
 
 def _sumsq(t):

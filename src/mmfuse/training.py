@@ -80,7 +80,7 @@ class TrainLog:
     stop_reason: str = ""
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "lr", "L_I", "L_M", "L_IM", "val_bac"])
             for r in self.rows:
@@ -215,11 +215,11 @@ def predict_probs(assembly, dataset, rows, batch_size=32):
     ``rows``, in that order: the softmax of each head's logits, plus their
     decision-level average ("fused") for a three-head structure.
 
-    The forward passes run under ``no_graph``, where eval blocks fold batch
-    norm into their weights. Eval scores each sample on its own; each chunk
-    of 32 rows is gathered from the dataset's arrays, which keeps a
-    validation pass's memory peak below a batch-16 training step's (a
-    72-sample 16x16 fold as one batch made 4 MB of im2col).
+    Eval blocks fold batch norm, and the forward passes run under
+    ``no_graph``, so nothing records a graph. Eval scores each sample on its
+    own; each chunk of 32 rows is gathered from the dataset's arrays, which
+    keeps a validation pass's memory peak below a batch-16 training step's
+    (a 72-sample 16x16 fold as one batch made 4 MB of im2col).
     """
     rows = np.asarray(rows, dtype=np.intp)
     probs = {}
@@ -338,7 +338,7 @@ def save_checkpoint(assembly, bin_path, manifest_path):
             entries[name] = {"shape": list(arr.shape), "offset": offset}
             fh.write(data)
             offset += len(data)
-    with open(manifest_path, "w") as fh:
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump({"dtype": "<f8", "arrays": entries}, fh, indent=2, sort_keys=True)
 
 
@@ -352,10 +352,10 @@ def load_checkpoint(assembly, bin_path, manifest_path):
     starts where the one before it ends and the last ends with the blob),
     or if the names or shapes do not match the model.
     """
-    with open(manifest_path) as fh:
+    with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise FormatError(f"checkpoint manifest is not valid JSON: {e}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("arrays"), dict):
         raise FormatError("checkpoint manifest needs an 'arrays' object")

@@ -295,6 +295,21 @@ def assert_close_rel(got, want, rel=1e-12):
     np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.abs(want).max())
 
 
+def assert_constant(t):
+    """``t`` records no graph: no gradient, no parents, no backward."""
+    assert not t.requires_grad and t._parents == () and t._backward is None
+
+
+def conv_block_oracle(x, w, gamma, beta, stats):
+    """Eval-mode conv -> batch norm -> ReLU -> 2x2 max-pool by the nested-loop
+    convolution and the textbook batch norm."""
+    B, _, H, W = x.shape
+    cout = w.shape[0]
+    y = conv2d_oracle(x, w, np.zeros(cout), np.zeros((B, cout, H, W)))[0]
+    z = batch_norm_oracle(y, gamma, beta, stats, "eval", np.zeros_like(y))[0]
+    return np.maximum(z, 0.0).reshape(B, cout, H // 2, 2, W // 2, 2).max(axis=(3, 5))
+
+
 class TestBatchNormAgainstOracle:
     # (B, F), batch-major (B, C, H, W) and conv's channel-major memory
     INPUTS = {
@@ -327,6 +342,12 @@ class TestBatchNormAgainstOracle:
             xd, gamma.data, beta.data, oracle_stats, mode, g
         )
         out = ad.batch_norm(x, gamma, beta, stats, mode)
+        if mode == "eval":
+            # eval folds batch norm into x * s + (beta - mean * s) and records
+            # nothing: it rounds differently from the oracle's x-hat
+            assert_constant(out)
+            assert_close_rel(out.data, y)
+            return
         # the forward is the same elementwise arithmetic, so it is exact
         np.testing.assert_array_equal(out.data, y)
         ad.mul(out, Tensor(g)).sum().backward()
@@ -396,6 +417,12 @@ class TestConvBlock:
         assert ((blocks == top[..., None]).sum(axis=-1) > 1)[top > 0].any()
         assert (top < 0).any()
 
+        if mode == "eval":
+            # eval folds batch norm into the weight and records nothing
+            assert_constant(fused)
+            assert_close_rel(fused.data, conv_block_oracle(
+                x.data, w.data, gamma.data, beta.data, self._stats()))
+            return
         np.testing.assert_array_equal(fused.data, chain.data)
         np.testing.assert_array_equal(fused_stats.mean, chain_stats.mean)
         np.testing.assert_array_equal(fused_stats.var, chain_stats.var)
@@ -510,6 +537,10 @@ class TestDenseBlock:
         assert_close_rel(out.data, y)
         if relu:
             assert (out.data == 0.0).any() and (out.data > 0.0).any()
+        if mode == "eval":
+            # eval folds batch norm into the weight and records nothing
+            assert_constant(out)
+            return
         ad.mul(out, Tensor(g)).sum().backward()
         assert_close_rel(w.grad, dw)
         assert_close_rel(gamma.grad, dgamma)
@@ -542,8 +573,10 @@ class TestDenseBlock:
 
 
 class TestEvalFold:
-    """Under ``no_graph`` the eval blocks fold batch norm into the weight and
-    a bias; the eval path that records a graph is their oracle."""
+    """Eval is inference: batch norm is folded and the output records
+    nothing, inside ``no_graph`` or not, also when every input needs a
+    gradient. The folded values, here with a negative gamma, are within
+    1e-12 of the largest value of the numpy oracle."""
 
     def _bn(self, rng, width):
         gamma = rng.normal(size=width)
@@ -552,27 +585,42 @@ class TestEvalFold:
         return (Tensor(gamma, requires_grad=True),
                 Tensor(rng.normal(size=width), requires_grad=True), stats)
 
-    def _check(self, block, *args):
-        recorded = block(*args)
+    def _check(self, block, want, *args):
+        out = block(*args)
         with ad.no_graph():
-            folded = block(*args)
-        assert recorded.requires_grad
-        assert not folded.requires_grad and folded._parents == () and folded._backward is None
-        np.testing.assert_allclose(folded.data, recorded.data, rtol=0, atol=1e-12)
+            bare = block(*args)
+        assert_constant(out)
+        assert_constant(bare)
+        np.testing.assert_array_equal(out.data, bare.data)
+        assert_close_rel(out.data, want)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_conv_block(self, k):
         rng = np.random.default_rng(20 + k)
-        x = Tensor(rng.normal(size=(5, 3, 6, 6)))
+        x = Tensor(rng.normal(size=(5, 3, 6, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, k, k)), requires_grad=True)
-        self._check(ad.conv_block, x, w, *self._bn(rng, 4), "eval")
+        gamma, beta, stats = self._bn(rng, 4)
+        want = conv_block_oracle(x.data, w.data, gamma.data, beta.data, stats)
+        self._check(ad.conv_block, want, x, w, gamma, beta, stats, "eval")
 
     @pytest.mark.parametrize("relu", [False, True])
     def test_dense_block(self, relu):
         rng = np.random.default_rng(30 + relu)
-        x = Tensor(rng.normal(size=(7, 4)))
+        x = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        self._check(ad.dense_block, x, w, *self._bn(rng, 6), "eval", relu)
+        gamma, beta, stats = self._bn(rng, 6)
+        want = dense_block_oracle(x.data, w.data, gamma.data, beta.data, stats, "eval",
+                                  relu, np.zeros((7, 6)))[0]
+        self._check(ad.dense_block, want, x, w, gamma, beta, stats, "eval", relu)
+
+    @pytest.mark.parametrize("shape", [(7, 6), (3, 6, 4, 4)], ids=["2d", "4d"])
+    def test_batch_norm(self, shape):
+        rng = np.random.default_rng(40 + len(shape))
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        gamma, beta, stats = self._bn(rng, 6)
+        want = batch_norm_oracle(x.data, gamma.data, beta.data, stats, "eval",
+                                 np.zeros(shape))[0]
+        self._check(ad.batch_norm, want, x, gamma, beta, stats, "eval")
 
 
 class TestGatingAttention:
@@ -959,6 +1007,19 @@ class TestGradCheck:
         x = Tensor([1e308], requires_grad=True)
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             grad_check(lambda t: ad.mul(ad.mul(t, t), ad.mul(t, t)).sum(), x)
+
+    @pytest.mark.parametrize("factor", [[np.nan] * 3, [np.nan, 1.0, 1.0]], ids=["all", "first"])
+    def test_nan_gradient_fails(self, factor):
+        # a NaN error compares false with everything; it must still be the
+        # worst, also when finite errors come after it
+        def f(t):
+            sq = ad.mul(t, t)
+            inner = sq._backward
+            sq._backward = lambda g: inner(g * np.array(factor))
+            return sq.sum()
+
+        rep = grad_check(f, Tensor([1.0, 2.0, 3.0], requires_grad=True))
+        assert not rep.passed and np.isnan(rep.max_rel_error) and rep.worst_index == 0
 
 
 class TestPoolingAndConv:

@@ -667,19 +667,22 @@ class TestGradcheckCommand:
         expected = {r.name for r in gradcheck_suite(step=1e-2, tol=1e9)}
         assert set(names) == expected
 
-    @pytest.mark.parametrize("op, failing", [
-        ("dense_block", {"dense_block", "dense_block_relu"}),
-        ("conv_block", {"image_encoder"}),
+    @pytest.mark.parametrize("op, failing, factor", [
+        ("dense_block", {"dense_block", "dense_block_relu"}, 1.01),
+        ("conv_block", {"image_encoder"}, 1.01),
         ("gating_attention", {
             "mmfa", "mmfa_post_softmax_scale",
             "gating_attention", "gating_attention_post_softmax_scale",
-        }),
+        }, 1.01),
         ("cross_entropy_logits", {
             "head_fused", "head_image", "head_meta",
             "total_loss_beta_0", "total_loss_beta_0.5", "total_loss_beta_1",
-        }),
-    ], ids=["dense_block", "conv_block", "gating_attention", "cross_entropy_logits"])
-    def test_corrupted_backward_detected(self, monkeypatch, capsys, op, failing):
+        }, 1.01),
+        # a NaN gradient compares false with every bound
+        ("dense_block", {"dense_block", "dense_block_relu"}, np.nan),
+    ], ids=["dense_block", "conv_block", "gating_attention", "cross_entropy_logits",
+            "dense_block_nan"])
+    def test_corrupted_backward_detected(self, monkeypatch, capsys, op, failing, factor):
         orig = getattr(ad, op)
 
         def broken_op(*args):
@@ -689,7 +692,7 @@ class TestGradcheckCommand:
                 inner = out._backward
 
                 def bw(g):
-                    inner(g * 1.01)  # deliberately wrong scale
+                    inner(g * factor)  # deliberately wrong scale
 
                 out._backward = bw
             return result
@@ -720,14 +723,16 @@ def _no_process_or_shared_memory(*args, **kwargs):
     raise AssertionError("the grid started a process or built shared memory or a lock")
 
 
-def _python(code, *args, unset=(), timeout=300):
-    """Run ``code`` in a fresh interpreter that imports mmfuse from this checkout,
-    without the environment variables named in ``unset``."""
+def _python(code, *args, unset=(), timeout=300, flags=(), setenv=None):
+    """Run ``code`` in a fresh interpreter, started with the options ``flags``,
+    that imports mmfuse from this checkout, without the environment variables
+    named in ``unset`` and with those in ``setenv``."""
     src = os.path.dirname(os.path.dirname(mmfuse.__file__))
     env = {k: v for k, v in os.environ.items() if k not in unset}
+    env.update(setenv or {})
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
 
@@ -780,6 +785,34 @@ class TestNumpyOnlyRuntime:
         proc = _python(_NO_SCIPY + "import scipy.stats\n")
         assert proc.returncode != 0
         assert "scipy is blocked" in proc.stderr
+
+
+def test_non_ascii_class_runs_under_an_ascii_locale(tmp_path):
+    """A class name outside ASCII reaches every artifact under a locale whose
+    encoding is ASCII: each text file is written as UTF-8."""
+    data = tmp_path / "ds"
+    assert main(["generate", "--out", str(data), "--set", "per_class=6",
+                 "--set", "n_classes=2", "--set", "image_shape=[3,8,8]"]) == 0
+    for name, old, new in (("schema.json", '"C0"', '"Mélanome"'),
+                           ("meta.csv", ",C0,", ",Mélanome,")):
+        path = data / name
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+    cfg = run_config(tmp_path, dataset={"dir": str(data)}, jobs=1)
+    out = tmp_path / "out"
+    # the C locale would switch on UTF-8 mode, which -X utf8=0 keeps off
+    proc = _python(
+        "import sys\nfrom mmfuse.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+        "run", "--config", str(cfg), "--out", str(out),
+        flags=("-X", "utf8=0"), unset=("PYTHONUTF8", "PYTHONIOENCODING"),
+        setenv={"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    confusions = sorted(out.rglob("confusion_*.csv"))
+    assert confusions
+    for path in confusions:
+        assert "Mélanome" in path.read_bytes().decode("utf-8")
 
 
 # Runs the script named by the first argument as __main__, with the rest as

@@ -250,3 +250,67 @@ class TestClassWeights:
     def test_zero_count_rejected(self):
         with pytest.raises(ConfigError, match="stratified"):
             class_weights_from_counts([5, 0])
+
+
+def perturbed(a, kind, rng):
+    """A bounded change of the batch ``a``: its rows shuffled, an affine
+    rescaling, or fresh uniform values over its range."""
+    if kind == "shuffled":
+        return a[rng.permutation(len(a))]
+    if kind == "rescaled":
+        return a * rng.uniform(0.5, 2.0) + rng.uniform(-1.0, 1.0)
+    return rng.uniform(a.min(), a.max(), size=a.shape)
+
+
+class TestModalitySeparation:
+    """Metamorphic relations: each head reads only its own modality. Head
+    ``i`` ignores the metadata and head ``m`` the images, in eval logits and
+    in train-mode gradients, whatever the seed or the change of the other
+    modality; the fused head ``im`` sees both."""
+
+    KINDS = ("shuffled", "rescaled", "redrawn")
+
+    def _assembly(self, dataset, structure, seed):
+        cfg = ModelConfig(**{**vars(MODEL), "structure": structure})
+        asm = build_assembly(cfg, dataset, np.random.default_rng(seed))
+        # a train-mode forward moves the running statistics off their defaults
+        asm.forward(*batch(dataset, n=12), "train")
+        return asm
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_image_structure_ignores_metadata(self, dataset, kind, seed):
+        asm = self._assembly(dataset, "image", seed)
+        images, meta = batch(dataset)
+        other = Tensor(perturbed(meta.data, kind, np.random.default_rng(seed)))
+        np.testing.assert_array_equal(asm.forward(images, other, "eval").logits_i.data,
+                                      asm.forward(images, meta, "eval").logits_i.data)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_jif_side_heads_read_one_modality_in_eval(self, dataset, kind, seed):
+        asm = self._assembly(dataset, "jif", seed)
+        rng = np.random.default_rng(seed)
+        images, meta = batch(dataset)
+        other_meta = Tensor(perturbed(meta.data, kind, rng))
+        other_images = Tensor(perturbed(images.data, kind, rng))
+        base = asm.forward(images, meta, "eval")
+        for kept, other in (("logits_i", asm.forward(images, other_meta, "eval")),
+                            ("logits_m", asm.forward(other_images, meta, "eval"))):
+            np.testing.assert_array_equal(getattr(other, kept).data, getattr(base, kept).data,
+                                          err_msg=kept)
+            assert not np.array_equal(other.logits_im.data, base.logits_im.data)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_jif_side_head_losses_reach_one_encoder(self, dataset, seed):
+        asm = self._assembly(dataset, "jif", seed)
+        images, meta = batch(dataset)
+        for head, silent, reached in (("i", asm.metadata_encoder, asm.image_encoder),
+                                      ("m", asm.image_encoder, asm.metadata_encoder)):
+            logits = getattr(asm.forward(images, meta, "train"), "logits_" + head)
+            loss, _ = ad.cross_entropy_logits((logits,), dataset.labels[:6], np.ones(3), (1.0,))
+            asm.zero_grads()
+            loss.backward()
+            for name, t in silent.params():
+                assert not t.grad.any(), f"the loss of head {head} reached {name}"
+            assert any(t.grad.any() for _, t in reached.params())

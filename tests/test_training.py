@@ -499,8 +499,21 @@ class TestInferenceRecordsNoGraph:
             t, ref = getattr(bare, field_name), getattr(recorded, field_name)
             assert not t.requires_grad and t._parents == () and t._backward is None
             assert ref.requires_grad
-            # the no-graph forward folds batch norm into the weights
-            np.testing.assert_allclose(t.data, ref.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("structure, fusion", STRUCTURES)
+    def test_eval_logits_are_the_same_bits_inside_no_graph(self, structure, fusion):
+        # eval is inference: batch norm is folded whether or not a graph records
+        ds = small_dataset(per_class=4)
+        asm = self._trained_stats(structure, fusion, ds)
+        images, meta = Tensor(ds.images), Tensor(ds.meta)
+        recorded = asm.forward(images, meta, "eval")
+        with ad.no_graph():
+            bare = asm.forward(images, meta, "eval")
+        for name, t in vars(bare).items():
+            ref = getattr(recorded, name)
+            assert (t is None) == (ref is None), name
+            if t is not None:
+                np.testing.assert_array_equal(t.data, ref.data)
 
     @pytest.mark.parametrize("structure, fusion", STRUCTURES)
     def test_predict_probs_matches_graph_recording_forward(self, structure, fusion):
@@ -510,7 +523,7 @@ class TestInferenceRecordsNoGraph:
         want = graph_recording_probs(asm, ds, batch_size=5)
         assert sorted(got) == sorted(want)
         for key in want:
-            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(got[key], want[key])
 
     def test_training_after_eval_bac_receives_gradients(self):
         ds = small_dataset(per_class=6)
