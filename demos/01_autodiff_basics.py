@@ -29,9 +29,13 @@ print(f"linear: {inputs.shape} @ {w.shape} + bias -> {out.shape}")
 ad.mul(out, out).sum().backward()
 print(f"db equals the column sums of the upstream gradient: {b.grad}")
 
-print("\n== softmax stays on the simplex ==")
-probs = ad.softmax(Tensor([[2.0, -1.0, 0.5], [100.0, 0.0, -100.0]]))
-print(probs.data.round(6), "row sums:", probs.data.sum(axis=1))
+print("\n== each attention head's weights stay on the simplex ==")
+# two samples, metadata width 2 and image width 4: 2 heads of 3 coordinates
+qkv_meta = Tensor(rng.normal(scale=3.0, size=(2, 6)))
+qkv_img = Tensor(rng.normal(scale=3.0, size=(2, 12)))
+_, weights = ad.gating_attention(qkv_meta, qkv_img, 2, False)
+print(weights.round(6))
+print("per-head sums:", weights.sum(axis=-1))
 
 print("\n== batch norm in train vs eval mode ==")
 stats = RunningStats(mean=np.zeros(2), var=np.ones(2))

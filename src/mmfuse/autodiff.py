@@ -302,18 +302,13 @@ def concat(a, b):
 # softmax and attention
 
 
-def softmax(x):
-    """Row-wise softmax with max subtraction; 1-D input is a single row."""
-    xd = x.data
-    if not np.all(np.isfinite(xd)):
+def _softmax(z):
+    """Row-wise softmax of an array, with max subtraction; 1-D input is a
+    single row. Not a graph op: the loss differentiates the logits itself."""
+    if not np.all(np.isfinite(z)):
         raise NumericError("softmax: input contains non-finite values")
-    z = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(x, y * (g - dot), owned=True)
-    return _result(y, (x,), bw)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _check_heads(width, heads):
@@ -359,10 +354,7 @@ def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
     q, k, v = qkv.transpose(1, 0, 2)
     kq = (k * q).reshape(b * heads, s)
     z = kq if scale_after_softmax else kq * c
-    if not np.all(np.isfinite(z)):
-        raise NumericError("gating_attention: softmax input contains non-finite values")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(z)
     w = p * c if scale_after_softmax else p
     vh = v.reshape(b * heads, s)
     def bw(g):

@@ -161,17 +161,6 @@ class Dataset:
     def __len__(self):
         return len(self.labels)
 
-    def subset(self, indices):
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(
-            images=self.images[idx],
-            meta=self.meta[idx],
-            labels=self.labels[idx],
-            schema=self.schema,
-            ids=[self.ids[i] for i in idx],
-            records=[self.records[i] for i in idx],
-        )
-
 
 def generate_synthetic(spec):
     """Draw a Dataset from the class-conditional generative model."""
@@ -257,8 +246,9 @@ def load_metadata_csv(path, schema):
 
     The file must have ``id`` and ``diagnostic`` columns plus every schema
     column; column order does not matter and other columns are ignored.
-    Ids must be distinct, since each names one image file. The file is read
-    as UTF-8. Returns (records, labels, ids).
+    Ids must be distinct, since each names one image file. Every row has
+    exactly the header's cells. The file is read as UTF-8, and errors name
+    the line a record ends on. Returns (records, labels, ids).
     """
     records, labels, ids = [], [], []
     first_line = {}  # id -> line it first appeared on
@@ -272,7 +262,14 @@ def load_metadata_csv(path, schema):
             for col in schema.columns:
                 if col.name not in fields:
                     raise SchemaError(f"{path}: missing schema column {col.name!r}")
-            for lineno, rec in enumerate(reader, start=2):
+            for rec in reader:
+                lineno = reader.line_num
+                if None in rec or None in rec.values():
+                    raise DataError(
+                        f"{path} line {lineno}: row has "
+                        f"{'more' if None in rec else 'fewer'} cells than the "
+                        f"{len(fields)} of the header"
+                    )
                 label = rec["diagnostic"]
                 if label not in schema.classes:
                     raise DataError(

@@ -230,7 +230,7 @@ def predict_probs(assembly, dataset, rows, batch_size=32):
         with no_graph():
             triple = assembly.forward(images, meta, "eval")
             parts = {
-                k: ad.softmax(getattr(triple, "logits_" + k)).data
+                k: ad._softmax(getattr(triple, "logits_" + k).data)
                 for k in STRUCTURES[assembly.structure]
             }
         if len(parts) == 3:
@@ -369,8 +369,8 @@ def load_checkpoint(assembly, bin_path, manifest_path):
         shape, start = entry.get("shape"), entry.get("offset")
         if not (
             isinstance(shape, list)
-            and all(isinstance(d, int) and d >= 0 for d in shape)
-            and isinstance(start, int)
+            and all(type(d) is int and d >= 0 for d in shape)
+            and type(start) is int  # JSON true/false are not integers
         ):
             raise FormatError(
                 f"checkpoint array {name!r} needs a list 'shape' and an integer 'offset'"

@@ -207,35 +207,50 @@ class TestRun:
         assert a == b
 
     def test_runs_gather_rows_instead_of_copying_folds(self, tmp_path, monkeypatch):
-        """A grid never calls ``Dataset.subset``: its runs train and score on
-        rows of the grid's dataset, and write the same files as runs that
-        train and score on copies of their folds."""
+        """A grid's runs train and score on rows of the grid's one dataset,
+        and write the same files as runs that train and score on copies of
+        their folds."""
         import mmfuse.experiment as exp
         from mmfuse.data import Dataset
 
         cfg = run_config(tmp_path, train={"epochs": 2, "patience": 2, "batch_size": 8})
-        real_subset, real_train, real_predict = Dataset.subset, exp.train, exp.predict_probs
+        real_train, real_predict = exp.train, exp.predict_probs
+        seen = []
+
+        def copy_rows(dataset, rows):
+            return Dataset(
+                images=dataset.images[rows], meta=dataset.meta[rows],
+                labels=dataset.labels[rows], schema=dataset.schema,
+                ids=[dataset.ids[i] for i in rows],
+                records=[dataset.records[i] for i in rows],
+            )
+
+        def spied_train(assembly, dataset, *args, **kwargs):
+            seen.append(dataset)
+            return real_train(assembly, dataset, *args, **kwargs)
+
+        def spied_predict(assembly, dataset, rows):
+            seen.append(dataset)
+            return real_predict(assembly, dataset, rows)
 
         def copied_train(assembly, dataset, train_rows, val_rows, train_cfg, report="all"):
-            copy = real_subset(dataset, np.concatenate([train_rows, val_rows]))
+            copy = copy_rows(dataset, np.concatenate([train_rows, val_rows]))
             n = len(train_rows)
             return real_train(assembly, copy, np.arange(n), np.arange(n, len(copy)),
                               train_cfg, report)
 
         def copied_predict(assembly, dataset, rows):
-            return real_predict(assembly, real_subset(dataset, rows), np.arange(len(rows)))
-
-        def no_subset(self, indices):
-            raise AssertionError("a grid run copied a fold")
+            return real_predict(assembly, copy_rows(dataset, rows), np.arange(len(rows)))
 
         def run(name):
             out = tmp_path / name
             assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
             return _files(out)
 
-        monkeypatch.setattr(Dataset, "subset", no_subset)
+        monkeypatch.setattr(exp, "train", spied_train)
+        monkeypatch.setattr(exp, "predict_probs", spied_predict)
         rows = run("rows")
-        monkeypatch.setattr(Dataset, "subset", real_subset)
+        assert seen and all(d is seen[0] for d in seen)
         monkeypatch.setattr(exp, "train", copied_train)
         monkeypatch.setattr(exp, "predict_probs", copied_predict)
         assert sum(name.endswith("checkpoint.bin") for name in rows) == 3

@@ -260,6 +260,30 @@ class TestMetadataCsv:
         with pytest.raises(DataError, match=r"line 4: id 'a' repeats line 2"):
             load_metadata_csv(csv_path, self.schema)
 
+    HEADER = "id,diagnostic,marker_a,marker_b,marker_c,region,age,size_mm\n"
+
+    def test_short_row_rejected(self, tmp_path):
+        csv_path = tmp_path / "meta.csv"
+        csv_path.write_text(self.HEADER + "a,C0,v0,v0,v0,head,10,2.0\nb,C1,v1\n")
+        with pytest.raises(DataError, match=r"meta\.csv line 3: row has fewer cells"):
+            load_metadata_csv(csv_path, self.schema)
+
+    def test_long_row_rejected(self, tmp_path):
+        csv_path = tmp_path / "meta.csv"
+        csv_path.write_text(self.HEADER + "a,C0,v0,v0,v0,head,10,2.0,x,y\n")
+        with pytest.raises(DataError, match=r"meta\.csv line 2: row has more cells"):
+            load_metadata_csv(csv_path, self.schema)
+
+    def test_line_numbers_count_lines_inside_quoted_cells(self, tmp_path):
+        csv_path = tmp_path / "meta.csv"
+        csv_path.write_text(
+            self.HEADER.replace("\n", ",note\n")
+            + 'a,C0,v0,v0,v0,head,10,2.0,"two\nlines"\n'
+            + "b,NOPE,v1,v1,v1,arm,20,3.0,\n"
+        )
+        with pytest.raises(DataError, match=r"line 4: unknown label 'NOPE'"):
+            load_metadata_csv(csv_path, self.schema)
+
 
 class TestDatasetDirectory:
     def test_write_load_round_trip(self, tmp_path):
@@ -280,15 +304,6 @@ class TestDatasetDirectory:
         write_dataset(generate_synthetic(spec), tmp_path / "b")
         assert (tmp_path / "a/meta.csv").read_bytes() == (tmp_path / "b/meta.csv").read_bytes()
         assert (tmp_path / "a/schema.json").read_bytes() == (tmp_path / "b/schema.json").read_bytes()
-
-    def test_subset_alignment(self):
-        ds = generate_synthetic(
-            SyntheticSpec(n_classes=2, per_class=5, image_shape=(3, 8, 8), seed=8)
-        )
-        sub = ds.subset([1, 3, 5])
-        assert len(sub) == 3
-        np.testing.assert_array_equal(sub.labels, ds.labels[[1, 3, 5]])
-        assert sub.ids == [ds.ids[1], ds.ids[3], ds.ids[5]]
 
     def test_mismatched_lengths_rejected(self):
         schema = default_schema(2)

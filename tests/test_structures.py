@@ -43,7 +43,7 @@ class TestForward:
                 t.data[...] = 0.0
         triple = asm.forward(*batch(dataset), "eval")
         for z in (triple.logits_im, triple.logits_i, triple.logits_m):
-            np.testing.assert_allclose(ad.softmax(z).data, 1.0 / 3.0, rtol=1e-15)
+            np.testing.assert_allclose(ad._softmax(z.data), 1.0 / 3.0, rtol=1e-15)
 
     def test_jf_and_jif_share_fused_path(self, dataset):
         jf = build_assembly(
@@ -53,17 +53,17 @@ class TestForward:
         )
         jif = build_assembly(MODEL, dataset, np.random.default_rng(42))
         for mode in ("eval", "train"):
-            p_jf = ad.softmax(jf.forward(*batch(dataset), mode).logits_im).data
-            p_jif = ad.softmax(jif.forward(*batch(dataset), mode).logits_im).data
+            p_jf = ad._softmax(jf.forward(*batch(dataset), mode).logits_im.data)
+            p_jif = ad._softmax(jif.forward(*batch(dataset), mode).logits_im.data)
             assert np.array_equal(p_jf, p_jif)
 
     def test_shapes_and_simplex(self, dataset):
         asm = build_assembly(MODEL, dataset, np.random.default_rng(1))
         triple = asm.forward(*batch(dataset, n=2), "eval")
         for z in (triple.logits_im, triple.logits_i, triple.logits_m):
-            p = ad.softmax(z)
-            assert p.data.shape == (2, 3)
-            np.testing.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-12)
+            p = ad._softmax(z.data)
+            assert p.shape == (2, 3)
+            np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_image_only_structure(self, dataset):
         cfg = ModelConfig(**{**vars(MODEL), "structure": "image"})
@@ -76,7 +76,7 @@ class TestForward:
         cfg = ModelConfig(**{**vars(MODEL), "fusion": "cat"})
         asm = build_assembly(cfg, dataset, np.random.default_rng(3))
         calls = []
-        monkeypatch.setattr(ad, "softmax", calls.append)
+        monkeypatch.setattr(ad, "_softmax", calls.append)
         triple = asm.forward(*batch(dataset), "train")
         assert calls == []
         assert all(z.requires_grad for z in (triple.logits_im, triple.logits_i, triple.logits_m))

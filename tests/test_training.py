@@ -464,14 +464,15 @@ def graph_recording_probs(assembly, dataset, batch_size):
         triple = assembly.forward(
             Tensor(dataset.images[idx]), Tensor(dataset.meta[idx]), "eval"
         )
-        parts = {"im": triple.logits_im, "i": triple.logits_i, "m": triple.logits_m}
-        parts = {key: ad.softmax(t) for key, t in parts.items() if t is not None}
-        assert all(t.requires_grad for t in parts.values())
-        for key, t in parts.items():
-            probs.setdefault(key, []).append(t.data)
+        logits = {"im": triple.logits_im, "i": triple.logits_i, "m": triple.logits_m}
+        logits = {key: t for key, t in logits.items() if t is not None}
+        assert all(t.requires_grad for t in logits.values())
+        parts = {key: ad._softmax(t.data) for key, t in logits.items()}
+        for key, p in parts.items():
+            probs.setdefault(key, []).append(p)
         if len(parts) == 3:
             probs.setdefault("fused", []).append(
-                decision_fuse(parts["i"].data, parts["m"].data, parts["im"].data)
+                decision_fuse(parts["i"], parts["m"], parts["im"])
             )
     return {k: np.concatenate(v, axis=0) for k, v in probs.items()}
 
@@ -805,6 +806,25 @@ class TestCheckpoint:
                 self._load_with_manifest(
                     tmp_path, lambda m, text: self._edit_first_entry(m, "offset", offset)
                 )
+
+    def test_boolean_offset_rejected(self, tmp_path):
+        # false == 0, so at the array that starts the blob it would tile
+        def edit(manifest, text):
+            first = next(e for e in manifest["arrays"].values() if e["offset"] == 0)
+            first["offset"] = False
+            return json.dumps(manifest)
+
+        with pytest.raises(FormatError, match="integer 'offset'"):
+            self._load_with_manifest(tmp_path, edit)
+
+    def test_boolean_in_shape_rejected(self, tmp_path):
+        # a trailing true (== 1) keeps the array's size
+        def edit(manifest, text):
+            next(iter(manifest["arrays"].values()))["shape"].append(True)
+            return json.dumps(manifest)
+
+        with pytest.raises(FormatError, match="list 'shape'"):
+            self._load_with_manifest(tmp_path, edit)
 
     @staticmethod
     def _move(manifest, name, offset_of):
