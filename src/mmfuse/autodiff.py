@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
 The graph is recorded implicitly: every operation returns a Tensor that
 keeps references to its parents and a closure computing the parent
@@ -15,8 +15,11 @@ once. A second ``backward()`` on the same root, or one on a new graph
 built on an op output of a walked graph, raises ``ContractError`` before
 any gradient changes.
 
-All computation is double precision; the finite-difference checker
-(``grad_check``) relies on that.
+Every op computes in its inputs' dtype. A ``Tensor`` keeps float32 data
+as float32 and makes anything else float64, so a model built on float32
+data trains and scores in float32, and one built on float64 data is
+unchanged. The finite-difference checker (``grad_check``) needs float64
+and refuses anything else.
 
 Image tensors are (B, C, H, W) views of batch-innermost memory: a
 C-contiguous (C, H, W, B) array. ``conv2d`` is lowered to matrix products
@@ -51,7 +54,7 @@ way), so values and gradients are those of the chain, with the ReLU on a
 quarter of the elements. It shares every kernel with the separate ops:
 im2col/col2im, the batch-norm normalisation and closed-form backward, and
 the 2x2 max with its first-max mask, which its forward builds and saves in
-place of the float64 pre-pool activation: 1 byte per element, not 8.
+place of the pre-pool activation: 1 byte per element, not 4 or 8.
 
 ``dense_block`` is one fully connected block, ``batch_norm(x @ w)`` with
 an optional ReLU, as one node on the same batch-norm kernels.
@@ -99,13 +102,19 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 
+def _compute_dtype(a):
+    """float32 for float32 data, float64 for anything else."""
+    return np.dtype(np.float32 if getattr(a, "dtype", None) == np.float32 else np.float64)
+
+
 class Tensor:
-    """Dense float64 array, optionally tracked by the autodiff graph."""
+    """Dense float32 or float64 array, optionally tracked by the autodiff
+    graph; data of any other type is copied as float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.array(data, dtype=np.float64)
+        self.data = np.array(data, dtype=_compute_dtype(data))
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -189,15 +198,15 @@ def _result(data, parents, backward):
 def _accumulate(t, g, owned=False):
     """Add ``g`` to ``t.grad`` unless ``t`` needs no gradient.
 
-    The first gradient is stored as a copy, unless ``owned`` says the
-    backward allocated ``g`` for ``t`` alone and reads it no more; then
-    ``t.grad`` is ``g`` itself. A gradient handed to two parents, or a view
-    of the output gradient, is never owned.
+    The first gradient is stored as a copy in ``t``'s dtype, unless
+    ``owned`` says the backward allocated ``g`` for ``t`` alone and reads it
+    no more; then ``t.grad`` is ``g`` itself. A gradient handed to two
+    parents, or a view of the output gradient, is never owned.
     """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g if owned else np.array(g, dtype=np.float64)
+        t.grad = g if owned else np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -347,7 +356,7 @@ def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
     width = dm + di
     _check_heads(width, heads)
     s = width // heads
-    c = 1.0 / np.sqrt(s)
+    c = float(1.0 / np.sqrt(s))  # a NumPy float64 scalar would promote float32 to float64
     qkv = np.concatenate(
         (qkv_meta.data.reshape(b, 3, dm), qkv_img.data.reshape(b, 3, di)), axis=2
     )
@@ -555,9 +564,9 @@ def _im2col(xd, k):
     """cols (C*k*k, H*W*B) of a same-padded (B, C, H, W) input."""
     B, C, H, W = xd.shape
     p = k // 2
-    xp = np.zeros((C, H + 2 * p, W + 2 * p, B))
+    xp = np.zeros((C, H + 2 * p, W + 2 * p, B), dtype=xd.dtype)
     xp[:, p : p + H, p : p + W] = _chwb(xd)
-    cols = np.empty((C, k, k, H, W, B))
+    cols = np.empty((C, k, k, H, W, B), dtype=xd.dtype)
     for i in range(k):
         for j in range(k):
             cols[:, i, j] = xp[:, i : i + H, j : j + W]
@@ -569,7 +578,7 @@ def _col2im(dcols, shape, k):
     B, C, H, W = shape
     p = k // 2
     dcols = dcols.reshape(C, k, k, H, W, B)
-    dx = np.zeros((C, H, W, B))
+    dx = np.zeros((C, H, W, B), dtype=dcols.dtype)
     for i in range(k):
         # rows of x that kernel row i reads, and the matching rows of dcols
         r0, r1 = max(i - p, 0), min(i - p + H, H)
@@ -736,7 +745,7 @@ def cross_entropy_logits(heads, labels, class_weights, coefs):
         raise DimensionError(f"cross_entropy_logits: labels shape {labels.shape} != ({B},)")
     if B and (labels.min() < 0 or labels.max() >= N):
         raise ContractError(f"cross_entropy_logits: labels out of range [0, {N})")
-    w = np.asarray(class_weights, dtype=np.float64)[labels]
+    w = np.asarray(class_weights, dtype=heads[0].data.dtype)[labels]
     rows = np.arange(B)
     lses, losses, total = [], [], None
     for h, c in zip(heads, coefs):
@@ -766,16 +775,22 @@ class GradCheckReport:
     worst_index: int = -1
 
 
-def grad_check(f, x, step=1e-5, tol=1e-4):
+def grad_check(f, x, step=1e-5, tol=1e-4, coords=None):
     """Compare analytic gradients of ``f`` w.r.t. ``x`` to central differences.
 
     ``f`` must map the Tensor ``x`` (whose data this routine perturbs in
-    place) to a scalar Tensor, deterministically. The relative error uses
+    place) to a scalar Tensor, deterministically. Every coordinate of ``x``
+    is checked, or ``coords`` of them drawn without replacement by a
+    generator of fixed seed, in increasing order. The relative error uses
     max(|analytic|, |numeric|, 1e-8) as denominator; a NaN analytic
     gradient gives a NaN error, which counts as the worst and fails.
+    ``x`` must be float64: float32 cannot resolve central differences at
+    the default step, so any other dtype raises ``ContractError``.
     """
     if step <= 0:
         raise ContractError("grad_check: step must be positive")
+    if x.data.dtype != np.float64:
+        raise ContractError(f"grad_check: needs float64 data, got {x.data.dtype}")
     out = f(x)
     if out.data.size != 1:
         raise ContractError("grad_check: f must be scalar-valued")
@@ -788,8 +803,11 @@ def grad_check(f, x, step=1e-5, tol=1e-4):
     ).ravel()
 
     flat = x.data.ravel()
+    checked = range(flat.size)
+    if coords is not None and coords < flat.size:
+        checked = np.sort(np.random.default_rng(0).choice(flat.size, coords, replace=False))
     worst, worst_i = 0.0, -1
-    for i in range(flat.size):
+    for i in checked:
         orig = flat[i]
         flat[i] = orig + step
         fp = float(f(x).data)

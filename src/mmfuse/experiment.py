@@ -38,7 +38,14 @@ from .encoders import ImageEncoder, MetadataEncoder
 from .errors import Config, ConfigError, NumericError
 from .evaluation import confusion, metric_report, stratified_kfold
 from .fusion import ConcatFusion, MMFAFusion
-from .structures import STRUCTURES, ModelAssembly, make_head, reported_scores
+from .structures import (
+    STRUCTURES,
+    ModelAssembly,
+    class_weights_from_counts,
+    make_head,
+    reported_scores,
+    total_loss,
+)
 from .training import (
     TrainConfig,
     predict_probs,
@@ -196,8 +203,15 @@ def _derived_seed(*parts):
 
 
 def _grid_data(cfg):
-    """The dataset and the stratified folds of the grid ``cfg`` describes."""
+    """The dataset and the stratified folds of the grid ``cfg`` describes.
+
+    The images and metadata are cast to float32 here, once per grid, so
+    every run of the grid trains and scores in float32.
+    """
     dataset = resolve_dataset(cfg.dataset)
+    dataset = replace(
+        dataset, images=dataset.images.astype(np.float32), meta=dataset.meta.astype(np.float32)
+    )
     return dataset, stratified_kfold(dataset.labels, cfg.folds, cfg.split_seed)
 
 
@@ -484,10 +498,10 @@ class BlockReport:
     passed: bool
 
 
-def _check_targets(name, targets, loss_fn, step, tol):
+def _check_targets(name, targets, loss_fn, step, tol, coords):
     """One block's report: its worst error (NaN if any is) and whether every
     target passed."""
-    reps = [grad_check(lambda _t: loss_fn(), t, step=step, tol=tol) for _, t in targets]
+    reps = [grad_check(lambda _t: loss_fn(), t, step, tol, coords) for _, t in targets]
     worst = float(np.max([r.max_rel_error for r in reps]))
     return BlockReport(name=name, max_rel_error=worst, passed=all(r.passed for r in reps))
 
@@ -499,6 +513,22 @@ def _sumsq(t):
 def _leaves(rng, *shapes):
     """One requires-grad input per shape, drawn from ``rng`` in order."""
     return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
+# One toy whole model per structure x fusion case, on the toy dataset: the
+# gradient check's model blocks and tests/golden_steps.json use them.
+_TOY_SIZES = dict(
+    image_features=6, metadata_features=4, channels=(2, 3, 4), metadata_hidden=(5,), heads=2
+)
+TOY_MODELS = {
+    "image": ModelConfig(structure="image", **_TOY_SIZES),
+    "jf-cat": ModelConfig(structure="jf", fusion="cat", **_TOY_SIZES),
+    "jf-mmfa": ModelConfig(structure="jf", fusion="mmfa", **_TOY_SIZES),
+    "jif-cat": ModelConfig(structure="jif", fusion="cat", **_TOY_SIZES),
+    "jif-mmfa": ModelConfig(structure="jif", fusion="mmfa", **_TOY_SIZES),
+    "jif-mmfa-post": ModelConfig(structure="jif", scale_after_softmax=True, **_TOY_SIZES),
+}
+TOY_DATA = SyntheticSpec(n_classes=3, per_class=(5, 4, 3), image_shape=(3, 8, 8), seed=7)
 
 
 def _blocks():
@@ -566,6 +596,32 @@ def _blocks():
         )
 
 
+# coordinates of each tensor that a whole-model block checks
+MODEL_COORDS = 4
+
+
+def _model_blocks():
+    """Yield ``(name, targets, loss)`` for each of the ``TOY_MODELS`` in
+    train mode, with the batch's images and metadata as leaves: only these
+    check where two consumers of one tensor meet. Checking all of a model's
+    2,000-2,500 coordinates would take about 10 s a suite, so
+    ``MODEL_COORDS`` of each tensor, drawn with a fixed seed, are checked.
+    """
+    ds = generate_synthetic(TOY_DATA)
+    weights = class_weights_from_counts(np.bincount(ds.labels, minlength=ds.n_classes))
+    batch = np.random.default_rng(4).permutation(len(ds))[:8]
+    for case, model in TOY_MODELS.items():
+        asm = ModelAssembly(model, ds, np.random.default_rng(3))
+        images = Tensor(ds.images[batch], requires_grad=True)
+        meta = Tensor(ds.meta[batch], requires_grad=True)
+        targets = [("images", images), ("meta", meta)] + asm.params()
+        yield f"model_{case.replace('-', '_')}", targets, lambda: total_loss(
+            asm.forward(images, meta, "train"), ds.labels[batch], weights, 0.3, model.structure
+        )[0]
+
+
 def gradcheck_suite(step=1e-5, tol=1e-4):
     """Finite-difference checks over every differentiable block at toy sizes."""
-    return [_check_targets(name, targets, loss, step, tol) for name, targets, loss in _blocks()]
+    return [_check_targets(*block, step, tol, None) for block in _blocks()] + [
+        _check_targets(*block, step, tol, MODEL_COORDS) for block in _model_blocks()
+    ]

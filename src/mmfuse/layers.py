@@ -16,8 +16,8 @@ from .errors import ContractError, FormatError
 class Params(list):
     """(dotted name, Tensor) pairs whose arrays live in two flat vectors.
 
-    Building one copies every tensor's values into the float64 vector
-    ``data`` and its gradient (zero if it has none) into ``grad``, in list
+    Building one copies every tensor's values into the vector ``data`` of
+    ``dtype`` and its gradient (zero if it has none) into ``grad``, in list
     order, and rebinds each ``Tensor.data`` and ``Tensor.grad`` to a view
     into them, as ``torch.nn.utils.parameters_to_vector`` and JAX's
     ``ravel_pytree`` lay parameters out. In-place writes through a tensor
@@ -27,14 +27,14 @@ class Params(list):
     the vectors it lives in.
     """
 
-    def __init__(self, named):
+    def __init__(self, named, dtype=np.float64):
         super().__init__(named)
         for name, t in self:
             if t.data.base is not None:
                 raise ContractError(f"parameter {name!r} is already a view into another array")
         self.ends = np.cumsum([t.data.size for _, t in self], dtype=np.intp)
         size = int(self.ends[-1]) if len(self) else 0
-        self.data, self.grad = np.empty(size), np.zeros(size)
+        self.data, self.grad = np.empty(size, dtype), np.zeros(size, dtype)
         start = 0
         for (_, t), end in zip(self, self.ends):
             shape = t.data.shape
@@ -74,6 +74,14 @@ class Module:
     def params(self):
         """(dotted name, Tensor) of every parameter."""
         return [(n, v) for n, v in self._walk() if isinstance(v, Tensor)]
+
+    def cast_buffers(self, dtype):
+        """Cast every running statistic of this module and its submodules."""
+        for value in vars(self).values():
+            if isinstance(value, Module):
+                value.cast_buffers(dtype)
+            elif isinstance(value, RunningStats):
+                value.mean, value.var = value.mean.astype(dtype), value.var.astype(dtype)
 
     def buffers(self):
         """(dotted name, array) of every non-learned state array."""

@@ -3,7 +3,8 @@
 ``STRUCTURES`` lists the heads each structure trains, in construction
 order; assembly, loss, prediction and reporting all read it. Head ``im``
 reads the fused feature, ``i`` the image feature, ``m`` the metadata one.
-``ModelAssembly`` is built from a ``ModelConfig`` alone, and its
+``ModelAssembly`` is built from a ``ModelConfig`` alone, computes in its
+dataset's dtype (float32 for float32 images, else float64), and its
 ``forward`` returns each head's logits: the loss reads them directly, and
 only prediction applies the softmax.
 
@@ -57,7 +58,8 @@ class ModelAssembly(Module):
     def __init__(self, model_cfg, dataset, rng):
         """Build from the config; the image encoder, metadata encoder and
         fusion draw from ``rng`` in that order, then the heads in
-        ``STRUCTURES`` order."""
+        ``STRUCTURES`` order. The parameters and running statistics are
+        drawn in float64 and then cast once to the dataset's dtype."""
         heads = STRUCTURES[model_cfg.structure]
         self.structure = model_cfg.structure
         self.n_classes = dataset.n_classes
@@ -92,7 +94,9 @@ class ModelAssembly(Module):
         self.head_im = self.head_i = self.head_m = None
         for k in heads:
             setattr(self, "head_" + k, make_head(widths[k], self.n_classes, rng))
-        self._params = Params(super().params())
+        self.dtype = ad._compute_dtype(dataset.images)
+        self._params = Params(super().params(), self.dtype)
+        self.cast_buffers(self.dtype)
 
     def params(self):
         """The ``Params`` built with the model: every parameter and its
@@ -105,7 +109,14 @@ class ModelAssembly(Module):
         self._params.grad.fill(0.0)
 
     def forward(self, images, meta, mode):
-        """Run the structure on a batch; returns the per-head logits."""
+        """Run the structure on a batch; returns the per-head logits.
+
+        Raises ``ContractError`` if the images or the metadata do not have
+        the model's dtype.
+        """
+        for what, t in (("images", images), ("metadata", meta)):
+            if t is not None and t.data.dtype != self.dtype:
+                raise ContractError(f"{what} are {t.data.dtype}, the model is {self.dtype}")
         features = {"i": self.image_encoder(images, mode)}
         if self.fusion is not None:
             features["m"] = self.metadata_encoder(meta, mode)

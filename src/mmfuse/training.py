@@ -219,7 +219,8 @@ def predict_probs(assembly, dataset, rows, batch_size=32):
     ``no_graph``, so nothing records a graph. Eval scores each sample on its
     own; each chunk of 32 rows is gathered from the dataset's arrays, which
     keeps a validation pass's memory peak below a batch-16 training step's
-    (a 72-sample 16x16 fold as one batch made 4 MB of im2col).
+    (a 72-sample 16x16 fold as one batch made 4 MB of float64 im2col in
+    block 0, 2 MB in float32).
     """
     rows = np.asarray(rows, dtype=np.intp)
     probs = {}
@@ -325,21 +326,23 @@ def train(assembly, dataset, train_rows, val_rows, cfg, report="all"):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: flat little-endian float64 binary plus a JSON manifest
+# checkpoints: a flat little-endian binary in the model's dtype plus a JSON
+# manifest that records that dtype
 
 
 def save_checkpoint(assembly, bin_path, manifest_path):
+    dtype = assembly.dtype.newbyteorder("<")  # <f4 or <f8
     arrays = assembly.state()
     entries = {}
     offset = 0
     with open(bin_path, "wb") as fh:
         for name, arr in arrays.items():
-            data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+            data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
             entries[name] = {"shape": list(arr.shape), "offset": offset}
             fh.write(data)
             offset += len(data)
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump({"dtype": "<f8", "arrays": entries}, fh, indent=2, sort_keys=True)
+        json.dump({"dtype": dtype.str, "arrays": entries}, fh, indent=2, sort_keys=True)
 
 
 def load_checkpoint(assembly, bin_path, manifest_path):
@@ -347,7 +350,8 @@ def load_checkpoint(assembly, bin_path, manifest_path):
 
     Raises ``FormatError`` if the manifest is not a JSON object with an
     ``arrays`` object whose entries hold a list ``shape`` and an integer
-    ``offset``, if the dtype is not ``<f8``, if the arrays, sorted by
+    ``offset``, if its dtype is not the model's (``<f4`` for a float32
+    model, ``<f8`` for a float64 one), if the arrays, sorted by
     offset, do not tile the blob exactly (the first starts at byte 0, each
     starts where the one before it ends and the last ends with the blob),
     or if the names or shapes do not match the model.
@@ -361,8 +365,11 @@ def load_checkpoint(assembly, bin_path, manifest_path):
         raise FormatError("checkpoint manifest needs an 'arrays' object")
     with open(bin_path, "rb") as fh:
         blob = fh.read()
-    if manifest.get("dtype") != "<f8":
-        raise FormatError(f"checkpoint dtype {manifest.get('dtype')!r} is not '<f8'")
+    dtype = assembly.dtype.newbyteorder("<")
+    if manifest.get("dtype") != dtype.str:
+        raise FormatError(
+            f"checkpoint dtype {manifest.get('dtype')!r} is not the model's {dtype.str!r}"
+        )
     spans = []  # (offset, shape, name)
     for name, entry in manifest["arrays"].items():
         entry = entry if isinstance(entry, dict) else {}
@@ -380,13 +387,13 @@ def load_checkpoint(assembly, bin_path, manifest_path):
     for start, shape, name in sorted(spans, key=lambda span: span[0]):
         if start != end:
             raise FormatError(f"checkpoint arrays do not tile the blob at {name!r}", start)
-        end += 8 * math.prod(shape)
+        end += dtype.itemsize * math.prod(shape)
     if end != len(blob):
         raise FormatError(
             f"checkpoint blob has {len(blob)} bytes, the manifest describes {end}"
         )
     state = {
-        name: np.frombuffer(blob, "<f8", math.prod(shape), start).reshape(shape)
+        name: np.frombuffer(blob, dtype, math.prod(shape), start).reshape(shape)
         for start, shape, name in spans
     }
     assembly.load_state(state)

@@ -64,6 +64,12 @@ def test_c01_gradient_soundness():
         "total_loss_beta_0",
         "total_loss_beta_0.5",
         "total_loss_beta_1",
+        "model_image",
+        "model_jf_cat",
+        "model_jf_mmfa",
+        "model_jif_cat",
+        "model_jif_mmfa",
+        "model_jif_mmfa_post",
     }
     ok = required <= names and all(r.passed for r in reports) and elapsed < 60
     worst = max(r.max_rel_error for r in reports)

@@ -998,6 +998,14 @@ class TestGradCheck:
         with pytest.raises(ContractError):
             grad_check(lambda t: ad.mul(t, t), x)
 
+    def test_rejects_float32(self):
+        # central differences at step 1e-5 are below float32's resolution
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        calls = []
+        with pytest.raises(ContractError, match="float64"):
+            grad_check(lambda t: calls.append(t) or ad.mul(t, t).sum(), x)
+        assert not calls
+
     def test_rejects_non_finite(self):
         x = Tensor([1e308], requires_grad=True)
         with np.errstate(over="ignore"), pytest.raises(NumericError):

@@ -11,7 +11,8 @@ import pytest
 import mmfuse
 from mmfuse import autodiff as ad
 from mmfuse.cli import main
-from mmfuse.experiment import ExperimentConfig, config_digest, gradcheck_suite
+from mmfuse import experiment as exp
+from mmfuse.experiment import ExperimentConfig, config_digest
 
 # pool workers start by fork, so they inherit a test's monkeypatches
 _FORKS = multiprocessing.get_start_method() == "fork"
@@ -666,6 +667,12 @@ class TestCompare:
         assert "a - b" in capsys.readouterr().out
 
 
+MODEL_BLOCKS = {
+    "model_image", "model_jf_cat", "model_jf_mmfa",
+    "model_jif_cat", "model_jif_mmfa", "model_jif_mmfa_post",
+}
+
+
 class TestGradcheckCommand:
     def test_fresh_run_passes(self, capsys):
         assert main(["gradcheck"]) == 0
@@ -679,19 +686,23 @@ class TestGradcheckCommand:
         ]
         names = [l.split()[0] for l in lines]
         assert len(names) == len(set(names))
-        expected = {r.name for r in gradcheck_suite(step=1e-2, tol=1e9)}
-        assert set(names) == expected
+        blocks = [*exp._blocks(), *exp._model_blocks()]
+        assert set(names) == {name for name, _, _ in blocks}
 
+    # layers binds dense_block by name, so patching ad.dense_block reaches
+    # only the blocks that call it through the module
     @pytest.mark.parametrize("op, failing, factor", [
         ("dense_block", {"dense_block", "dense_block_relu"}, 1.01),
-        ("conv_block", {"image_encoder"}, 1.01),
+        ("conv_block", {"image_encoder", *MODEL_BLOCKS}, 1.01),
         ("gating_attention", {
             "mmfa", "mmfa_post_softmax_scale",
             "gating_attention", "gating_attention_post_softmax_scale",
+            "model_jf_mmfa", "model_jif_mmfa", "model_jif_mmfa_post",
         }, 1.01),
         ("cross_entropy_logits", {
             "head_fused", "head_image", "head_meta",
             "total_loss_beta_0", "total_loss_beta_0.5", "total_loss_beta_1",
+            *MODEL_BLOCKS,
         }, 1.01),
         # a NaN gradient compares false with every bound
         ("dense_block", {"dense_block", "dense_block_relu"}, np.nan),

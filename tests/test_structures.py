@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,23 @@ def batch(dataset, n=6):
 
 
 class TestForward:
+    @pytest.mark.parametrize("model_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("which", ["images", "metadata"])
+    def test_batch_of_another_dtype_refused(self, dataset, model_dtype, which):
+        # a mixed batch would silently compute in float64 and cast the
+        # gradients into a float32 model's views
+        data = replace(dataset, images=dataset.images.astype(model_dtype),
+                       meta=dataset.meta.astype(model_dtype))
+        asm = build_assembly(MODEL, data, np.random.default_rng(0))
+        other = np.float64 if model_dtype == np.float32 else np.float32
+        images, meta = batch(data)
+        if which == "images":
+            images = Tensor(images.data.astype(other))
+        else:
+            meta = Tensor(meta.data.astype(other))
+        with pytest.raises(ContractError, match=which):
+            asm.forward(images, meta, "train")
+
     def test_zero_heads_give_uniform_predictions(self, dataset):
         asm = build_assembly(MODEL, dataset, np.random.default_rng(0))
         for head in (asm.head_im, asm.head_i, asm.head_m):

@@ -35,6 +35,10 @@ SMALL_MODEL = ModelConfig(
 )
 
 
+def float32_dataset(ds):
+    return replace(ds, images=ds.images.astype(np.float32), meta=ds.meta.astype(np.float32))
+
+
 def small_dataset(**kw):
     args = dict(n_classes=2, per_class=16, image_shape=(3, 8, 8),
                 alpha_img=1.0, alpha_meta=1.0, noise=0.05, seed=0)
@@ -751,6 +755,36 @@ class TestCheckpoint:
         asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
         with pytest.raises(FormatError, match="dtype"):
             load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+
+    def test_float32_round_trip_is_bitwise(self, tmp_path):
+        ds = float32_dataset(small_dataset(per_class=4))
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(7))
+        state = asm.state()
+        save_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        assert manifest["dtype"] == "<f4"
+        assert (tmp_path / "ck.bin").stat().st_size == 4 * asm.params().data.size + sum(
+            4 * b.size for _, b in asm.buffers()
+        )
+        fresh = build_assembly(SMALL_MODEL, ds, np.random.default_rng(99))
+        load_checkpoint(fresh, tmp_path / "ck.bin", tmp_path / "ck.json")
+        for name, arr in fresh.state().items():
+            assert arr.dtype == np.float32
+            assert arr.tobytes() == state[name].tobytes()
+
+    @pytest.mark.parametrize("saved, loaded", [("float64", "float32"), ("float32", "float64")])
+    def test_dtype_of_another_model_rejected(self, tmp_path, saved, loaded):
+        # a float64 checkpoint would otherwise be rounded into a float32 model
+        ds = small_dataset(per_class=4)
+        data = {"float64": ds, "float32": float32_dataset(ds)}
+        save_checkpoint(build_assembly(SMALL_MODEL, data[saved], np.random.default_rng(7)),
+                        tmp_path / "ck.bin", tmp_path / "ck.json")
+        asm = build_assembly(SMALL_MODEL, data[loaded], np.random.default_rng(0))
+        before = asm.state()
+        with pytest.raises(FormatError, match="dtype"):
+            load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+        for name, arr in asm.state().items():
+            np.testing.assert_array_equal(arr, before[name])
 
     def test_blob_size_differing_from_manifest_rejected(self, tmp_path):
         ds = self._saved(tmp_path)
