@@ -8,10 +8,11 @@ the same trained model). Every random draw derives from the config, so a
 rerun writes byte-identical results.
 
 A grid runs on ``jobs`` processes, the caller included, which default to
-the CPUs this process may use. Each process claims the next (fold, seed)
-run from one shared counter until none is left; outcomes are put back in
-task order, so the files a grid writes do not depend on ``jobs`` or on
-which process ran what. A grid with one job or one run starts no process.
+the CPUs this process may use. A grid with one job or one run starts no
+process and runs its (fold, seed) runs in order. Otherwise each process
+claims the next run from one shared counter until none is left; outcomes
+are put back in task order, so the files a grid writes do not depend on
+``jobs`` or on which process ran what.
 Workers receive only the config and the task list: a forked worker shares
 the caller's dataset and folds, and a spawned one builds them again from
 the config, which gives the same arrays.
@@ -21,7 +22,6 @@ criterion-10 grid several times slower than one.
 """
 
 import concurrent.futures
-import contextlib
 import ctypes
 import hashlib
 import json
@@ -259,11 +259,7 @@ def _run_single(cfg, dataset, folds, seed, fold_idx):
         os.makedirs(run_dir, exist_ok=True)
         log.write_csv(os.path.join(run_dir, "trainlog.csv"))
         if cfg.save_checkpoints:
-            save_checkpoint(
-                assembly,
-                os.path.join(run_dir, "checkpoint.bin"),
-                os.path.join(run_dir, "checkpoint.json"),
-            )
+            save_checkpoint(assembly, os.path.join(run_dir, "checkpoint.npy"))
         for method, (cm, rep) in reports.items():
             with open(os.path.join(run_dir, f"metrics_{method}.json"), "w", encoding="utf-8") as fh:
                 json.dump(rep, fh, indent=2)
@@ -335,17 +331,8 @@ def _one_blas_thread():
     return earlier
 
 
-class _OwnCounter:
-    """Run counter of a grid one process runs alone: no shared memory, no lock."""
-
-    value = 0
-
-    def get_lock(self):
-        return contextlib.nullcontext()
-
-
 def _claim_runs(grid, counter):
-    """(task index, outcome) of each run this process claims from ``counter``.
+    """(task index, outcome) of each run this process claims from the pool's ``counter``.
 
     ``grid`` is (cfg, dataset, folds, tasks). A run that raises anything but
     the ``NumericError`` that ``_run_single`` turns into a failed run moves
@@ -391,24 +378,23 @@ def _worker_claims():
 def _run_grid(grid, jobs):
     """Outcomes of the grid's runs in task order, from ``jobs`` processes, the caller one of them."""
     global _GRID_DATA
+    cfg, dataset, folds, tasks = grid
     if jobs == 1:
-        claimed = _claim_runs(grid, _OwnCounter())
-    else:
-        import multiprocessing  # here, so that a serial grid and the import stay without it
+        return [_run_single(cfg, dataset, folds, *task) for task in tasks]
+    import multiprocessing  # here, so that a serial grid and the import stay without it
 
-        cfg, dataset, folds, tasks = grid
-        counter = multiprocessing.Value("q", 0)
-        _GRID_DATA = dataset, folds
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                jobs - 1, initializer=_init_worker, initargs=(cfg, tasks, counter)
-            ) as pool:
-                workers = [pool.submit(_worker_claims) for _ in range(jobs - 1)]
-                claimed = _claim_runs(grid, counter)
-                for worker in workers:
-                    claimed += worker.result()
-        finally:
-            _GRID_DATA = None
+    counter = multiprocessing.Value("q", 0)
+    _GRID_DATA = dataset, folds
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+            jobs - 1, initializer=_init_worker, initargs=(cfg, tasks, counter)
+        ) as pool:
+            workers = [pool.submit(_worker_claims) for _ in range(jobs - 1)]
+            claimed = _claim_runs(grid, counter)
+            for worker in workers:
+                claimed += worker.result()
+    finally:
+        _GRID_DATA = None
     return [outcome for _, outcome in sorted(claimed, key=lambda c: c[0])]
 
 

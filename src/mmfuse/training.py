@@ -19,8 +19,8 @@ from the training split only.
 """
 
 import csv
-import json
 import math
+import tokenize
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -326,75 +326,48 @@ def train(assembly, dataset, train_rows, val_rows, cfg, report="all"):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: a flat little-endian binary in the model's dtype plus a JSON
-# manifest that records that dtype
+# checkpoints: one .npy file that numpy alone reads back
 
 
-def save_checkpoint(assembly, bin_path, manifest_path):
-    dtype = assembly.dtype.newbyteorder("<")  # <f4 or <f8
-    arrays = assembly.state()
-    entries = {}
-    offset = 0
-    with open(bin_path, "wb") as fh:
-        for name, arr in arrays.items():
-            data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
-            entries[name] = {"shape": list(arr.shape), "offset": offset}
-            fh.write(data)
-            offset += len(data)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump({"dtype": dtype.str, "arrays": entries}, fh, indent=2, sort_keys=True)
+def save_checkpoint(assembly, path):
+    """Write ``assembly.state()`` to the ``.npy`` file ``path`` as one 0-d
+    structured array: a field per array, in ``state()`` order, with the
+    array's shape and the model's little-endian dtype (``<f4`` or ``<f8``).
+    The payload after the header is those arrays' bytes, concatenated."""
+    dtype = assembly.dtype.newbyteorder("<")
+    state = assembly.state()
+    record = np.empty((), [(name, dtype, arr.shape) for name, arr in state.items()])
+    for name, arr in state.items():
+        record[name] = arr
+    with open(path, "wb") as fh:  # np.save would append ".npy" to any other name
+        np.save(fh, record, allow_pickle=False)
 
 
-def load_checkpoint(assembly, bin_path, manifest_path):
+def load_checkpoint(assembly, path):
     """Load a checkpoint written by ``save_checkpoint`` into ``assembly``.
 
-    Raises ``FormatError`` if the manifest is not a JSON object with an
-    ``arrays`` object whose entries hold a list ``shape`` and an integer
-    ``offset``, if its dtype is not the model's (``<f4`` for a float32
-    model, ``<f8`` for a float64 one), if the arrays, sorted by
-    offset, do not tile the blob exactly (the first starts at byte 0, each
-    starts where the one before it ends and the last ends with the blob),
-    or if the names or shapes do not match the model.
+    Raises ``FormatError`` naming ``path`` if numpy cannot read it without
+    pickle, if bytes follow the array, if it is not a 0-d structured array
+    whose every field has the model's dtype, or if the names or shapes do
+    not match the model (then nothing is written). numpy refuses a header
+    over 10,000 bytes, which holds about 200 arrays.
     """
-    with open(manifest_path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            manifest = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise FormatError(f"checkpoint manifest is not valid JSON: {e}") from None
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("arrays"), dict):
-        raise FormatError("checkpoint manifest needs an 'arrays' object")
-    with open(bin_path, "rb") as fh:
-        blob = fh.read()
+            record = np.load(fh, allow_pickle=False)
+        # numpy's header parser lets SyntaxError and TokenError through
+        except (ValueError, EOFError, SyntaxError, tokenize.TokenError) as e:
+            raise FormatError(f"{path}: not a checkpoint: {e}") from None
+        if fh.read(1):
+            raise FormatError(f"{path}: bytes follow the checkpoint's array")
+    if not (isinstance(record, np.ndarray) and record.shape == () and record.dtype.names):
+        raise FormatError(f"{path}: a checkpoint is a 0-d structured array")
     dtype = assembly.dtype.newbyteorder("<")
-    if manifest.get("dtype") != dtype.str:
-        raise FormatError(
-            f"checkpoint dtype {manifest.get('dtype')!r} is not the model's {dtype.str!r}"
-        )
-    spans = []  # (offset, shape, name)
-    for name, entry in manifest["arrays"].items():
-        entry = entry if isinstance(entry, dict) else {}
-        shape, start = entry.get("shape"), entry.get("offset")
-        if not (
-            isinstance(shape, list)
-            and all(type(d) is int and d >= 0 for d in shape)
-            and type(start) is int  # JSON true/false are not integers
-        ):
+    for name in record.dtype.names:
+        if record.dtype[name].base != dtype:
             raise FormatError(
-                f"checkpoint array {name!r} needs a list 'shape' and an integer 'offset'"
+                f"{path}: checkpoint array {name!r} has dtype "
+                f"{record.dtype[name].base.str}, the model's is {dtype.str}"
             )
-        spans.append((start, shape, name))
-    end = 0
-    for start, shape, name in sorted(spans, key=lambda span: span[0]):
-        if start != end:
-            raise FormatError(f"checkpoint arrays do not tile the blob at {name!r}", start)
-        end += dtype.itemsize * math.prod(shape)
-    if end != len(blob):
-        raise FormatError(
-            f"checkpoint blob has {len(blob)} bytes, the manifest describes {end}"
-        )
-    state = {
-        name: np.frombuffer(blob, dtype, math.prod(shape), start).reshape(shape)
-        for start, shape, name in spans
-    }
-    assembly.load_state(state)
+    assembly.load_state({name: record[name] for name in record.dtype.names})
     return assembly

@@ -254,7 +254,7 @@ class TestRun:
         assert seen and all(d is seen[0] for d in seen)
         monkeypatch.setattr(exp, "train", copied_train)
         monkeypatch.setattr(exp, "predict_probs", copied_predict)
-        assert sum(name.endswith("checkpoint.bin") for name in rows) == 3
+        assert sum(name.endswith("checkpoint.npy") for name in rows) == 3
         assert run("copies") == rows
 
     def test_image_only_on_meta_only_data_is_chance_level(self, tmp_path):
@@ -285,12 +285,22 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         run_dir = out / "JIF-MMFA" / "f0-s0"
         assert (run_dir / "trainlog.csv").exists()
-        assert (run_dir / "checkpoint.bin").exists()
-        assert (run_dir / "checkpoint.json").exists()
         assert (run_dir / "confusion_JIF-MMFA-ALL.csv").exists()
         assert (run_dir / "metrics_JIF-MMFA-OFB.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert "config_sha256" in manifest and manifest["failures"] == []
+        # one checkpoint per run, which numpy alone reads back: the model's
+        # state in order, in the grid's float32
+        saved = sorted(str(p.relative_to(out)) for p in out.rglob("checkpoint*"))
+        assert saved == [f"JIF-MMFA/f{k}-s0/checkpoint.npy" for k in range(3)]
+        grid = ExperimentConfig.from_dict(json.loads(cfg.read_text()))
+        dataset, _ = exp._grid_data(grid)
+        state = exp.build_assembly(grid.model, dataset, np.random.default_rng(0)).state()
+        for path in out.rglob("checkpoint.npy"):
+            record = np.load(path, allow_pickle=False)
+            assert record.shape == () and record.dtype.names == tuple(state)
+            for name, arr in state.items():
+                assert record.dtype[name] == np.dtype(("<f4", arr.shape))
 
     def test_set_overrides(self, tmp_path):
         cfg = run_config(tmp_path)
@@ -506,7 +516,7 @@ class TestRun:
         trees["one CPU"] = run("one_cpu")
 
         reference = trees.pop("jobs 1")
-        assert sum(name.endswith("checkpoint.bin") for name in reference) == 6
+        assert sum(name.endswith("checkpoint.npy") for name in reference) == 6
         stops = {
             len(blob.splitlines()) for name, blob in reference.items()
             if name.endswith("trainlog.csv")

@@ -1,4 +1,4 @@
-import json
+import ast
 import math
 import tracemalloc
 from dataclasses import replace
@@ -689,85 +689,99 @@ class TestFlatParams:
             np.testing.assert_array_equal(t.data, loaded[name] - 0.25 * t.grad)
 
 
+def _header_span(raw):
+    """(start, end) of the header text of a version 1.0 ``.npy`` file."""
+    assert raw[:8] == b"\x93NUMPY\x01\x00"
+    return 10, 10 + int.from_bytes(raw[8:10], "little")
+
+
 class TestCheckpoint:
+    """A checkpoint is one ``.npy`` file. Its header, which numpy parses, is
+    the manifest: a structured dtype with each array's name, shape, dtype
+    and offset. The payload after it is the arrays' bytes."""
+
     def test_round_trip(self, tmp_path):
         ds = small_dataset(per_class=4)
         asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(7))
         state = asm.state()
-        save_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+        save_checkpoint(asm, tmp_path / "ck.npy")
         fresh = build_assembly(SMALL_MODEL, ds, np.random.default_rng(99))
-        load_checkpoint(fresh, tmp_path / "ck.bin", tmp_path / "ck.json")
+        load_checkpoint(fresh, tmp_path / "ck.npy")
         for name, arr in fresh.state().items():
             np.testing.assert_array_equal(arr, state[name])
 
     def test_manifest_lists_offsets(self, tmp_path):
-        import json
-
+        # each array starts where the one before it ends, in state() order
         ds = small_dataset(per_class=4)
         asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(8))
-        save_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
-        manifest = json.loads((tmp_path / "ck.json").read_text())
-        assert manifest["dtype"] == "<f8"
-        size = (tmp_path / "ck.bin").stat().st_size
-        total = sum(
-            8 * int(np.prod(e["shape"])) if e["shape"] else 8
-            for e in manifest["arrays"].values()
-        )
-        assert size == total
+        save_checkpoint(asm, tmp_path / "ck.npy")
+        record = np.load(tmp_path / "ck.npy", allow_pickle=False)
+        offset = 0
+        for name, arr in asm.state().items():
+            assert record.dtype.fields[name] == (np.dtype(("<f8", arr.shape)), offset)
+            offset += 8 * arr.size
+        assert record.dtype.itemsize == offset
+
+    def test_payload_is_the_state_concatenated(self, tmp_path):
+        ds = small_dataset(per_class=4)
+        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(8))
+        save_checkpoint(asm, tmp_path / "ck.npy")
+        raw = (tmp_path / "ck.npy").read_bytes()
+        header_end = _header_span(raw)[1]
+        assert raw[header_end:] == b"".join(arr.tobytes() for arr in asm.state().values())
+        save_checkpoint(asm, tmp_path / "again.npy")
+        assert (tmp_path / "again.npy").read_bytes() == raw
 
     def _saved(self, tmp_path, model=SMALL_MODEL):
         ds = small_dataset(per_class=4)
-        save_checkpoint(
-            build_assembly(model, ds, np.random.default_rng(9)),
-            tmp_path / "ck.bin",
-            tmp_path / "ck.json",
-        )
+        save_checkpoint(build_assembly(model, ds, np.random.default_rng(9)), tmp_path / "ck.npy")
         return ds
+
+    def _load(self, tmp_path, ds, model=SMALL_MODEL):
+        asm = build_assembly(model, ds, np.random.default_rng(0))
+        return load_checkpoint(asm, tmp_path / "ck.npy")
 
     def test_missing_names_rejected(self, tmp_path):
         ds = self._saved(tmp_path, replace(SMALL_MODEL, structure="jf"))
-        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
         with pytest.raises(FormatError, match=r"missing \['head_i.b'"):
-            load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+            self._load(tmp_path, ds)
 
     def test_extra_names_rejected(self, tmp_path):
         ds = self._saved(tmp_path)
-        asm = build_assembly(replace(SMALL_MODEL, structure="jf"), ds, np.random.default_rng(0))
         with pytest.raises(FormatError, match=r"unexpected \['head_i.b'"):
-            load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+            self._load(tmp_path, ds, replace(SMALL_MODEL, structure="jf"))
 
     def test_shape_mismatch_rejected_before_any_write(self, tmp_path):
         ds = self._saved(tmp_path, replace(SMALL_MODEL, image_features=6))
         asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
         before = asm.state()
         with pytest.raises(FormatError, match="shape"):
-            load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+            load_checkpoint(asm, tmp_path / "ck.npy")
         for name, arr in asm.state().items():
             np.testing.assert_array_equal(arr, before[name])
 
     def test_dtype_other_than_f8_rejected(self, tmp_path):
-        import json
-
         ds = self._saved(tmp_path)
-        manifest = json.loads((tmp_path / "ck.json").read_text())
-        manifest["dtype"] = "<f4"
-        (tmp_path / "ck.json").write_text(json.dumps(manifest))
-        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
-        with pytest.raises(FormatError, match="dtype"):
-            load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+        record = np.load(tmp_path / "ck.npy", allow_pickle=False)
+        for dtype in ("<f4", ">f8"):
+            names = record.dtype.names
+            recast = record.astype([(n, dtype, record.dtype[n].shape) for n in names])
+            np.save(tmp_path / "ck.npy", recast, allow_pickle=False)
+            with pytest.raises(FormatError, match="dtype"):
+                self._load(tmp_path, ds)
 
     def test_float32_round_trip_is_bitwise(self, tmp_path):
         ds = float32_dataset(small_dataset(per_class=4))
         asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(7))
         state = asm.state()
-        save_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
-        manifest = json.loads((tmp_path / "ck.json").read_text())
-        assert manifest["dtype"] == "<f4"
-        assert (tmp_path / "ck.bin").stat().st_size == 4 * asm.params().data.size + sum(
+        save_checkpoint(asm, tmp_path / "ck.npy")
+        record = np.load(tmp_path / "ck.npy", allow_pickle=False)
+        assert {record.dtype[n].base.str for n in record.dtype.names} == {"<f4"}
+        assert record.dtype.itemsize == 4 * asm.params().data.size + sum(
             4 * b.size for _, b in asm.buffers()
         )
         fresh = build_assembly(SMALL_MODEL, ds, np.random.default_rng(99))
-        load_checkpoint(fresh, tmp_path / "ck.bin", tmp_path / "ck.json")
+        load_checkpoint(fresh, tmp_path / "ck.npy")
         for name, arr in fresh.state().items():
             assert arr.dtype == np.float32
             assert arr.tobytes() == state[name].tobytes()
@@ -778,115 +792,85 @@ class TestCheckpoint:
         ds = small_dataset(per_class=4)
         data = {"float64": ds, "float32": float32_dataset(ds)}
         save_checkpoint(build_assembly(SMALL_MODEL, data[saved], np.random.default_rng(7)),
-                        tmp_path / "ck.bin", tmp_path / "ck.json")
+                        tmp_path / "ck.npy")
         asm = build_assembly(SMALL_MODEL, data[loaded], np.random.default_rng(0))
         before = asm.state()
         with pytest.raises(FormatError, match="dtype"):
-            load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+            load_checkpoint(asm, tmp_path / "ck.npy")
         for name, arr in asm.state().items():
             np.testing.assert_array_equal(arr, before[name])
 
     def test_blob_size_differing_from_manifest_rejected(self, tmp_path):
         ds = self._saved(tmp_path)
-        blob = (tmp_path / "ck.bin").read_bytes()
-        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
+        blob = (tmp_path / "ck.npy").read_bytes()
         for damaged in (blob[:-8], blob + bytes(8)):
-            (tmp_path / "ck.bin").write_bytes(damaged)
-            with pytest.raises(FormatError):
-                load_checkpoint(asm, tmp_path / "ck.bin", tmp_path / "ck.json")
+            (tmp_path / "ck.npy").write_bytes(damaged)
+            with pytest.raises(FormatError, match="ck.npy"):
+                self._load(tmp_path, ds)
+
+    @pytest.mark.parametrize("kind", ["pickled", "plain array", "empty"])
+    def test_other_files_rejected_naming_the_file(self, tmp_path, kind):
+        ds = self._saved(tmp_path)
+        path = tmp_path / "ck.npy"
+        if kind == "pickled":
+            np.save(path, np.array([{"w": 1.0}], dtype=object), allow_pickle=True)
+        elif kind == "plain array":
+            np.save(path, np.zeros(5))
+        else:
+            path.write_bytes(b"")
+        with pytest.raises(FormatError, match="ck.npy"):
+            self._load(tmp_path, ds)
 
     def _load_with_manifest(self, tmp_path, edit):
-        """Save a checkpoint, replace its manifest by ``edit(manifest, text)``
-        and load it into a fresh model."""
+        """Save a checkpoint, replace its header text by ``edit(header)``,
+        keep its payload, and load it into a fresh model."""
         ds = self._saved(tmp_path)
-        manifest_path = tmp_path / "ck.json"
-        text = manifest_path.read_text()
-        manifest_path.write_text(edit(json.loads(text), text))
-        asm = build_assembly(SMALL_MODEL, ds, np.random.default_rng(0))
-        load_checkpoint(asm, tmp_path / "ck.bin", manifest_path)
+        raw = (tmp_path / "ck.npy").read_bytes()
+        start, end = _header_span(raw)
+        header = (edit(raw[start:end].decode("latin1")) + "\n").encode("latin1")
+        (tmp_path / "ck.npy").write_bytes(
+            raw[: start - 2] + len(header).to_bytes(2, "little") + header + raw[end:]
+        )
+        self._load(tmp_path, ds)
 
     @staticmethod
-    def _edit_first_entry(manifest, key, value):
-        """The manifest text with ``key`` of its first array set to
-        ``value``, or removed for None."""
-        entry = next(iter(manifest["arrays"].values()))
-        entry.pop(key)
-        if value is not None:
-            entry[key] = value
-        return json.dumps(manifest)
+    def _edit_first_field(header, shape):
+        """The header with the first array's shape set to ``shape``."""
+        manifest = ast.literal_eval(header)
+        name, dtype, _ = manifest["descr"][0]
+        manifest["descr"][0] = (name, dtype, shape)
+        return repr(manifest)
 
     def test_truncated_manifest_rejected(self, tmp_path):
-        with pytest.raises(FormatError, match="not valid JSON"):
-            self._load_with_manifest(tmp_path, lambda m, text: text[: len(text) // 2])
+        # numpy raises tokenize.TokenError for the first, SyntaxError for the
+        # second ("<08" is no dtype), not ValueError
+        for edit in (lambda text: text[: len(text) // 2],
+                     lambda text: text.replace("<f8", "<08", 1)):
+            with pytest.raises(FormatError, match="ck.npy"):
+                self._load_with_manifest(tmp_path, edit)
 
     def test_non_object_manifest_rejected(self, tmp_path):
-        with pytest.raises(FormatError, match="'arrays' object"):
-            self._load_with_manifest(tmp_path, lambda m, text: f"[{text}]")
+        with pytest.raises(FormatError, match="ck.npy"):
+            self._load_with_manifest(tmp_path, lambda text: f"[{text.strip()}]")
 
     def test_manifest_without_arrays_rejected(self, tmp_path):
-        with pytest.raises(FormatError, match="'arrays' object"):
-            self._load_with_manifest(tmp_path, lambda m, text: '{"dtype": "<f8"}')
-
-    def test_entry_without_list_shape_rejected(self, tmp_path):
-        for shape in (None, 3, "3", [2, "x"], [-1]):
-            with pytest.raises(FormatError, match="list 'shape'"):
-                self._load_with_manifest(
-                    tmp_path, lambda m, text: self._edit_first_entry(m, "shape", shape)
-                )
-
-    def test_entry_without_integer_offset_rejected(self, tmp_path):
-        for offset in (None, 0.0, "0"):
-            with pytest.raises(FormatError, match="integer 'offset'"):
-                self._load_with_manifest(
-                    tmp_path, lambda m, text: self._edit_first_entry(m, "offset", offset)
-                )
-
-    def test_boolean_offset_rejected(self, tmp_path):
-        # false == 0, so at the array that starts the blob it would tile
-        def edit(manifest, text):
-            first = next(e for e in manifest["arrays"].values() if e["offset"] == 0)
-            first["offset"] = False
-            return json.dumps(manifest)
-
-        with pytest.raises(FormatError, match="integer 'offset'"):
-            self._load_with_manifest(tmp_path, edit)
-
-    def test_boolean_in_shape_rejected(self, tmp_path):
-        # a trailing true (== 1) keeps the array's size
-        def edit(manifest, text):
-            next(iter(manifest["arrays"].values()))["shape"].append(True)
-            return json.dumps(manifest)
-
-        with pytest.raises(FormatError, match="list 'shape'"):
-            self._load_with_manifest(tmp_path, edit)
-
-    @staticmethod
-    def _move(manifest, name, offset_of):
-        """The manifest text with array ``name`` moved to ``offset_of(arrays)``;
-        every shape, and so the total size, stays as saved."""
-        arrays = manifest["arrays"]
-        arrays[name]["offset"] = offset_of(arrays)
-        return json.dumps(manifest, sort_keys=True)
-
-    def test_overlapping_arrays_rejected(self, tmp_path):
-        # beta would receive the saved gamma, and beta's own bytes go unread
-        def onto_gamma(arrays):
-            return arrays["image_encoder.bn0.gamma"]["offset"]
-
-        with pytest.raises(FormatError, match=r"not tile the blob at '\S+\.bn0\.(beta|gamma)'"):
+        with pytest.raises(FormatError, match="ck.npy"):
             self._load_with_manifest(
-                tmp_path,
-                lambda m, text: self._move(m, "image_encoder.bn0.beta", onto_gamma),
+                tmp_path, lambda text: "{'fortran_order': False, 'shape': ()}"
             )
 
-    def test_gap_between_arrays_rejected(self, tmp_path):
-        # gamma starts 8 bytes late: a gap before it, an overlap after it
-        def late(arrays):
-            return arrays["image_encoder.bn0.gamma"]["offset"] + 8
+    def test_entry_without_list_shape_rejected(self, tmp_path):
+        for shape in ("3", (2, "x"), (-1,)):
+            with pytest.raises(FormatError, match="ck.npy"):
+                self._load_with_manifest(
+                    tmp_path, lambda text: self._edit_first_field(text, shape)
+                )
 
-        with pytest.raises(FormatError, match=r"not tile the blob at '\S+\.bn0\.gamma'"):
+    def test_boolean_in_shape_rejected(self, tmp_path):
+        # a trailing True (== 1) would keep the array's size
+        with pytest.raises(FormatError, match="ck.npy"):
             self._load_with_manifest(
-                tmp_path, lambda m, text: self._move(m, "image_encoder.bn0.gamma", late)
+                tmp_path, lambda text: self._edit_first_field(text, (2, 3, 3, 3, True))
             )
 
     def test_state_names_and_shapes_pinned(self):
