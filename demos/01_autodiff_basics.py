@@ -33,7 +33,7 @@ print("\n== each attention head's weights stay on the simplex ==")
 # two samples, metadata width 2 and image width 4: 2 heads of 3 coordinates
 qkv_meta = Tensor(rng.normal(scale=3.0, size=(2, 6)))
 qkv_img = Tensor(rng.normal(scale=3.0, size=(2, 12)))
-_, weights = ad.gating_attention(qkv_meta, qkv_img, 2, False)
+_, weights = ad.gating_attention(qkv_meta, qkv_img, 2)
 print(weights.round(6))
 print("per-head sums:", weights.sum(axis=-1))
 
@@ -50,7 +50,7 @@ target = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
 
 def chain(t):
     # gating attention reads q, k and v as the thirds of t: one head of width 2
-    gated, _ = ad.gating_attention(Tensor(np.zeros((3, 0))), t, 1, False)
+    gated, _ = ad.gating_attention(Tensor(np.zeros((3, 0))), t, 1)
     return ad.mul(gated, gated).sum()
 
 report = grad_check(chain, target, step=1e-5, tol=1e-4)

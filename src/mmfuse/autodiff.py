@@ -60,11 +60,9 @@ place of the pre-pool activation: 1 byte per element, not 4 or 8.
 an optional ReLU, as one node on the same batch-norm kernels.
 ``gating_attention`` is MMFA's multi-head per-coordinate attention as one
 node that reads q, k and v as slices of the two (B, 3d) projections,
-metadata first. With p the softmax output, c = 1/sqrt(s) and w the
-weights (p, or p * c when the scale follows the softmax), its backward is
-dV = g*w; d = g*V, times c when the scale follows the softmax;
-dz = p*(d - sum(d*p)), times c when the scale precedes it; dQ = dz*K and
-dK = dz*Q. ``cross_entropy_logits`` is the whole loss as one node: every
+metadata first. With c = 1/sqrt(s) and p = softmax(K*Q*c) the weights,
+its backward is dV = g*p; d = g*V; dz = p*(d - sum(d*p))*c; dQ = dz*K
+and dK = dz*Q. ``cross_entropy_logits`` is the whole loss as one node: every
 head's weighted cross-entropy and their weighted sum. Each of these
 computes the expressions of the chain it replaces in the same order, so
 its values and gradients are bitwise those of the chain.
@@ -325,7 +323,7 @@ def _check_heads(width, heads):
         raise DimensionError(f"attention width {width} not divisible by {heads} heads")
 
 
-def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
+def gating_attention(qkv_meta, qkv_img, heads):
     """Multi-head per-coordinate gating attention over two q/k/v
     projections, as one graph op.
 
@@ -335,8 +333,7 @@ def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
     metadata first, and split into ``heads`` contiguous blocks of
     s = width // heads coordinates. Per head the weights are
     softmax(F_K * F_Q / sqrt(s)) and the output is weights * F_V
-    elementwise; ``scale_after_softmax`` divides the softmax output by
-    sqrt(s) instead of its input.
+    elementwise.
 
     Returns the (B, width) output and the weights as a plain
     (B, heads, s) array. Values and gradients equal those of the chain of
@@ -362,25 +359,18 @@ def gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax):
     )
     q, k, v = qkv.transpose(1, 0, 2)
     kq = (k * q).reshape(b * heads, s)
-    z = kq if scale_after_softmax else kq * c
-    p = _softmax(z)
-    w = p * c if scale_after_softmax else p
+    p = _softmax(kq * c)
     vh = v.reshape(b * heads, s)
     def bw(g):
         g = g.reshape(b * heads, s)
         d = g * vh
-        if scale_after_softmax:
-            d = d * c
-        dz = p * (d - (d * p).sum(axis=-1, keepdims=True))
-        if not scale_after_softmax:
-            dz = dz * c
-        dz = dz.reshape(b, width)
-        grads = np.stack((dz * k, dz * q, (g * w).reshape(b, width)), axis=1)  # dQ, dK, dV
+        dz = (p * (d - (d * p).sum(axis=-1, keepdims=True)) * c).reshape(b, width)
+        grads = np.stack((dz * k, dz * q, (g * p).reshape(b, width)), axis=1)  # dQ, dK, dV
         # disjoint parts of a fresh array
         _accumulate(qkv_meta, grads[:, :, :dm].reshape(b, 3 * dm), owned=True)
         _accumulate(qkv_img, grads[:, :, dm:].reshape(b, 3 * di), owned=True)
-    out = _result((w * vh).reshape(b, width), (qkv_meta, qkv_img), bw)
-    return out, w.reshape(b, heads, s)
+    out = _result((p * vh).reshape(b, width), (qkv_meta, qkv_img), bw)
+    return out, p.reshape(b, heads, s)
 
 
 # ---------------------------------------------------------------------------

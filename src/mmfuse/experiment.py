@@ -63,7 +63,6 @@ class ModelConfig(Config):
     fusion: str = "mmfa"
     report: str = "all"
     heads: int = 8
-    scale_after_softmax: bool = False
     image_features: int = 128
     metadata_features: int = 64
     channels: tuple[int, ...] = (8, 16, 32)
@@ -206,13 +205,22 @@ def _grid_data(cfg):
     """The dataset and the stratified folds of the grid ``cfg`` describes.
 
     The images and metadata are cast to float32 here, once per grid, so
-    every run of the grid trains and scores in float32.
+    every run of the grid trains and scores in float32. Each class is dealt
+    over the folds from fold 0, so the last folds are empty when every
+    class has fewer samples than folds; that raises before any run trains.
     """
     dataset = resolve_dataset(cfg.dataset)
     dataset = replace(
         dataset, images=dataset.images.astype(np.float32), meta=dataset.meta.astype(np.float32)
     )
-    return dataset, stratified_kfold(dataset.labels, cfg.folds, cfg.split_seed)
+    folds = stratified_kfold(dataset.labels, cfg.folds, cfg.split_seed)
+    empty = [j for j, fold in enumerate(folds) if fold.size == 0]
+    if empty:
+        raise ConfigError(
+            f"folds {empty} of {cfg.folds} are empty: every fold must hold a sample, "
+            f"but the largest class has {np.bincount(dataset.labels).max()} samples"
+        )
+    return dataset, folds
 
 
 def _run_single(cfg, dataset, folds, seed, fold_idx):
@@ -512,7 +520,6 @@ TOY_MODELS = {
     "jf-mmfa": ModelConfig(structure="jf", fusion="mmfa", **_TOY_SIZES),
     "jif-cat": ModelConfig(structure="jif", fusion="cat", **_TOY_SIZES),
     "jif-mmfa": ModelConfig(structure="jif", fusion="mmfa", **_TOY_SIZES),
-    "jif-mmfa-post": ModelConfig(structure="jif", scale_after_softmax=True, **_TOY_SIZES),
 }
 TOY_DATA = SyntheticSpec(n_classes=3, per_class=(5, 4, 3), image_shape=(3, 8, 8), seed=7)
 
@@ -538,12 +545,11 @@ def _blocks():
     cat = ConcatFusion(4, 2)
     yield "concat_fusion", [("f_img", fi), ("f_meta", fm)], lambda: _sumsq(cat(fi, fm, "train"))
 
-    for name, post in (("mmfa", False), ("mmfa_post_softmax_scale", True)):
-        rng = np.random.default_rng(14)
-        mmfa = MMFAFusion(6, 3, rng=rng, heads=3, scale_after_softmax=post)
-        fi, fm = _leaves(rng, (4, 6), (4, 3))
-        targets = [("f_img", fi), ("f_meta", fm)] + mmfa.params()
-        yield name, targets, lambda: _sumsq(mmfa(fi, fm, "train"))
+    rng = np.random.default_rng(14)
+    mmfa = MMFAFusion(6, 3, rng=rng, heads=3)
+    fi, fm = _leaves(rng, (4, 6), (4, 3))
+    targets = [("f_img", fi), ("f_meta", fm)] + mmfa.params()
+    yield "mmfa", targets, lambda: _sumsq(mmfa(fi, fm, "train"))
 
     rng = np.random.default_rng(17)
     x, w, gamma, beta = _leaves(rng, (5, 3), (3, 4), 4, 4)
@@ -559,9 +565,7 @@ def _blocks():
 
     qkv_meta, qkv_img = _leaves(rng, (3, 6), (3, 12))
     targets = [("qkv_meta", qkv_meta), ("qkv_img", qkv_img)]
-    for name in ("gating_attention", "gating_attention_post_softmax_scale"):
-        post = name.endswith("_post_softmax_scale")
-        yield name, targets, lambda: _sumsq(ad.gating_attention(qkv_meta, qkv_img, 2, post)[0])
+    yield "gating_attention", targets, lambda: _sumsq(ad.gating_attention(qkv_meta, qkv_img, 2)[0])
 
     rng = np.random.default_rng(15)
     labels = rng.integers(0, 3, size=6)

@@ -12,9 +12,8 @@ connection.
 
 Attention here gates feature coordinates: each head forms weights
 softmax((K * Q) / sqrt(s)) over its s coordinates and multiplies them into
-V elementwise. ``scale_after_softmax`` instead divides the softmax output
-by sqrt(s), which shrinks the attention term relative to the skip path;
-it is kept selectable for comparison.
+V elementwise. The 1/sqrt(s) scale precedes the softmax, as in scaled
+dot-product attention.
 """
 
 import numpy as np
@@ -32,13 +31,11 @@ class MMFAFusion(Module):
     module reduces exactly to the concatenation baseline.
     """
 
-    def __init__(self, d_img_in, d_meta_in, rng=None, heads=8,
-                 scale_after_softmax=False):
+    def __init__(self, d_img_in, d_meta_in, rng=None, heads=8):
         rng = np.random.default_rng(0) if rng is None else rng
         self.out_width = d_img_in + d_meta_in
         ad._check_heads(self.out_width, heads)
         self.heads = heads
-        self.scale_after_softmax = scale_after_softmax
         self.qkv_img = LinearBN(d_img_in, 3 * d_img_in, rng)
         self.qkv_meta = LinearBN(d_meta_in, 3 * d_meta_in, rng)
         self.out = LinearBN(self.out_width, self.out_width, rng)
@@ -48,8 +45,7 @@ class MMFAFusion(Module):
         """out(MHA(...)) + concat(f_img, f_meta); q, k, v are the thirds of
         each projection, and F_Q, F_K, F_V put the metadata part first."""
         attended, self.last_weights = ad.gating_attention(
-            self.qkv_meta(f_meta, mode), self.qkv_img(f_img, mode),
-            self.heads, self.scale_after_softmax,
+            self.qkv_meta(f_meta, mode), self.qkv_img(f_img, mode), self.heads
         )
         return ad.add(self.out(attended, mode), ad.concat(f_img, f_meta))
 

@@ -84,7 +84,6 @@ class ModelAssembly(Module):
                     model_cfg.metadata_features,
                     rng=rng,
                     heads=model_cfg.heads,
-                    scale_after_softmax=model_cfg.scale_after_softmax,
                 )
             else:
                 self.fusion = ConcatFusion(

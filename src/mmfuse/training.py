@@ -3,7 +3,7 @@
 Each epoch t runs over a seeded shuffle of the training set, optionally
 augmenting images, at learning rate
 
-    lr(t) = eta_min + 0.5 * (lr0 - eta_min) * (1 + cos(pi * t / T)).
+    lr(t) = 0.5 * lr0 * (1 + cos(pi * t / T)).
 
 Augmentation works on a whole batch at once. The random parameters are
 drawn image by image from the loop's generator, in a fixed order: hflip,
@@ -43,13 +43,11 @@ from .structures import (
 class TrainConfig(Config):
     epochs: int = 150
     lr0: float = 0.005
-    eta_min: float = 0.0
     patience: int = 30
     batch_size: int = 16
     seed: int = 0
     beta: float = 0.5
     augment: bool = True
-    augment_prob: float = 0.5
 
     def validate(self):
         if self.epochs < 1:
@@ -58,13 +56,8 @@ class TrainConfig(Config):
             raise ConfigError("patience must be >= 1")
         if not self.lr0 > 0:
             raise ConfigError("lr0 must be positive")
-        if not self.eta_min >= 0:
-            # a negative floor makes late-epoch learning rates negative
-            raise ConfigError("eta_min must be >= 0")
         if not 0 <= self.beta <= 1:
             raise ConfigError("beta must lie in [0, 1]")
-        if not 0 <= self.augment_prob <= 1:
-            raise ConfigError("augment_prob must lie in [0, 1]")
         if self.batch_size < 2:
             # train-mode batch norm over one sample outputs zeros
             raise ConfigError("batch_size must be >= 2")
@@ -100,13 +93,13 @@ def _fmt(v):
     return "" if v is None else f"{v:.12g}"
 
 
-def cosine_lr(t, total, lr0, eta_min=0.0):
+def cosine_lr(t, total, lr0):
     """Cosine-annealed learning rate at epoch t of a total-epoch schedule."""
     if total <= 0:
         raise ConfigError("total epoch count must be positive")
     if not 0 <= t <= total:
         raise ConfigError(f"epoch {t} outside [0, {total}]")
-    return eta_min + 0.5 * (lr0 - eta_min) * (1.0 + math.cos(math.pi * t / total))
+    return 0.5 * lr0 * (1.0 + math.cos(math.pi * t / total))
 
 
 def sgd_step(named_params, lr):
@@ -283,7 +276,7 @@ def train(assembly, dataset, train_rows, val_rows, cfg, report="all"):
     best_state = None
 
     for epoch in range(cfg.epochs):
-        lr = cosine_lr(epoch, cfg.epochs, cfg.lr0, cfg.eta_min)
+        lr = cosine_lr(epoch, cfg.epochs, cfg.lr0)
         order = rng.permutation(len(train_rows))
         sums = {}
         batches = 0
@@ -291,7 +284,7 @@ def train(assembly, dataset, train_rows, val_rows, cfg, report="all"):
             rows = train_rows[idx]
             images = dataset.images[rows]
             if cfg.augment:
-                images = augment(images, rng, prob=cfg.augment_prob)
+                images = augment(images, rng)
             triple = assembly.forward(Tensor(images), Tensor(dataset.meta[rows]), "train")
             loss, comps = total_loss(
                 triple, dataset.labels[rows], weights, cfg.beta, assembly.structure

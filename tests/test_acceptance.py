@@ -57,7 +57,6 @@ def test_c01_gradient_soundness():
         "image_encoder",
         "concat_fusion",
         "mmfa",
-        "mmfa_post_softmax_scale",
         "head_fused",
         "head_image",
         "head_meta",
@@ -69,7 +68,6 @@ def test_c01_gradient_soundness():
         "model_jf_mmfa",
         "model_jif_cat",
         "model_jif_mmfa",
-        "model_jif_mmfa_post",
     }
     ok = required <= names and all(r.passed for r in reports) and elapsed < 60
     worst = max(r.max_rel_error for r in reports)
@@ -145,7 +143,7 @@ def test_c04_attention_normalization():
         b = 50
         # F_Q, F_K and F_V as the image thirds, with no metadata part
         qkv = np.concatenate([rng.normal(scale=3.0, size=(b, 12)) for _ in range(3)], 1)
-        _, weights = ad.gating_attention(Tensor(np.zeros((b, 0))), Tensor(qkv), 4, False)
+        _, weights = ad.gating_attention(Tensor(np.zeros((b, 0))), Tensor(qkv), 4)
         worst = max(worst, float(np.abs(weights.sum(axis=-1) - 1.0).max()))
         assert np.all(weights >= 0.0)
         seen += b
@@ -492,7 +490,7 @@ def test_c11_schedule_and_determinism(tmp_path):
     log_path = tmp_path / "first" / "JIF-MMFA" / "f0-s0" / "trainlog.csv"
     lines = log_path.read_text().splitlines()[1:]
     lrs = [float(l.split(",")[1]) for l in lines]
-    expected = [cosine_lr(t, 4, 0.005, 0.0) for t in range(len(lines))]
+    expected = [cosine_lr(t, 4, 0.005) for t in range(len(lines))]
     # the CSV carries 12 significant digits
     trace_ok = lrs[0] == 0.005 and all(
         math.isclose(a, b, rel_tol=1e-11) for a, b in zip(lrs, expected)

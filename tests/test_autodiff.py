@@ -86,7 +86,7 @@ def dense_block_oracle(x, w, gamma, beta, stats, mode, relu, g):
     return y, matmul_oracle(dz, w.T), matmul_oracle(x.T, dz), dgamma, dbeta
 
 
-def gating_attention_oracle(qkv_meta, qkv_img, heads, post, g):
+def gating_attention_oracle(qkv_meta, qkv_img, heads, g):
     """Per-coordinate gating attention by loops over samples and heads, with
     the softmax gradient through its full Jacobian: returns the output,
     the (B, heads, s) weights and the gradients of both projections."""
@@ -101,15 +101,14 @@ def gating_attention_oracle(qkv_meta, qkv_img, heads, post, g):
     for n in range(b):
         for h in range(heads):
             sl = slice(h * s, (h + 1) * s)
-            z = k[n, sl] * q[n, sl] / (1.0 if post else root)
+            z = k[n, sl] * q[n, sl] / root
             p = np.exp(z - z.max())
             p /= p.sum()
-            wt = p / root if post else p
-            weights[n, h] = wt
-            out[n, sl] = wt * v[n, sl]
-            dv[n, sl] = g[n, sl] * wt
-            dp = g[n, sl] * v[n, sl] / (root if post else 1.0)
-            dz = (np.diag(p) - np.outer(p, p)) @ dp / (1.0 if post else root)
+            weights[n, h] = p
+            out[n, sl] = p * v[n, sl]
+            dv[n, sl] = g[n, sl] * p
+            dp = g[n, sl] * v[n, sl]
+            dz = (np.diag(p) - np.outer(p, p)) @ dp / root
             dq[n, sl] = dz * k[n, sl]
             dk[n, sl] = dz * q[n, sl]
     dm = qkv_meta.shape[1] // 3
@@ -626,15 +625,12 @@ class TestGatingAttention:
         return (Tensor(rng.normal(scale=1.5, size=(3, 3 * dm)), requires_grad=True),
                 Tensor(rng.normal(scale=1.5, size=(3, 3 * di)), requires_grad=True))
 
-    @pytest.mark.parametrize("post", [False, True])
     @pytest.mark.parametrize("dm, di, heads", [(2, 4, 1), (3, 5, 8)])
-    def test_matches_unfused_chain(self, post, dm, di, heads):
+    def test_matches_unfused_chain(self, dm, di, heads):
         meta, img = self._inputs(dm, di)
-        out, weights = ad.gating_attention(meta, img, heads, post)
+        out, weights = ad.gating_attention(meta, img, heads)
         g = np.random.default_rng(1).normal(size=out.shape)
-        y, w_ref, d_meta, d_img = gating_attention_oracle(
-            meta.data, img.data, heads, post, g
-        )
+        y, w_ref, d_meta, d_img = gating_attention_oracle(meta.data, img.data, heads, g)
         assert_close_rel(out.data, y)
         assert_close_rel(weights, w_ref)
         ad.mul(out, Tensor(g)).sum().backward()
@@ -645,22 +641,22 @@ class TestGatingAttention:
         # zero queries give uniform weights over one head of s = 2
         meta = Tensor([[0.0, 3.0, 4.0]])
         img = Tensor([[0.0, 6.0, 7.0]])
-        out, weights = ad.gating_attention(meta, img, 1, False)
+        out, weights = ad.gating_attention(meta, img, 1)
         np.testing.assert_array_equal(weights, [[[0.5, 0.5]]])
         np.testing.assert_array_equal(out.data, [[2.0, 3.5]])
 
     def test_gradient_adds_to_other_uses(self):
         meta, img = self._inputs(1, 2)
         alone = Tensor(img.data, requires_grad=True)
-        ad.gating_attention(Tensor(meta.data), alone, 1, False)[0].sum().backward()
-        out, _ = ad.gating_attention(meta, img, 1, False)
+        ad.gating_attention(Tensor(meta.data), alone, 1)[0].sum().backward()
+        out, _ = ad.gating_attention(meta, img, 1)
         ad.add(out.sum(), ad.mul(img, img).sum()).backward()
         np.testing.assert_allclose(img.grad, alone.grad + 2.0 * img.data, rtol=1e-14)
 
     def test_non_finite_softmax_input_rejected(self):
         meta = Tensor([[np.nan, 1.0, 1.0]])
         with pytest.raises(NumericError):
-            ad.gating_attention(meta, Tensor(np.ones((1, 3))), 1, False)
+            ad.gating_attention(meta, Tensor(np.ones((1, 3))), 1)
 
 
 def _ce_oracle(z, labels, w):
@@ -789,7 +785,7 @@ class TestBackward:
             x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 9)), requires_grad=True)
             qkv = ad.linear(x, w, Tensor(np.zeros(9)))
-            out, _ = ad.gating_attention(qkv, qkv, 2, False)
+            out, _ = ad.gating_attention(qkv, qkv, 2)
             ad.mul(out, out).sum().backward()
             return x.grad.copy(), w.grad.copy()
 
@@ -935,7 +931,7 @@ OP_CASES = {
     "linear": lambda r: ad.linear(_t((2, 3), r), _t((3, 4), r), _t((4,), r)),
     "concat": lambda r: ad.concat(_t((2, 3), r), _t((2, 1), r)),
     "gating_attention": lambda r: ad.gating_attention(
-        _t((2, 6), r), _t((2, 3), r), 3, False
+        _t((2, 6), r), _t((2, 3), r), 3
     )[0],
     "batch_norm": lambda r: ad.batch_norm(
         _t((4, 3), r), _t((3,), r), _t((3,), r), _stats(3), "train"

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,16 +324,35 @@ class TestRun:
 
     def test_set_out_of_range_train_value_exits_2(self, tmp_path, capsys):
         cfg = run_config(tmp_path)
-        for key, name in (
-            ("train.augment_prob=1.5", "augment_prob"),
-            ("train.beta=-0.1", "beta"),
-            ("train.eta_min=-0.001", "eta_min"),
-        ):
-            out = tmp_path / "range"
-            assert main(["run", "--config", str(cfg), "--out", str(out), "--set", key]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and name in err
-            assert not out.exists()
+        out = tmp_path / "range"
+        args = ["run", "--config", str(cfg), "--out", str(out), "--set", "train.beta=-0.1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "beta" in err
+        assert not out.exists()
+
+    # the attention scale precedes the softmax, the learning rate anneals to
+    # 0 and augmentation draws each transform at probability 0.5, all fixed
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "scale_after_softmax", True),
+        ("train", "eta_min", 0.001),
+        ("train", "augment_prob", 0.5),
+    ])
+    @pytest.mark.parametrize("given_by", ["file", "set"])
+    def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, section, key, value, given_by):
+        cfg = json.loads(run_config(tmp_path).read_text())
+        dotted, args = f"{section}.{key}", []
+        if given_by == "file":
+            cfg[section][key] = value
+        else:
+            args = ["--set", f"{dotted}={json.dumps(value)}"]
+        path = tmp_path / "removed.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "removed"
+        assert main(["run", "--config", str(path), "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown config keys: ['{dotted}']")
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting, key", [
         ("train.epochs=abc", "epochs"),
@@ -350,7 +370,6 @@ class TestRun:
         ("seeds=[1,1]", "seeds must be distinct"),
         ("dataset.synthetic.seed=-1", "seed"),
         ("train.lr0=NaN", "lr0"),
-        ("train.eta_min=NaN", "eta_min"),
         ("train.augment=1", "augment"),
         ('dataset={"dir":5}', "dir"),
         ('dataset={"dir":"d","resize":3}', "resize"),
@@ -603,6 +622,22 @@ class TestRun:
         cfg = run_config(tmp_path, folds=2)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "f2")]) == 2
 
+    # 2 classes of 3 samples dealt over 5 folds from fold 0 leave folds 3 and 4 empty
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_empty_fold_exits_2_before_any_run_trains(self, tmp_path, monkeypatch, capsys, jobs):
+        monkeypatch.setattr(exp, "train", lambda *a, **k: pytest.fail("a run trained"))
+        cfg = run_config(tmp_path, folds=5, jobs=jobs)
+        out = tmp_path / "empty"
+        with pytest.warns(UserWarning, match="some folds lack it"):
+            assert main([
+                "run", "--config", str(cfg), "--out", str(out),
+                "--set", "dataset.synthetic.per_class=3",
+            ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: folds [3, 4] of 5 are empty: every fold must hold a sample")
+        assert "largest class has 3 samples" in err
+        assert not out.exists()
+
 
 class TestCompare:
     def _write_results(self, path, rows):
@@ -679,7 +714,7 @@ class TestCompare:
 
 MODEL_BLOCKS = {
     "model_image", "model_jf_cat", "model_jf_mmfa",
-    "model_jif_cat", "model_jif_mmfa", "model_jif_mmfa_post",
+    "model_jif_cat", "model_jif_mmfa",
 }
 
 
@@ -705,9 +740,7 @@ class TestGradcheckCommand:
         ("dense_block", {"dense_block", "dense_block_relu"}, 1.01),
         ("conv_block", {"image_encoder", *MODEL_BLOCKS}, 1.01),
         ("gating_attention", {
-            "mmfa", "mmfa_post_softmax_scale",
-            "gating_attention", "gating_attention_post_softmax_scale",
-            "model_jf_mmfa", "model_jif_mmfa", "model_jif_mmfa_post",
+            "mmfa", "gating_attention", "model_jf_mmfa", "model_jif_mmfa",
         }, 1.01),
         ("cross_entropy_logits", {
             "head_fused", "head_image", "head_meta",
@@ -745,6 +778,17 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def test_readme_example_config_parses():
+    """README's example experiment config is a valid config: a key the
+    package drops or renames fails here until the README follows."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    intro = "An experiment config looks like:\n\n```json\n"
+    assert intro in readme
+    block = readme.split(intro, 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_dict(json.loads(block))
+    assert (cfg.model.structure, cfg.train.epochs, cfg.folds) == ("jif", 150, 5)
 
 
 def _files(root):

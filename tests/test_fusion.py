@@ -89,8 +89,8 @@ def attention_inputs(monkeypatch, img, meta, heads=1):
     seen = []
     attend = ad.gating_attention
 
-    def spy(qkv_meta, qkv_img, heads, scale_after_softmax):
-        out, weights = attend(qkv_meta, qkv_img, heads, scale_after_softmax)
+    def spy(qkv_meta, qkv_img, heads):
+        out, weights = attend(qkv_meta, qkv_img, heads)
         seen.append((qkv_meta.data, qkv_img.data, out.data))
         return out, weights
 
@@ -102,12 +102,12 @@ def attention_inputs(monkeypatch, img, meta, heads=1):
     return inputs
 
 
-def attention(f_q, f_k, f_v, heads, scale_after_softmax=False):
+def attention(f_q, f_k, f_v, heads):
     """``gating_attention`` on given (B, width) F_Q, F_K and F_V: the
     projections hold no metadata part and the image part F_Q|F_K|F_V."""
     qkv_img = Tensor(np.concatenate([f_q.data, f_k.data, f_v.data], axis=1))
     qkv_meta = Tensor(np.zeros((qkv_img.data.shape[0], 0)))
-    return ad.gating_attention(qkv_meta, qkv_img, heads, scale_after_softmax)
+    return ad.gating_attention(qkv_meta, qkv_img, heads)
 
 
 class TestAssembleKqv:
@@ -178,13 +178,6 @@ class TestAttentionHeads:
             assert np.all(weights >= 0)
             np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
-    def test_post_softmax_scaling_shrinks_weights(self):
-        rng = np.random.default_rng(6)
-        args = [Tensor(rng.normal(size=(3, 4))) for _ in range(3)]
-        _, weights = attention(*args, 2, scale_after_softmax=True)
-        s = 2
-        np.testing.assert_allclose(weights.sum(axis=-1), 1.0 / np.sqrt(s), atol=1e-12)
-
     def test_indivisible_width_rejected(self):
         args = [Tensor(np.zeros((2, 9))) for _ in range(3)]
         for heads in (4, 0, -3):
@@ -202,7 +195,7 @@ class TestAttentionHeads:
     ])
     def test_inputs_not_one_2d_shape_rejected(self, shapes):
         with pytest.raises(DimensionError):
-            ad.gating_attention(*(Tensor(np.zeros(s)) for s in shapes), 2, False)
+            ad.gating_attention(*(Tensor(np.zeros(s)) for s in shapes), 2)
 
 
 class TestMMFA:
@@ -247,22 +240,21 @@ class TestMMFA:
         out_p = mmfa(Tensor(f_i[perm]), Tensor(f_m[perm]), "eval").data
         np.testing.assert_array_equal(out[perm], out_p)
 
-    def test_gradcheck_full_module_both_scalings(self):
-        for post in (False, True):
-            rng = np.random.default_rng(11)
-            mmfa = MMFAFusion(6, 3, rng=rng, heads=3, scale_after_softmax=post)
-            f_i = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-            f_m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    def test_gradcheck_full_module(self):
+        rng = np.random.default_rng(11)
+        mmfa = MMFAFusion(6, 3, rng=rng, heads=3)
+        f_i = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        f_m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
-            def f(_t):
-                out = mmfa(f_i, f_m, "train")
-                return ad.mul(out, out).sum()
+        def f(_t):
+            out = mmfa(f_i, f_m, "train")
+            return ad.mul(out, out).sum()
 
-            targets = [("f_img", f_i), ("f_meta", f_m)] + mmfa.params()
-            assert len(targets) == 11
-            for name, target in targets:
-                rep = grad_check(f, target)
-                assert rep.passed, (post, name, rep.max_rel_error)
+        targets = [("f_img", f_i), ("f_meta", f_m)] + mmfa.params()
+        assert len(targets) == 11
+        for name, target in targets:
+            rep = grad_check(f, target)
+            assert rep.passed, (name, rep.max_rel_error)
 
     def test_attention_weights_exposed(self):
         rng = np.random.default_rng(12)
@@ -270,10 +262,9 @@ class TestMMFA:
         mmfa(Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 2))), "eval")
         assert mmfa.last_weights.shape == (3, 2, 3)
 
-    @pytest.mark.parametrize("post", [False, True])
-    def test_second_forward_leaves_first_weights_unchanged(self, post):
+    def test_second_forward_leaves_first_weights_unchanged(self):
         rng = np.random.default_rng(13)
-        mmfa = MMFAFusion(4, 2, rng=rng, heads=2, scale_after_softmax=post)
+        mmfa = MMFAFusion(4, 2, rng=rng, heads=2)
 
         def step():
             f_i = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
