@@ -71,15 +71,9 @@ def _parser():
     p_cmp = sub.add_parser("compare", help="statistical comparison of methods")
     p_cmp.add_argument("results", nargs="+", help="result CSVs (method,run,bac,...)")
     p_cmp.add_argument("--alpha", type=float, default=0.05)
-    p_cmp.add_argument(
-        "--mode", choices=("auto", "exact", "normal"), default="auto",
-        help="Wilcoxon p-value computation",
-    )
     p_cmp.add_argument("--out", help="directory for report.json / report.md")
 
-    p_gc = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p_gc.add_argument("--step", type=float, default=1e-5)
-    p_gc.add_argument("--tol", type=float, default=1e-4)
+    sub.add_parser("gradcheck", help="finite-difference gradient checks")
 
     return parser
 
@@ -110,15 +104,14 @@ def cmd_generate(args):
     raw = _load_config(args.config, args.set)
     # the file is an experiment config, a dataset section or a bare spec,
     # each parsed whole, so a key the file's type lacks is an error
-    prefix = ""
     if "dataset" in raw:
-        raw, prefix = ExperimentConfig.from_dict(raw).dataset, "dataset."
-    if "synthetic" in raw or "dir" in raw:
-        spec = DatasetConfig.from_dict(raw, prefix).synthetic
-        if spec is None:
-            raise ConfigError(f"generate needs {prefix}synthetic, not a dataset 'dir'")
+        spec, prefix = ExperimentConfig.from_dict(raw).dataset.synthetic, "dataset."
+    elif "synthetic" in raw or "dir" in raw:
+        spec, prefix = DatasetConfig.from_dict(raw).synthetic, ""
     else:
-        spec = SyntheticSpec.from_dict(raw)
+        spec, prefix = SyntheticSpec.from_dict(raw), ""
+    if spec is None:
+        raise ConfigError(f"generate needs {prefix}synthetic, not a dataset 'dir'")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     dataset = generate_synthetic(spec)
@@ -146,7 +139,7 @@ def cmd_run(args):
 
 def cmd_compare(args):
     table = FoldResultTable.from_csv(*args.results)
-    report = compare_methods(table, alpha=args.alpha, mode=args.mode)
+    report = compare_methods(table, alpha=args.alpha)
     markdown = report.to_markdown()
     print(markdown, end="")
     if args.out:
@@ -159,7 +152,7 @@ def cmd_compare(args):
 
 
 def cmd_gradcheck(args):
-    reports = gradcheck_suite(step=args.step, tol=args.tol)
+    reports = gradcheck_suite()
     worst_width = max(len(r.name) for r in reports)
     ok = True
     for r in reports:

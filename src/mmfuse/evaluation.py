@@ -121,10 +121,6 @@ def stratified_kfold(labels, k, seed=0):
     folds = [[] for _ in range(k)]
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
-        if idx.size < k:
-            warnings.warn(
-                f"class {c} has {idx.size} samples < {k} folds; some folds lack it"
-            )
         rng.shuffle(idx)
         for j, i in enumerate(idx):
             folds[j % k].append(int(i))

@@ -113,7 +113,7 @@ def _usable_cpus():
 
 @dataclass(frozen=True)
 class ExperimentConfig(Config):
-    dataset: dict = field(default_factory=dict)
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     folds: int = 5
@@ -124,8 +124,6 @@ class ExperimentConfig(Config):
     jobs: int = field(default_factory=_usable_cpus)
 
     def validate(self):
-        # ``dataset`` stays the raw dict, so digests and manifests keep its bytes
-        DatasetConfig.from_dict(self.dataset, "dataset.")
         if self.folds < 3:
             raise ConfigError(
                 "experiment runs need k >= 3 folds (held-out test, validation, training)"
@@ -155,9 +153,8 @@ def _set_path(raw, dotted, value):
         node[parts[-1]] = value
 
 
-def resolve_dataset(dataset_cfg):
-    """The Dataset that a raw ``dataset`` config section names."""
-    source = DatasetConfig.from_dict(dataset_cfg, "dataset.")
+def resolve_dataset(source):
+    """The Dataset that a ``DatasetConfig`` names."""
     if source.synthetic is not None:
         return generate_synthetic(source.synthetic)
     return load_dataset(source.dir, size=source.resize)
@@ -205,22 +202,23 @@ def _grid_data(cfg):
     """The dataset and the stratified folds of the grid ``cfg`` describes.
 
     The images and metadata are cast to float32 here, once per grid, so
-    every run of the grid trains and scores in float32. Each class is dealt
-    over the folds from fold 0, so the last folds are empty when every
-    class has fewer samples than folds; that raises before any run trains.
+    every run of the grid trains and scores in float32. A grid needs two
+    classes or more, each with at least one sample per fold: exactly then
+    every test, validation and training split holds every class, which
+    per-fold BAC and AUC need. Otherwise this raises before any run trains.
     """
     dataset = resolve_dataset(cfg.dataset)
+    counts = np.bincount(dataset.labels, minlength=dataset.n_classes)
+    if counts.size < 2 or counts.min() < cfg.folds:
+        sizes = dict(zip(dataset.schema.classes, counts.tolist()))
+        raise ConfigError(
+            f"every fold must hold every class, so a grid of {cfg.folds} folds needs "
+            f"2 or more classes of at least {cfg.folds} samples each; class sizes: {sizes}"
+        )
     dataset = replace(
         dataset, images=dataset.images.astype(np.float32), meta=dataset.meta.astype(np.float32)
     )
-    folds = stratified_kfold(dataset.labels, cfg.folds, cfg.split_seed)
-    empty = [j for j, fold in enumerate(folds) if fold.size == 0]
-    if empty:
-        raise ConfigError(
-            f"folds {empty} of {cfg.folds} are empty: every fold must hold a sample, "
-            f"but the largest class has {np.bincount(dataset.labels).max()} samples"
-        )
-    return dataset, folds
+    return dataset, stratified_kfold(dataset.labels, cfg.folds, cfg.split_seed)
 
 
 def _run_single(cfg, dataset, folds, seed, fold_idx):
@@ -492,10 +490,10 @@ class BlockReport:
     passed: bool
 
 
-def _check_targets(name, targets, loss_fn, step, tol, coords):
-    """One block's report: its worst error (NaN if any is) and whether every
-    target passed."""
-    reps = [grad_check(lambda _t: loss_fn(), t, step, tol, coords) for _, t in targets]
+def _check_targets(name, targets, loss_fn, coords):
+    """One block's report at ``grad_check``'s default step and tolerance: its
+    worst error (NaN if any is) and whether every target passed."""
+    reps = [grad_check(lambda _t: loss_fn(), t, coords=coords) for _, t in targets]
     worst = float(np.max([r.max_rel_error for r in reps]))
     return BlockReport(name=name, max_rel_error=worst, passed=all(r.passed for r in reps))
 
@@ -610,8 +608,8 @@ def _model_blocks():
         )[0]
 
 
-def gradcheck_suite(step=1e-5, tol=1e-4):
+def gradcheck_suite():
     """Finite-difference checks over every differentiable block at toy sizes."""
-    return [_check_targets(*block, step, tol, None) for block in _blocks()] + [
-        _check_targets(*block, step, tol, MODEL_COORDS) for block in _model_blocks()
+    return [_check_targets(*block, None) for block in _blocks()] + [
+        _check_targets(*block, MODEL_COORDS) for block in _model_blocks()
     ]

@@ -49,7 +49,7 @@ def _report(ok, line):
 
 def test_c01_gradient_soundness():
     t0 = time.time()
-    reports = gradcheck_suite(step=1e-5, tol=1e-4)
+    reports = gradcheck_suite()
     elapsed = time.time() - t0
     names = {r.name for r in reports}
     required = {
@@ -335,11 +335,7 @@ def test_c09_stratification():
         n_cls = int(rng.integers(1, 7))
         n = int(rng.integers(k, 150))
         labels = rng.integers(0, n_cls, size=n)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            folds = stratified_kfold(labels, k, seed=int(rng.integers(1000)))
+        folds = stratified_kfold(labels, k, seed=int(rng.integers(1000)))
         allidx = np.concatenate(list(folds))
         ok = ok and len(allidx) == n and len(np.unique(allidx)) == n
         for c in np.unique(labels):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -181,9 +183,12 @@ class TestGenerate:
 class TestRun:
     def test_digest_ignores_out_and_jobs(self, tmp_path):
         raw = json.loads(run_config(tmp_path).read_text())
+        # the same dataset with its defaults spelled out
+        spelled = {**raw["dataset"], "dir": None, "resize": None}
+        spelled["synthetic"] = {**spelled["synthetic"], "mode": "redundant"}
         digests = {
             config_digest(ExperimentConfig.from_dict({**raw, **extra}))
-            for extra in ({}, {"out": "a"}, {"out": "b", "jobs": 2})
+            for extra in ({}, {"out": "a"}, {"out": "b", "jobs": 2}, {"dataset": spelled})
         }
         assert len(digests) == 1
 
@@ -622,21 +627,23 @@ class TestRun:
         cfg = run_config(tmp_path, folds=2)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "f2")]) == 2
 
-    # 2 classes of 3 samples dealt over 5 folds from fold 0 leave folds 3 and 4 empty
+    # over 5 folds, 2 classes of 3 samples leave folds 3 and 4 empty, and
+    # classes of 5 and 4 samples leave class C1 out of fold 4's test split
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_empty_fold_exits_2_before_any_run_trains(self, tmp_path, monkeypatch, capsys, jobs):
         monkeypatch.setattr(exp, "train", lambda *a, **k: pytest.fail("a run trained"))
         cfg = run_config(tmp_path, folds=5, jobs=jobs)
         out = tmp_path / "empty"
-        with pytest.warns(UserWarning, match="some folds lack it"):
+        for per_class, sizes in (("3", "{'C0': 3, 'C1': 3}"), ("[5,4]", "{'C0': 5, 'C1': 4}")):
             assert main([
                 "run", "--config", str(cfg), "--out", str(out),
-                "--set", "dataset.synthetic.per_class=3",
+                "--set", f"dataset.synthetic.per_class={per_class}",
             ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: folds [3, 4] of 5 are empty: every fold must hold a sample")
-        assert "largest class has 3 samples" in err
-        assert not out.exists()
+            assert capsys.readouterr().err == (
+                "error: every fold must hold every class, so a grid of 5 folds needs "
+                f"2 or more classes of at least 5 samples each; class sizes: {sizes}\n"
+            )
+            assert not out.exists()
 
 
 class TestCompare:
@@ -718,17 +725,24 @@ MODEL_BLOCKS = {
 }
 
 
+@pytest.fixture(scope="class")
+def gradcheck_run():
+    """One uncorrupted `gradcheck` run, shared: (exit code, stdout)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["gradcheck"])
+    return code, buf.getvalue()
+
+
 class TestGradcheckCommand:
-    def test_fresh_run_passes(self, capsys):
-        assert main(["gradcheck"]) == 0
-        out = capsys.readouterr().out
+    def test_fresh_run_passes(self, gradcheck_run):
+        code, out = gradcheck_run
+        assert code == 0
         assert "all blocks pass" in out
 
-    def test_reports_every_block_exactly_once(self, capsys):
-        main(["gradcheck"])
-        lines = [
-            l for l in capsys.readouterr().out.splitlines() if "max_rel_err" in l
-        ]
+    def test_reports_every_block_exactly_once(self, gradcheck_run):
+        _, out = gradcheck_run
+        lines = [l for l in out.splitlines() if "max_rel_err" in l]
         names = [l.split()[0] for l in lines]
         assert len(names) == len(set(names))
         blocks = [*exp._blocks(), *exp._model_blocks()]

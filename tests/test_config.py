@@ -137,7 +137,7 @@ MODEL = ModelConfig.from_dict(EXPERIMENT["model"])
     lambda: ModelConfig(heads=5),
     lambda: SyntheticSpec(alpha_img=2.0),
     lambda: dataclasses.replace(ExperimentConfig.from_dict(EXPERIMENT), folds=2),
-    lambda: ExperimentConfig(dataset={"dir": 5}),
+    lambda: dataclasses.replace(ExperimentConfig.from_dict(EXPERIMENT).dataset, dir="d"),
     lambda: ExperimentConfig.from_dict({**EXPERIMENT, "seeds": [1, 1]}),
 ], ids=["replaced-fusion", "heads", "alpha_img", "folds", "dataset-dir", "duplicate-seeds"])
 def test_direct_construction_validates(build):

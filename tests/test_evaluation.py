@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -214,9 +212,7 @@ class TestStratifiedKFold:
 
     def test_leave_one_out_single_class(self):
         labels = np.zeros(7, dtype=int)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            folds = stratified_kfold(labels, 7, seed=0)
+        folds = stratified_kfold(labels, 7, seed=0)
         assert sorted(len(f) for f in folds) == [1] * 7
 
     def test_same_seed_same_split(self):
@@ -230,17 +226,10 @@ class TestStratifiedKFold:
         rng = np.random.default_rng(9)
         for _ in range(10):
             labels = rng.integers(0, 4, size=int(rng.integers(20, 80)))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                folds = stratified_kfold(labels, 5, seed=int(rng.integers(100)))
+            folds = stratified_kfold(labels, 5, seed=int(rng.integers(100)))
             allidx = np.concatenate(list(folds))
             assert len(allidx) == len(labels)
             assert len(np.unique(allidx)) == len(labels)
-
-    def test_small_class_warns(self):
-        labels = np.array([0] * 20 + [1] * 2)
-        with pytest.warns(UserWarning, match="class 1"):
-            stratified_kfold(labels, 5, seed=0)
 
     def test_k_exceeding_n(self):
         with pytest.raises(ConfigError):

@@ -11,8 +11,6 @@ metamorphic testing", JSS 84(4), 2011).
   block of ``Column.width`` per column.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -120,9 +118,7 @@ def test_probabilities_permute_with_the_head_columns(four_classes, perm, seed):
 def test_stratified_kfold_partitions_with_per_class_balance(labels, k, seed):
     labels = np.array(labels)
     k = min(k, len(labels))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # classes smaller than k are allowed
-        folds = stratified_kfold(labels, k, seed)
+    folds = stratified_kfold(labels, k, seed)  # a class may be smaller than k
     assert len(folds) == k
     joined = np.concatenate(folds)
     np.testing.assert_array_equal(np.sort(joined), np.arange(len(labels)))
