@@ -29,9 +29,9 @@ from .experiment import (
     ExperimentConfig,
     _set_path,
     config_digest,
-    gradcheck_suite,
     run_experiment,
 )
+from .gradcheck import gradcheck_suite
 from .stats import FoldResultTable, compare_methods
 
 

@@ -55,16 +55,20 @@ class DegenerateSampleError(MMFuseError):
 
 
 class Config:
-    """Base of every config dataclass: one parser, validated when built.
+    """Base of every config dataclass: one parser, checked when built.
 
     ``from_dict`` checks a JSON object against the dataclass fields, turns
     lists into tuples and parses nested ``Config`` sections. Values are
     checked, never converted: an int fits ``float``, a bool fits only
-    ``bool``, a list fits ``tuple[X, ...]`` when its elements fit ``X``.
-    Every construction, ``dataclasses.replace`` included, runs ``validate``.
+    ``bool``, a list fits ``tuple[X, ...]`` when its elements fit ``X``, and
+    a section field holds an instance of its section class. Every
+    construction, ``dataclasses.replace`` included, checks each field's type
+    and then runs ``validate``.
     """
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            _check_type(f.name, getattr(self, f.name), f.type)
         self.validate()
 
     def validate(self):
@@ -82,16 +86,19 @@ class Config:
         kwargs = {}
         for name, value in d.items():
             t = fields[name]
-            if not _fits(value, t):
-                t = t.__name__ if isinstance(t, type) else t
-                raise ConfigError(f"config key '{prefix}{name}' must be {t}, got {value!r}")
             sections = [a for a in typing.get_args(t) or (t,) if dataclasses.is_dataclass(a)]
             if sections and isinstance(value, dict):
-                value = sections[0].from_dict(value, f"{prefix}{name}.")
-            elif isinstance(value, list):
-                value = tuple(value)
-            kwargs[name] = value
+                kwargs[name] = sections[0].from_dict(value, f"{prefix}{name}.")
+            else:
+                _check_type(prefix + name, value, t)
+                kwargs[name] = tuple(value) if isinstance(value, list) else value
         return cls(**kwargs)
+
+
+def _check_type(key, value, annotation):
+    if not _fits(value, annotation):
+        t = annotation.__name__ if isinstance(annotation, type) else annotation
+        raise ConfigError(f"config key '{key}' must be {t}, got {value!r}")
 
 
 def _fits(value, annotation):
@@ -104,6 +111,4 @@ def _fits(value, annotation):
         return annotation is bool and isinstance(value, bool)
     if annotation is float:
         return isinstance(value, (int, float))
-    if dataclasses.is_dataclass(annotation):
-        return isinstance(value, dict)
     return isinstance(value, annotation)

@@ -28,9 +28,9 @@ from mmfuse.experiment import (
     ExperimentConfig,
     ModelConfig,
     build_assembly,
-    gradcheck_suite,
     run_experiment,
 )
+from mmfuse.gradcheck import gradcheck_suite
 from mmfuse.fusion import MMFAFusion
 from mmfuse.stats import FoldResultTable, compare_methods, friedman, wilcoxon_signed_rank
 from mmfuse.structures import PredictionTriple, total_loss

@@ -14,7 +14,7 @@ import pytest
 import mmfuse
 from mmfuse import autodiff as ad
 from mmfuse.cli import main
-from mmfuse import experiment as exp
+from mmfuse import experiment as exp, gradcheck
 from mmfuse.experiment import ExperimentConfig, config_digest
 
 # pool workers start by fork, so they inherit a test's monkeypatches
@@ -745,7 +745,7 @@ class TestGradcheckCommand:
         lines = [l for l in out.splitlines() if "max_rel_err" in l]
         names = [l.split()[0] for l in lines]
         assert len(names) == len(set(names))
-        blocks = [*exp._blocks(), *exp._model_blocks()]
+        blocks = [*gradcheck._blocks(), *gradcheck._model_blocks()]
         assert set(names) == {name for name, _, _ in blocks}
 
     # layers binds dense_block by name, so patching ad.dense_block reaches
@@ -854,6 +854,25 @@ class TestNumpyOnlyRuntime:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_grid_import_loads_only_what_a_grid_runs(self, tmp_path):
+        """The grid module loads neither the statistics, the gradient check,
+        the CLI nor the pool's modules, and a one-job grid starts no pool."""
+        cfg = run_config(tmp_path, jobs=1, out=str(tmp_path / "out"))
+        proc = _python(
+            "import json, sys\n"
+            "import mmfuse.experiment as exp\n"
+            "names = ['mmfuse.stats', 'mmfuse.gradcheck', 'mmfuse.cli',\n"
+            "         'concurrent.futures', 'multiprocessing']\n"
+            "print([n for n in names if n in sys.modules])\n"
+            "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+            "    exp.run_experiment(exp.ExperimentConfig.from_dict(json.load(fh)))\n"
+            "print([n for n in names if n in sys.modules])\n",
+            str(cfg),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]
+        assert (tmp_path / "out" / "results.csv").exists()
 
     def test_compare_without_scipy(self, tmp_path):
         path = tmp_path / "res.csv"

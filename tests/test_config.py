@@ -143,3 +143,23 @@ MODEL = ModelConfig.from_dict(EXPERIMENT["model"])
 def test_direct_construction_validates(build):
     with pytest.raises(ConfigError):
         build()
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: ExperimentConfig(dataset={"synthetic": {}}), "dataset"),
+    (lambda: DatasetConfig(dir=5), "dir"),
+    (lambda: dataclasses.replace(MODEL, heads="3"), "heads"),
+    (lambda: TrainConfig(augment=1), "augment"),
+    (lambda: SyntheticSpec(per_class=(4, 4.5), n_classes=2), "per_class"),
+], ids=["section-dict", "dir-int", "heads-str", "augment-int", "per_class-float"])
+def test_direct_construction_checks_field_types(build, key):
+    """A value built in Python is checked against its field's annotation,
+    as ``from_dict`` checks JSON: a section field takes only its section."""
+    with pytest.raises(ConfigError, match=f"^config key '{key}' must be "):
+        build()
+
+
+def test_nested_type_error_names_the_dotted_key():
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(replaced(EXPERIMENT, "dataset.synthetic.seed", "x"))
+    assert str(info.value) == "config key 'dataset.synthetic.seed' must be int, got 'x'"

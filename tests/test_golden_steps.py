@@ -27,8 +27,8 @@ import pytest
 from mmfuse import autodiff as ad
 from mmfuse.autodiff import Tensor, no_graph
 from mmfuse.data import generate_synthetic
-from mmfuse.experiment import TOY_DATA
-from mmfuse.experiment import TOY_MODELS as CASES
+from mmfuse.gradcheck import TOY_DATA
+from mmfuse.gradcheck import TOY_MODELS as CASES
 from mmfuse.structures import (
     STRUCTURES,
     ModelAssembly,
