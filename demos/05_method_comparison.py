@@ -2,7 +2,8 @@
 
 Runs a small fold x seed grid for an attention-fusion model and an
 image-only baseline on complementary data, then feeds the per-run BAC
-table through the Friedman omnibus and pairwise exact Wilcoxon tests.
+table through the Friedman omnibus and pairwise exact Wilcoxon tests,
+Holm-adjusted.
 
 The grids run on every usable CPU. Under the spawn and forkserver start
 methods each worker imports this script, so its body sits under the
@@ -48,6 +49,6 @@ if __name__ == "__main__":
         col = table.column(m)
         print(f"  {m:<14} {col.mean():.3f} +/- {col.std(ddof=1):.3f}")
 
-    report = compare_methods(table, alpha=0.05, mode="exact")
+    report = compare_methods(table, alpha=0.05)
     print()
     print(report.to_markdown())

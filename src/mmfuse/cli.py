@@ -17,13 +17,7 @@ import sys
 from dataclasses import replace
 
 from .data import SyntheticSpec, generate_synthetic, write_dataset
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    DegenerateSampleError,
-    MMFuseError,
-)
+from .errors import ConfigError, ContractError, DataError, MMFuseError
 from .experiment import (
     DatasetConfig,
     ExperimentConfig,
@@ -177,7 +171,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ContractError, DataError, DegenerateSampleError, OSError) as e:
+    except (ConfigError, ContractError, DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MMFuseError as e:

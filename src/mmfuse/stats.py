@@ -2,11 +2,11 @@
 
 The pipeline is a Friedman omnibus test on within-run ranks followed, when
 the omnibus is significant, by pairwise two-sided Wilcoxon signed-rank
-tests. The Wilcoxon p-value is exact for small samples: the full null
-distribution of the positive-rank sum is built by convolution over the
-(tie-averaged) ranks, which agrees with enumerating all 2^n sign
-assignments. Larger samples use the tie-corrected normal approximation
-with continuity correction.
+tests, Holm-adjusted over the pairwise family. The Wilcoxon p-value is
+exact at every size it takes (up to 1,000 nonzero differences): the full
+null distribution of the positive-rank sum is built by convolution over
+the (tie-averaged) ranks, which agrees with enumerating all 2^n sign
+assignments.
 """
 
 import csv
@@ -20,8 +20,9 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, DegenerateSampleError
 from .evaluation import rankdata
 
-EXACT_LIMIT = 12  # auto mode switches to the normal approximation above this
-_EXACT_HARD_CAP = 50  # 2^n counts must stay within int64
+# The exact test costs O(n^3): 0.12 ms at n = 25, 7.7 ms at n = 200 and 1.8 s at
+# n = 1,000 on one core of a 2-CPU host. Past n = 1,074, masses of 2^-n underflow.
+_MAX_PAIRS = 1000
 
 
 @dataclass(frozen=True)
@@ -69,22 +70,22 @@ class FoldResultTable:
         return cls(methods=tuple(methods), runs=tuple(runs), values=values)
 
     @classmethod
-    def from_csv(cls, *paths, metric="bac"):
-        """Read one or more CSVs with header columns method, run, <metric>."""
+    def from_csv(cls, *paths):
+        """Read one or more CSVs with header columns method, run, bac."""
         rows = []
         for path in paths:
             try:
                 with open(path, newline="", encoding="utf-8") as fh:
                     reader = csv.DictReader(fh)
                     fields = reader.fieldnames or []
-                    for col in ("method", "run", metric):
+                    for col in ("method", "run", "bac"):
                         if col not in fields:
                             raise DataError(f"{path}: missing column {col!r}")
                     for rec in reader:
                         try:
-                            value = float(rec[metric])
+                            value = float(rec["bac"])
                         except (TypeError, ValueError) as e:
-                            raise DataError(f"{path}: bad {metric} value {rec[metric]!r}") from e
+                            raise DataError(f"{path}: bad bac value {rec['bac']!r}") from e
                         rows.append((rec["method"], rec["run"], value))
             except UnicodeDecodeError as e:
                 raise DataError(f"{path}: not a UTF-8 text file: {e}") from None
@@ -153,27 +154,27 @@ class WilcoxonResult:
     w: float
     p_two_sided: float
     n_effective: int
-    mode: str
 
 
 def _exact_distribution(double_ranks):
-    """Counts of the positive-rank-sum null distribution, indexed by 2*W+."""
-    total = int(double_ranks.sum())
-    counts = np.zeros(total + 1, dtype=np.int64)
-    counts[0] = 1
-    for r in double_ranks:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: counts.size - r]
-        counts = counts + shifted
-    return counts
+    """Null probabilities of the positive-rank sum, indexed by 2*W+.
+
+    Each rank joins W+ with probability 1/2, so every step halves the sum of
+    the distribution and its shift by that rank. Up to 52 ranks every mass
+    and partial sum is a multiple of 2^-n in [0, 1], so nothing rounds.
+    """
+    probs = np.zeros(int(double_ranks.sum()) + 1)
+    probs[0] = 1.0
+    for r in double_ranks:  # r >= 2; numpy buffers the overlapping operand
+        probs[r:] += probs[:-r]
+        probs *= 0.5
+    return probs
 
 
-def wilcoxon_signed_rank(a, b, mode="auto"):
-    """Two-sided Wilcoxon signed-rank test on paired samples.
+def wilcoxon_signed_rank(a, b):
+    """Exact two-sided Wilcoxon signed-rank test on paired samples.
 
-    Zero differences are dropped. ``mode`` is "exact" (full null
-    distribution of W+), "normal" (tie-corrected approximation with
-    continuity correction), or "auto" (exact up to n_effective = 12).
+    Zero differences are dropped, and at most ``_MAX_PAIRS`` may remain.
     The reported statistic is min(W+, W-).
     """
     a = np.asarray(a, dtype=np.float64)
@@ -182,8 +183,6 @@ def wilcoxon_signed_rank(a, b, mode="auto"):
         raise ContractError("paired samples must be equal-length vectors")
     if a.size < 2:
         raise ContractError("need at least 2 paired observations")
-    if mode not in ("auto", "exact", "normal"):
-        raise ConfigError(f"unknown mode {mode!r}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DataError("paired samples contain non-finite values")
     d = a - b
@@ -191,33 +190,30 @@ def wilcoxon_signed_rank(a, b, mode="auto"):
     n = d.size
     if n == 0:
         raise DegenerateSampleError("all paired differences are zero")
+    if n > _MAX_PAIRS:
+        raise DataError(
+            f"exact Wilcoxon test takes at most {_MAX_PAIRS} nonzero paired "
+            f"differences, got {n}"
+        )
     ranks = rankdata(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_LIMIT else "normal"
-    if mode == "exact":
-        if n > _EXACT_HARD_CAP:
-            raise ConfigError(f"exact mode supports up to {_EXACT_HARD_CAP} pairs")
-        double_ranks = np.rint(2.0 * ranks).astype(np.int64)
-        counts = _exact_distribution(double_ranks)
-        idx = int(round(2.0 * w_plus))
-        total = float(2.0**n)
-        p_le = counts[: idx + 1].sum() / total
-        p_ge = counts[idx:].sum() / total
-        p = min(1.0, 2.0 * min(p_le, p_ge))
-    else:
-        mean = n * (n + 1) / 4.0
-        _, tie_counts = np.unique(ranks, return_counts=True)
-        tie_term = np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts) / 48.0
-        var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-        if var <= 0:
-            raise DegenerateSampleError("zero-variance rank sum (all ranks tied away)")
-        dmean = w_plus - mean
-        z = (dmean - 0.5 * np.sign(dmean)) / np.sqrt(var)
-        p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
-    return WilcoxonResult(w=w, p_two_sided=float(p), n_effective=n, mode=mode)
+    probs = _exact_distribution(np.rint(2.0 * ranks).astype(np.int64))
+    idx = int(round(2.0 * w_plus))
+    p = min(1.0, 2.0 * min(probs[: idx + 1].sum(), probs[idx:].sum()))
+    return WilcoxonResult(w=w, p_two_sided=float(p), n_effective=n)
+
+
+def _holm(p_values):
+    """Holm step-down: the k-th smallest of m p-values times m - k + 1, capped
+    at 1, then a running maximum in raw-p order."""
+    p = np.asarray(p_values, dtype=np.float64)
+    order = np.argsort(p, kind="stable")
+    scaled = np.minimum(1.0, (p.size - np.arange(p.size)) * p[order])
+    adjusted = np.empty_like(p)
+    adjusted[order] = np.maximum.accumulate(scaled)
+    return adjusted
 
 
 @dataclass(frozen=True)
@@ -226,8 +222,9 @@ class PairwiseResult:
     method_b: str
     w: float
     p: float
+    p_holm: float
     n_effective: int
-    significant: bool
+    significant: bool  # p_holm < alpha
 
 
 @dataclass(frozen=True)
@@ -251,6 +248,7 @@ class ComparisonReport:
                     "pair": f"{r.method_a} - {r.method_b}",
                     "w": r.w,
                     "p_value": r.p,
+                    "p_holm": r.p_holm,
                     "n_effective": r.n_effective,
                     "significant": r.significant,
                 }
@@ -262,7 +260,7 @@ class ComparisonReport:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_markdown(self):
-        """Pairwise table with non-significant p-values (p > alpha) in bold."""
+        """Pairwise table with the non-significant pairs (Holm p >= alpha) in bold."""
         lines = [
             f"Friedman test: chi2 = {self.friedman.chi2:.6g}, "
             f"df = {self.friedman.df}, p = {self.friedman.p:.6g}",
@@ -273,37 +271,34 @@ class ComparisonReport:
                 f"Omnibus p >= {self.alpha:g}; pairwise tests not performed."
             )
             return "\n".join(lines) + "\n"
-        lines += ["| Model-Pairs | P_value |", "| --- | --- |"]
+        lines += ["| Model-Pairs | P_value | P_holm |", "| --- | --- | --- |"]
         for r in self.pairwise:
-            cell = f"{r.p:.6g}"
-            pair = f"{r.method_a} - {r.method_b}"
-            if r.p > self.alpha:
-                lines.append(f"| **{pair}** | **{cell}** |")
-            else:
-                lines.append(f"| {pair} | {cell} |")
+            cells = (f"{r.method_a} - {r.method_b}", f"{r.p:.6g}", f"{r.p_holm:.6g}")
+            if not r.significant:
+                cells = tuple(f"**{c}**" for c in cells)
+            lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
 
 
-def compare_methods(table, alpha=0.05, mode="auto"):
+def compare_methods(table, alpha=0.05):
     """Friedman omnibus, then pairwise Wilcoxon tests when it passes alpha."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     omnibus = friedman(table)
     gated = omnibus.p < alpha
-    pairs = []
-    if gated:
-        for ma, mb in itertools.combinations(table.methods, 2):
-            res = wilcoxon_signed_rank(table.column(ma), table.column(mb), mode=mode)
-            pairs.append(
-                PairwiseResult(
-                    method_a=ma,
-                    method_b=mb,
-                    w=res.w,
-                    p=res.p_two_sided,
-                    n_effective=res.n_effective,
-                    significant=res.p_two_sided < alpha,
-                )
-            )
-    return ComparisonReport(
-        friedman=omnibus, alpha=alpha, gated=gated, pairwise=tuple(pairs)
+    pairs = list(itertools.combinations(table.methods, 2)) if gated else []
+    tests = []
+    for ma, mb in pairs:
+        a, b = table.column(ma), table.column(mb)
+        # a pair equal in every run has no difference to test: p = 1
+        same = np.array_equal(a, b)
+        tests.append(WilcoxonResult(0.0, 1.0, 0) if same else wilcoxon_signed_rank(a, b))
+    p_holm = _holm([t.p_two_sided for t in tests])
+    pairwise = tuple(
+        PairwiseResult(
+            method_a=ma, method_b=mb, w=t.w, p=t.p_two_sided, p_holm=float(ph),
+            n_effective=t.n_effective, significant=bool(ph < alpha),
+        )
+        for (ma, mb), t, ph in zip(pairs, tests, p_holm)
     )
+    return ComparisonReport(friedman=omnibus, alpha=alpha, gated=gated, pairwise=pairwise)

@@ -678,6 +678,42 @@ class TestCompare:
         assert pair["p_value"] == 2.0 / 2.0**10
         assert (outdir / "report.md").exists()
 
+    def test_identical_pair_reported_not_aborted(self, tmp_path, capsys):
+        path = tmp_path / "res.csv"
+        base = np.random.default_rng(2).uniform(0.4, 0.6, size=10)
+        rows = [
+            (m, f"r{i}", round(b - shift, 6))
+            for m, shift in (("A", 0.0), ("B", 0.0), ("C", 0.3))
+            for i, b in enumerate(base)
+        ]
+        self._write_results(path, rows)
+        outdir = tmp_path / "rep"
+        assert main(["compare", str(path), "--out", str(outdir)]) == 0
+        report = json.loads((outdir / "report.json").read_text())
+        same = report["pairwise"][0]
+        assert same["pair"] == "A - B"
+        assert (same["p_value"], same["p_holm"], same["n_effective"]) == (1.0, 1.0, 0)
+        assert same["significant"] is False
+        assert "| **A - B** | **1** | **1** |" in capsys.readouterr().out
+
+    def test_p_equal_to_alpha_bold_and_not_significant(self, tmp_path, capsys):
+        # 5 runs of one sign: the exact p is 2/2^5 = 0.0625, not below alpha
+        path = tmp_path / "res.csv"
+        rows = [("a", f"r{i}", 0.5 + 0.05 * i) for i in range(5)]
+        rows += [("b", f"r{i}", 0.4 + 0.05 * i) for i in range(5)]
+        self._write_results(path, rows)
+        outdir = tmp_path / "rep"
+        assert main(["compare", str(path), "--alpha", "0.0625", "--out", str(outdir)]) == 0
+        pair = json.loads((outdir / "report.json").read_text())["pairwise"][0]
+        assert pair["p_value"] == pair["p_holm"] == 0.0625
+        assert pair["significant"] is False
+        assert "| **a - b** | **0.0625** | **0.0625** |" in (outdir / "report.md").read_text()
+
+    def test_help_lists_only_alpha_and_out(self, capsys):
+        assert main(["compare", "--help"]) == 0
+        options = {w.rstrip(",") for w in capsys.readouterr().out.split() if w.startswith("--")}
+        assert options == {"--help", "--alpha", "--out"}
+
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "res.csv"
         self._write_results(path, [(m, f"r{i}", 0.5) for m in "ab" for i in range(5)])

@@ -3,10 +3,12 @@ import pytest
 from scipy import stats as sps
 from scipy.stats import rankdata
 
+from mmfuse import stats
 from mmfuse.errors import ConfigError, ContractError, DataError, DegenerateSampleError
 from mmfuse.stats import (
     FoldResultTable,
     _chi2_sf,
+    _holm,
     compare_methods,
     friedman,
     wilcoxon_signed_rank,
@@ -25,6 +27,22 @@ def wilcoxon_enumeration_oracle(a, b):
     p_le = np.mean(w_all <= w_obs + 1e-12)
     p_ge = np.mean(w_all >= w_obs - 1e-12)
     return min(1.0, 2.0 * min(p_le, p_ge))
+
+
+def wilcoxon_integer_oracle(a, b):
+    """Two-sided p from the null counts of 2*W+, kept in Python ints, over 2^n."""
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    d = d[d != 0.0]
+    ranks = rankdata(np.abs(d))
+    counts = [1]
+    for r in (int(round(2.0 * x)) for x in ranks):
+        counts = [
+            (counts[i] if i < len(counts) else 0) + (counts[i - r] if i >= r else 0)
+            for i in range(len(counts) + r)
+        ]
+    obs = int(round(2.0 * ranks[d > 0].sum()))
+    tail = min(sum(counts[: obs + 1]), sum(counts[obs:]))
+    return min(1.0, 2 * tail / 2**d.size)
 
 
 def table(values, methods=None):
@@ -81,7 +99,6 @@ class TestWilcoxon:
         res = wilcoxon_signed_rank(
             np.array([0.2, 0.3, 0.4, 0.5, 0.6]),
             np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
-            mode="exact",
         )
         assert res.w == 0.0
         assert res.p_two_sided == 2.0 / 32.0
@@ -95,15 +112,15 @@ class TestWilcoxon:
     def test_antisymmetry(self):
         rng = np.random.default_rng(2)
         a, b = rng.uniform(size=10), rng.uniform(size=10)
-        r1 = wilcoxon_signed_rank(a, b, mode="exact")
-        r2 = wilcoxon_signed_rank(b, a, mode="exact")
+        r1 = wilcoxon_signed_rank(a, b)
+        r2 = wilcoxon_signed_rank(b, a)
         assert r1.p_two_sided == r2.p_two_sided
         assert r1.w == r2.w
 
     def test_zero_differences_dropped(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])
         b = np.array([1.0, 1.5, 2.0, 4.0])
-        res = wilcoxon_signed_rank(a, b, mode="exact")
+        res = wilcoxon_signed_rank(a, b)
         assert res.n_effective == 2
 
     def test_matches_enumeration_with_ties(self):
@@ -114,57 +131,55 @@ class TestWilcoxon:
             b = np.round(rng.uniform(size=n), 1)
             if np.all(a == b):
                 continue
-            res = wilcoxon_signed_rank(a, b, mode="exact")
+            res = wilcoxon_signed_rank(a, b)
             oracle = wilcoxon_enumeration_oracle(a, b)
             np.testing.assert_allclose(res.p_two_sided, oracle, atol=1e-12)
 
-    def test_auto_mode_crossover(self):
-        rng = np.random.default_rng(4)
-        small = wilcoxon_signed_rank(rng.uniform(size=12), rng.uniform(size=12))
-        large = wilcoxon_signed_rank(rng.uniform(size=13), rng.uniform(size=13))
-        assert small.mode == "exact" and large.mode == "normal"
+    def test_matches_scipy_exact_without_ties(self):
+        rng = np.random.default_rng(10)
+        for n in range(13, 51):
+            a, b = rng.uniform(size=n), rng.uniform(size=n)
+            expected = sps.wilcoxon(a, b, method="exact").pvalue
+            assert wilcoxon_signed_rank(a, b).p_two_sided == expected
 
-    def test_normal_approximation_close_to_exact(self):
-        rng = np.random.default_rng(5)
-        a = rng.uniform(size=20)
-        b = a + rng.normal(scale=0.3, size=20)
-        exact = wilcoxon_signed_rank(a, b, mode="exact")
-        approx = wilcoxon_signed_rank(a, b, mode="normal")
-        assert abs(exact.p_two_sided - approx.p_two_sided) < 0.02
-
-    def test_normal_mode_matches_scipy_norm(self):
-        rng = np.random.default_rng(9)
-        for _ in range(40):
-            n = int(rng.integers(13, 40))
-            a = np.round(rng.uniform(size=n), 2)  # force tied |d|
-            b = np.round(a + rng.normal(scale=0.1, size=n), 2)
-            d = (a - b)[a != b]
-            m = d.size
-            ranks = rankdata(np.abs(d))
-            _, t = np.unique(ranks, return_counts=True)
-            var = m * (m + 1) * (2 * m + 1) / 24.0 - np.sum(t**3.0 - t) / 48.0
-            dmean = ranks[d > 0].sum() - m * (m + 1) / 4.0
-            z = (dmean - 0.5 * np.sign(dmean)) / np.sqrt(var)
-            expected = min(1.0, 2.0 * sps.norm.sf(abs(z)))
-            res = wilcoxon_signed_rank(a, b, mode="normal")
+    def test_matches_integer_convolution_with_ties(self):
+        rng = np.random.default_rng(11)
+        for n in range(2, 61):
+            a = np.round(rng.uniform(size=n), 1)
+            b = np.round(rng.uniform(size=n), 1)
+            if np.all(a == b):
+                continue
+            res = wilcoxon_signed_rank(a, b)
+            expected = wilcoxon_integer_oracle(a, b)
             np.testing.assert_allclose(res.p_two_sided, expected, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("mode", ["exact", "normal"])
+    def test_too_many_pairs_rejected_before_convolving(self, monkeypatch):
+        def convolve(double_ranks):
+            raise AssertionError("convolved")
+
+        monkeypatch.setattr(stats, "_exact_distribution", convolve)
+        a = np.linspace(0.5, 1.0, 1001)
+        with pytest.raises(DataError, match="at most 1000 .* got 1001"):
+            wilcoxon_signed_rank(a, a - 0.25)
+
+    # The ids name the side of the former 12-pair switch to a normal
+    # approximation that each size fell on; both sizes now take the exact path.
+    @pytest.mark.parametrize("n", [8, 14], ids=["exact", "normal"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["a", "b"])
-    def test_non_finite_rejected(self, mode, bad, side):
-        a = np.linspace(0.1, 0.9, 14)
+    def test_non_finite_rejected(self, n, bad, side):
+        a = np.linspace(0.1, 0.9, n)
         b = a[::-1].copy()
         (a if side == "a" else b)[3] = bad
         with pytest.raises(DataError, match="non-finite"):
-            wilcoxon_signed_rank(a, b, mode=mode)
+            wilcoxon_signed_rank(a, b)
 
     def test_p_in_unit_interval_and_dyadic(self):
         rng = np.random.default_rng(6)
         for _ in range(40):
             n = int(rng.integers(2, 12))
             a, b = rng.uniform(size=n), rng.uniform(size=n)
-            res = wilcoxon_signed_rank(a, b, mode="exact")
+            res = wilcoxon_signed_rank(a, b)
             assert 0.0 <= res.p_two_sided <= 1.0
             if res.p_two_sided < 1.0:
                 # exact two-sided p is a doubled multiple of 2^-n
@@ -202,10 +217,31 @@ class TestCompareMethods:
         values = np.column_stack([base + 0.2, base, base + jitter])
         rep = compare_methods(table(values, methods=("a", "b", "c")))
         md = rep.to_markdown()
-        assert "| Model-Pairs | P_value |" in md
+        assert "| Model-Pairs | P_value | P_holm |" in md
         for r in rep.pairwise:
             cell = f"| **{r.method_a} - {r.method_b}**"
-            assert (cell in md) == (r.p > rep.alpha)
+            assert (cell in md) == (not r.significant)
+
+    def test_identical_pair_reported_with_p_one(self):
+        rng = np.random.default_rng(12)
+        base = rng.uniform(0.4, 0.6, size=10)
+        rep = compare_methods(table(np.column_stack([base, base, base - 0.3]), ("A", "B", "C")))
+        assert rep.gated
+        same = rep.pairwise[0]
+        assert (same.method_a, same.method_b) == ("A", "B")
+        assert (same.w, same.p, same.p_holm, same.n_effective) == (0.0, 1.0, 1.0, 0)
+        assert not same.significant
+        assert all(r.significant for r in rep.pairwise[1:])
+
+    def test_holm_over_equal_raw_p(self):
+        # all three pairs are of one sign in every run: raw p = 2/2^10 each,
+        # and the step-down gives max(3p, 2p, p) = 3p to every pair
+        rng = np.random.default_rng(7)
+        base = rng.uniform(0.3, 0.5, size=10)
+        values = np.column_stack([base + 0.2, base, base - 0.05])
+        rep = compare_methods(table(values, methods=("win", "mid", "low")))
+        assert [r.p for r in rep.pairwise] == [2.0 / 2.0**10] * 3
+        assert [r.p_holm for r in rep.pairwise] == [6.0 / 2.0**10] * 3
 
     def test_alpha_validation(self):
         with pytest.raises(ConfigError):
@@ -218,6 +254,25 @@ class TestCompareMethods:
         parsed = json.loads(rep.to_json())
         assert parsed["alpha"] == 0.05
         assert parsed["pairwise_performed"] == rep.gated
+
+
+class TestHolm:
+    def test_hand_worked_three_pairs(self):
+        # sorted: 1/128 * 3 = 3/128, 1/32 * 2 = 8/128, 3/64 * 1 = 6/128 -> max 8/128
+        adjusted = _holm([1 / 128, 3 / 64, 1 / 32])
+        assert adjusted.tolist() == [3 / 128, 1 / 16, 1 / 16]
+
+    def test_capped_at_one(self):
+        assert _holm([0.5, 0.01, 0.9]).tolist() == [1.0, 0.03, 1.0]
+
+    def test_monotone_and_bounded(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            p = rng.uniform(size=int(rng.integers(1, 12))) ** 3
+            adjusted = _holm(p)
+            order = np.argsort(p, kind="stable")
+            assert np.all(np.diff(adjusted[order]) >= 0.0)
+            assert np.all(adjusted >= p) and np.all(adjusted <= 1.0)
 
 
 class TestFoldResultTable:
