@@ -53,6 +53,6 @@ def chain(t):
     gated, _ = ad.gating_attention(Tensor(np.zeros((3, 0))), t, 1)
     return ad.mul(gated, gated).sum()
 
-report = grad_check(chain, target, step=1e-5, tol=1e-4)
+report = grad_check(chain, target)
 print(f"gating attention chain: max rel err {report.max_rel_error:.2e} "
       f"-> {'PASS' if report.passed else 'FAIL'}")

@@ -23,7 +23,7 @@ print("== metadata schema and one-hot encoding ==")
 schema = MetadataSchema(
     columns=(
         Column(name="region", kind="categorical", vocab=("head", "trunk", "arm")),
-        Column(name="age", kind="numeric", vmin=0, vmax=120),
+        Column(name="age", kind="numeric", min=0, max=120),
     ),
     classes=("benign", "malignant"),
 )

@@ -765,7 +765,11 @@ class GradCheckReport:
     worst_index: int = -1
 
 
-def grad_check(f, x, step=1e-5, tol=1e-4, coords=None):
+GRAD_CHECK_STEP = 1e-5  # central-difference step
+GRAD_CHECK_TOL = 1e-4  # largest relative error that passes
+
+
+def grad_check(f, x, coords=None):
     """Compare analytic gradients of ``f`` w.r.t. ``x`` to central differences.
 
     ``f`` must map the Tensor ``x`` (whose data this routine perturbs in
@@ -775,10 +779,8 @@ def grad_check(f, x, step=1e-5, tol=1e-4, coords=None):
     max(|analytic|, |numeric|, 1e-8) as denominator; a NaN analytic
     gradient gives a NaN error, which counts as the worst and fails.
     ``x`` must be float64: float32 cannot resolve central differences at
-    the default step, so any other dtype raises ``ContractError``.
+    ``GRAD_CHECK_STEP``, so any other dtype raises ``ContractError``.
     """
-    if step <= 0:
-        raise ContractError("grad_check: step must be positive")
     if x.data.dtype != np.float64:
         raise ContractError(f"grad_check: needs float64 data, got {x.data.dtype}")
     out = f(x)
@@ -799,15 +801,15 @@ def grad_check(f, x, step=1e-5, tol=1e-4, coords=None):
     worst, worst_i = 0.0, -1
     for i in checked:
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + GRAD_CHECK_STEP
         fp = float(f(x).data)
-        flat[i] = orig - step
+        flat[i] = orig - GRAD_CHECK_STEP
         fm = float(f(x).data)
         flat[i] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise NumericError(f"grad_check: f not finite at coordinate {i}")
-        numeric = (fp - fm) / (2.0 * step)
+        numeric = (fp - fm) / (2.0 * GRAD_CHECK_STEP)
         rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
         if rel > worst or (np.isnan(rel) and not np.isnan(worst)):
             worst, worst_i = rel, i
-    return GradCheckReport(max_rel_error=worst, passed=worst < tol, worst_index=worst_i)
+    return GradCheckReport(max_rel_error=worst, passed=worst < GRAD_CHECK_TOL, worst_index=worst_i)

@@ -125,8 +125,8 @@ def default_schema(n_classes):
                 kind="categorical",
                 vocab=("head", "trunk", "arm", "leg"),
             ),
-            Column(name="age", kind="numeric", vmin=0.0, vmax=100.0),
-            Column(name="size_mm", kind="numeric", vmin=0.0, vmax=30.0),
+            Column(name="age", kind="numeric", min=0.0, max=100.0),
+            Column(name="size_mm", kind="numeric", min=0.0, max=30.0),
         ),
         classes=tuple(f"C{i}" for i in range(n_classes)),
     )
@@ -247,13 +247,14 @@ def load_metadata_csv(path, schema):
     The file must have ``id`` and ``diagnostic`` columns plus every schema
     column; column order does not matter and other columns are ignored.
     Ids must be distinct, since each names one image file. Every row has
-    exactly the header's cells. The file is read as UTF-8, and errors name
-    the line a record ends on. Returns (records, labels, ids).
+    exactly the header's cells, and there is at least one row. The file is
+    read as UTF-8 after an optional byte-order mark, and errors name the
+    line a record ends on. Returns (records, labels, ids).
     """
     records, labels, ids = [], [], []
     first_line = {}  # id -> line it first appeared on
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             fields = reader.fieldnames or []
             for required in ("id", "diagnostic"):
@@ -284,6 +285,8 @@ def load_metadata_csv(path, schema):
                 ids.append(rec["id"])
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not a UTF-8 text file: {e}") from None
+    if not records:
+        raise DataError(f"{path}: no data rows under the header")
     return records, np.array(labels, dtype=np.intp), ids
 
 
@@ -296,11 +299,14 @@ def load_dataset(root, size=None):
     except UnicodeDecodeError as e:
         raise SchemaError(f"{schema_path}: not a UTF-8 text file: {e}") from None
     records, labels, ids = load_metadata_csv(os.path.join(root, "meta.csv"), schema)
-    images = np.stack(
-        [load_image(os.path.join(root, "images", f"{i}.ppm"), size=size) for i in ids]
-    )
+    paths = [os.path.join(root, "images", f"{i}.ppm") for i in ids]
+    images = [load_image(p, size=size) for p in paths]
+    for path, img in zip(paths, images):
+        if img.shape != images[0].shape:
+            raise DataError(f"{path}: image shape {img.shape} differs from {images[0].shape} "
+                            f"of {paths[0]}; set dataset.resize to load mixed sizes")
     return Dataset(
-        images=images,
+        images=np.stack(images),
         meta=encode_rows(records, schema),
         labels=labels,
         schema=schema,

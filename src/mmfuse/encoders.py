@@ -8,47 +8,49 @@ end to end.
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, DimensionError, SchemaError
+from .errors import Config, ConfigError, DataError, DimensionError, SchemaError
 from .layers import BatchNorm, Conv2d, Linear, LinearBN, Module
 
 MISSING = (None, "")
 
 
 @dataclass(frozen=True)
-class Column:
+class Column(Config):
     """One metadata column: categorical with a vocabulary, or numeric with a range.
 
     ``policy`` controls out-of-vocabulary categorical values: "strict"
     raises, "lenient" maps them to the unknown slot (missing values always
-    go to the unknown slot). Numeric values are rescaled to [0,1] and
-    clamped; a missing numeric becomes 0.5.
+    go to the unknown slot). Numeric values are rescaled from [min, max] to
+    [0,1] and clamped; a missing numeric becomes 0.5.
     """
 
     name: str
-    kind: str  # "categorical" | "numeric"
-    vocab: tuple = ()
-    vmin: float = 0.0
-    vmax: float = 1.0
+    kind: str = "numeric"  # "categorical" | "numeric"
+    vocab: tuple[str, ...] = ()
+    min: float = 0.0
+    max: float = 1.0
     policy: str = "lenient"
 
-    def __post_init__(self):
+    def validate(self):
+        where = f"column {self.name!r}"
         if self.kind not in ("categorical", "numeric"):
-            raise ConfigError(f"column {self.name!r}: unknown kind {self.kind!r}")
-        if self.kind == "categorical":
-            if not self.vocab:
-                raise ConfigError(f"column {self.name!r}: empty vocabulary")
-            if len(set(self.vocab)) != len(self.vocab):
-                raise ConfigError(f"column {self.name!r}: duplicate vocabulary entries")
-        else:
-            if not self.vmax > self.vmin:
-                raise ConfigError(f"column {self.name!r}: vmax must exceed vmin")
+            raise ConfigError(f"{where}: unknown kind {self.kind!r}")
         if self.policy not in ("strict", "lenient"):
-            raise ConfigError(f"column {self.name!r}: unknown policy {self.policy!r}")
+            raise ConfigError(f"{where}: unknown policy {self.policy!r}")
+        if len(set(self.vocab)) != len(self.vocab):
+            raise ConfigError(f"{where}: duplicate vocabulary entries")
+        # not math.isfinite, which overflows on an int such as 10**400
+        if not all(abs(b) <= sys.float_info.max for b in (self.min, self.max)):
+            raise ConfigError(f"{where}: 'min' and 'max' must be finite numbers")
+        if self.kind == "categorical" and not self.vocab:
+            raise ConfigError(f"{where}: categorical 'vocab' is empty")
+        if self.kind == "numeric" and not self.max > self.min:
+            raise ConfigError(f"{where}: 'max' must exceed 'min'")
 
     @property
     def width(self):
@@ -56,77 +58,35 @@ class Column:
 
 
 @dataclass(frozen=True)
-class MetadataSchema:
-    columns: tuple = ()
-    classes: tuple = ()
+class MetadataSchema(Config):
+    """A dataset's ``schema.json``: its metadata columns and class names."""
+
+    columns: tuple[Column, ...] = ()
+    classes: tuple[str, ...] = ()
+
+    def validate(self):
+        for what, names in (("class", self.classes), ("column", [c.name for c in self.columns])):
+            repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+            if repeated is not None:
+                raise ConfigError(f"repeats {what} name {repeated!r}")
+        if not self.classes:
+            raise ConfigError("no class is declared in 'classes'")
 
     @property
     def encoded_width(self):
         return sum(c.width for c in self.columns)
 
     def to_json(self):
-        cols = []
-        for c in self.columns:
-            if c.kind == "categorical":
-                cols.append(
-                    {
-                        "name": c.name,
-                        "kind": c.kind,
-                        "vocab": list(c.vocab),
-                        "policy": c.policy,
-                    }
-                )
-            else:
-                cols.append(
-                    {"name": c.name, "kind": c.kind, "min": c.vmin, "max": c.vmax}
-                )
-        return json.dumps({"columns": cols, "classes": list(self.classes)}, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text):
-        """Parse ``to_json`` output; any malformed part raises ``SchemaError``
-        naming the column and key."""
+        """Parse ``to_json`` output, in which a left-out key takes its default;
+        a malformed schema raises ``SchemaError`` naming the dotted key."""
         try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"schema is not valid JSON: {e}") from e
-        if not isinstance(raw, dict):
-            raise SchemaError("schema must be a JSON object")
-        columns, classes = raw.get("columns", []), raw.get("classes", [])
-        if not isinstance(columns, list):
-            raise SchemaError("schema 'columns' must be a list")
-        if not _strings(classes):
-            raise SchemaError("schema 'classes' must be a list of strings")
-        columns = tuple(_column_from_json(i, c) for i, c in enumerate(columns))
-        for what, names in (("class", classes), ("column", [c.name for c in columns])):
-            repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
-            if repeated is not None:
-                raise SchemaError(f"schema repeats {what} name {repeated!r}")
-        return cls(columns=columns, classes=tuple(classes))
-
-
-def _strings(value):
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _column_from_json(i, c):
-    if not isinstance(c, dict) or not isinstance(c.get("name"), str):
-        raise SchemaError(f"schema column {i} must be an object with a string 'name'")
-    where = f"schema column {c['name']!r}"
-    kind = c.get("kind", "numeric")
-    if kind == "categorical":
-        if not _strings(c.get("vocab")):
-            raise SchemaError(f"{where}: 'vocab' must be a list of strings")
-        fields = {"vocab": tuple(c["vocab"]), "policy": c.get("policy", "lenient")}
-    else:
-        bounds = c.get("min", 0.0), c.get("max", 1.0)
-        if not all(type(b) in (int, float) and abs(b) <= sys.float_info.max for b in bounds):
-            raise SchemaError(f"{where}: 'min' and 'max' must be finite numbers")
-        fields = {"vmin": float(bounds[0]), "vmax": float(bounds[1])}
-    try:
-        return Column(c["name"], kind, **fields)
-    except ConfigError as e:  # its message names the column
-        raise SchemaError(f"schema {e}") from None
+            return cls.from_dict(json.loads(text))
+        except (json.JSONDecodeError, ConfigError) as e:
+            raise SchemaError(f"schema: {e}") from None
 
 
 def one_hot_encode(row, schema):
@@ -161,7 +121,7 @@ def one_hot_encode(row, schema):
                     raise DataError(
                         f"column {col.name!r}: value {val!r} is not a finite number"
                     )
-                x = (x - col.vmin) / (col.vmax - col.vmin)
+                x = (x - col.min) / (col.max - col.min)
                 out[pos] = min(max(x, 0.0), 1.0)
             pos += 1
     return out
@@ -178,6 +138,8 @@ class MetadataEncoder(Module):
     linear -> batch norm unit ``block{i}`` (a ``LinearBN``) with a ReLU."""
 
     def __init__(self, in_width, out_dim=64, hidden=(64,), rng=None):
+        if in_width < 1:
+            raise ConfigError("the schema has no metadata columns, which this structure encodes")
         rng = np.random.default_rng(0) if rng is None else rng
         widths = [in_width, *hidden, out_dim]
         self.in_width = in_width

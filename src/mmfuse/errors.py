@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the ``Config`` base.
 
 Every config section (model, train, dataset, synthetic spec, the experiment
-itself) is a frozen dataclass that subclasses ``Config``: it is parsed from
-JSON by the one ``Config.from_dict`` and validated whenever it is built.
+itself, a dataset's metadata schema and its columns) is a frozen dataclass
+that subclasses ``Config``: it is parsed from JSON by the one
+``Config.from_dict`` and validated whenever it is built.
 """
 
 import dataclasses
@@ -58,12 +59,14 @@ class Config:
     """Base of every config dataclass: one parser, checked when built.
 
     ``from_dict`` checks a JSON object against the dataclass fields, turns
-    lists into tuples and parses nested ``Config`` sections. Values are
-    checked, never converted: an int fits ``float``, a bool fits only
-    ``bool``, a list fits ``tuple[X, ...]`` when its elements fit ``X``, and
-    a section field holds an instance of its section class. Every
-    construction, ``dataclasses.replace`` included, checks each field's type
-    and then runs ``validate``.
+    lists into tuples and parses nested ``Config`` sections: an object, or
+    each element of a list for a ``tuple[Section, ...]`` field. A field with
+    no default is a required key. Values are checked, never converted: an
+    int fits ``float``, a bool fits only ``bool``, a list fits
+    ``tuple[X, ...]`` when its elements fit ``X``, and a section field holds
+    an instance of its section class. Every construction,
+    ``dataclasses.replace`` included, checks each field's type and then runs
+    ``validate``.
     """
 
     def __post_init__(self):
@@ -79,19 +82,26 @@ class Config:
         """Build from ``d``; ``prefix`` is the dotted path of a nested section."""
         if not isinstance(d, dict):
             raise ConfigError(f"config {prefix[:-1] or 'file'} must be an object, got {d!r}")
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        fields = {f.name: f for f in dataclasses.fields(cls)}
         unknown = sorted(prefix + k for k in set(d) - set(fields))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        missing = [prefix + k for k, f in fields.items()
+                   if k not in d and f.default is f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
         kwargs = {}
         for name, value in d.items():
-            t = fields[name]
+            t, key = fields[name].type, prefix + name
             sections = [a for a in typing.get_args(t) or (t,) if dataclasses.is_dataclass(a)]
-            if sections and isinstance(value, dict):
-                kwargs[name] = sections[0].from_dict(value, f"{prefix}{name}.")
+            many = typing.get_origin(t) is tuple
+            if sections and many and isinstance(value, list):
+                value = [sections[0].from_dict(v, f"{key}.{i}.") for i, v in enumerate(value)]
+            elif sections and not many and isinstance(value, dict):
+                value = sections[0].from_dict(value, f"{key}.")
             else:
-                _check_type(prefix + name, value, t)
-                kwargs[name] = tuple(value) if isinstance(value, list) else value
+                _check_type(key, value, t)
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
         return cls(**kwargs)
 
 

@@ -22,7 +22,7 @@ class BlockReport:
 
 
 def _check_targets(name, targets, loss_fn, coords):
-    """One block's report at ``grad_check``'s default step and tolerance: its
+    """One block's report at ``grad_check``'s fixed step and tolerance: its
     worst error (NaN if any is) and whether every target passed."""
     reps = [grad_check(lambda _t: loss_fn(), t, coords=coords) for _, t in targets]
     worst = float(np.max([r.max_rel_error for r in reps]))

@@ -757,7 +757,7 @@ class TestBackward:
                     return ad.cross_entropy_logits(
                         heads[:j] + [t] + heads[j + 1:], labels, CE_WEIGHTS, coefs
                     )[0]
-                rep = grad_check(f, h, step=1e-5)
+                rep = grad_check(f, h)
                 assert rep.passed, rep.max_rel_error
 
     def test_non_scalar_loss_rejected(self):

@@ -70,11 +70,12 @@ def config_shapes(tmp_path):
     return paths
 
 
-def small_dataset(tmp_path):
-    """A generated 4-sample dataset directory of 8x8 images."""
+def small_dataset(tmp_path, per_class=2):
+    """A generated 2-class dataset directory of 8x8 images; 3 per class
+    are enough for the 3 folds of ``run_config``."""
     data = tmp_path / "ds"
     assert main([
-        "generate", "--out", str(data), "--set", "per_class=2",
+        "generate", "--out", str(data), "--set", f"per_class={per_class}",
         "--set", "n_classes=2", "--set", "image_shape=[3,8,8]",
     ]) == 0
     return data
@@ -397,13 +398,17 @@ class TestRun:
 
     @pytest.mark.parametrize("schema, where", [
         ("[]", "object"),
-        ('{"columns": [{"kind": "numeric"}]}', "column 0"),
-        ('{"columns": [{"name": "age", "kind": "categorical"}]}', "'age': 'vocab'"),
+        ('{"columns": [{"kind": "numeric"}]}', "columns.0.name"),
+        ('{"columns": [{"name": "age", "kind": "categorical"}]}', "'age': categorical 'vocab'"),
         ('{"columns": 5}', "'columns'"),
-        ('{"columns": [{"name": "age", "kind": "numeric", "min": "x"}]}', "'age': 'min'"),
+        ('{"columns": [{"name": "age", "kind": "numeric", "min": "x"}]}', "columns.0.min"),
         ('{"columns": [{"name": "age", "kind": "ordinal"}]}', "'age': unknown kind"),
         ('{"classes": ["C0", "C1", "C0"]}', "class name 'C0'"),
         ('{"columns": [{"name": "age"}, {"name": "age"}]}', "column name 'age'"),
+        ("{}", "'classes'"),
+        ('{"classes": []}', "'classes'"),
+        ('{"classes": ["C0", "C1"], "columns": [{"name": "age", "note": "x"}]}',
+         "columns.0.note"),
     ])
     def test_malformed_schema_exits_2(self, tmp_path, capsys, schema, where):
         data = small_dataset(tmp_path)
@@ -412,6 +417,49 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: schema") and where in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("structure, code", [("jif", 2), ("image", 0)])
+    def test_schema_without_columns_refused_only_where_metadata_is_encoded(
+        self, tmp_path, capsys, structure, code
+    ):
+        data = small_dataset(tmp_path, per_class=3)
+        (data / "schema.json").write_text('{"classes": ["C0", "C1"]}')
+        cfg = run_config(tmp_path, dataset={"dir": str(data)})
+        argv = ["--set", f"model.structure={structure}"]
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and "no metadata columns" in err
+            assert err.count("\n") == 1
+
+    def test_meta_csv_with_byte_order_mark_gives_the_same_results(self, tmp_path):
+        data = small_dataset(tmp_path, per_class=3)
+        cfg = run_config(tmp_path, dataset={"dir": str(data)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+        meta = data / "meta.csv"
+        meta.write_bytes(b"\xef\xbb\xbf" + meta.read_bytes())
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "bom")]) == 0
+        plain, bom = ((tmp_path / d / "results.csv").read_bytes() for d in ("plain", "bom"))
+        assert bom == plain
+
+    def test_meta_csv_without_rows_exits_2(self, tmp_path, capsys):
+        data = small_dataset(tmp_path)
+        meta = data / "meta.csv"
+        meta.write_text(meta.read_text().splitlines()[0] + "\n")
+        cfg = run_config(tmp_path, dataset={"dir": str(data)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert_error_naming(capsys, meta)
+
+    def test_image_of_another_size_without_resize_exits_2(self, tmp_path, capsys):
+        data = small_dataset(tmp_path)
+        image = sorted((data / "images").iterdir())[1]
+        image.write_bytes(b"P6\n16 8\n255\n" + bytes(16 * 8 * 3))
+        cfg = run_config(tmp_path, dataset={"dir": str(data)})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {image}") and "dataset.resize" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("age", ["abc", "nan"])
     def test_non_numeric_metadata_cell_exits_2(self, tmp_path, capsys, age):

@@ -1,6 +1,7 @@
 """Property tests of config and schema parsing: any JSON value at any known
 key either parses or raises ``ConfigError``, never another exception; any
-JSON text is a metadata schema or raises ``SchemaError``.
+JSON text is a metadata schema or raises ``SchemaError``, and a valid schema
+reads back from its JSON as itself.
 Configs built directly are validated as well."""
 
 import copy
@@ -13,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mmfuse.data import SyntheticSpec  # noqa: E402
-from mmfuse.encoders import MetadataSchema  # noqa: E402
+from mmfuse.encoders import Column, MetadataSchema  # noqa: E402
 from mmfuse.errors import ConfigError, SchemaError  # noqa: E402
 from mmfuse.experiment import DatasetConfig, ExperimentConfig, ModelConfig  # noqa: E402
 from mmfuse.training import TrainConfig  # noqa: E402
@@ -122,6 +123,29 @@ def test_schema_parses_or_raises_schema_error(text):
         MetadataSchema.from_json(text)
     except SchemaError:
         pass
+
+
+names = st.text(max_size=4)
+bounds = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+
+
+@st.composite
+def valid_schemas(draw):
+    columns = []
+    for name in draw(st.lists(names, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["categorical", "numeric"]))
+        vocab = draw(st.lists(names, min_size=int(kind == "categorical"), max_size=4, unique=True))
+        low, high = sorted(draw(st.lists(bounds, min_size=2, max_size=2, unique=True)))
+        policy = draw(st.sampled_from(["strict", "lenient"]))
+        columns.append(Column(name, kind, tuple(vocab), low, high, policy))
+    classes = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    return MetadataSchema(columns=tuple(columns), classes=tuple(classes))
+
+
+@PROPERTY
+@given(schema=valid_schemas())
+def test_schema_json_round_trips(schema):
+    assert MetadataSchema.from_json(schema.to_json()) == schema
 
 
 def test_base_configs_are_valid():

@@ -16,7 +16,7 @@ from mmfuse.errors import ConfigError, DataError, DimensionError, SchemaError
 SCHEMA = MetadataSchema(
     columns=(
         Column(name="color", kind="categorical", vocab=("a", "b", "c")),
-        Column(name="age", kind="numeric", vmin=0.0, vmax=120.0),
+        Column(name="age", kind="numeric", min=0.0, max=120.0),
     ),
     classes=("x", "y"),
 )
@@ -81,7 +81,7 @@ class TestOneHot:
                     vocab = tuple(f"t{i}" for i in range(rng.integers(1, 7)))
                     cols.append(Column(name=f"c{j}", kind="categorical", vocab=vocab))
                 else:
-                    cols.append(Column(name=f"c{j}", kind="numeric", vmin=0, vmax=1))
+                    cols.append(Column(name=f"c{j}", kind="numeric", min=0, max=1))
             schema = MetadataSchema(columns=tuple(cols), classes=("x",))
             row = {}
             for c in cols:
@@ -101,8 +101,18 @@ class TestOneHot:
         restored = MetadataSchema.from_json(SCHEMA.to_json())
         assert restored == SCHEMA
 
+    def test_schema_built_directly_is_validated(self):
+        with pytest.raises(ConfigError, match="class name 'x'"):
+            MetadataSchema(columns=SCHEMA.columns, classes=("x", "y", "x"))
+        with pytest.raises(ConfigError, match="'classes'"):
+            MetadataSchema(columns=SCHEMA.columns)
+
 
 class TestMetadataEncoder:
+    def test_zero_width_refused(self):
+        with pytest.raises(ConfigError, match="no metadata columns"):
+            MetadataEncoder(in_width=0)
+
     def test_zero_weights_give_zero_output(self):
         enc = MetadataEncoder(in_width=4, out_dim=3, hidden=(5,), rng=np.random.default_rng(0))
         for _, t in enc.params():

@@ -143,8 +143,8 @@ def schema_and_row(draw):
             columns.append(Column(name, "categorical", vocab=vocab))
             row[name] = draw(st.sampled_from(vocab + ("", None, "unseen")))
         else:
-            vmin = draw(st.floats(-100, 100))
-            columns.append(Column(name, "numeric", vmin=vmin, vmax=vmin + 1.0))
+            low = draw(st.floats(-100, 100))
+            columns.append(Column(name, "numeric", min=low, max=low + 1.0))
             row[name] = draw(st.one_of(st.just(""), st.floats(-1e3, 1e3).map(str)))
     return MetadataSchema(columns=tuple(columns), classes=("C0", "C1")), row
 
